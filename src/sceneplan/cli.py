@@ -17,6 +17,7 @@ from .dataset import (
     dataset_stats,
     findings_to_jsonl,
     generation_prompts,
+    sample_key,
     validate_dataset,
 )
 from .engine import EpisodeConfig, EpisodeError, episode_to_dict, run_episode
@@ -37,13 +38,19 @@ from .route import (
     report_to_dict,
     verify_route,
 )
-from .scene import SceneFormatError, SceneInvariantError, load_scene, load_triplets
+from .scene import (
+    SceneFormatError,
+    SceneInvariantError,
+    load_scene,
+    load_triplets,
+    read_jsonl,
+)
 
 PROMPT_SEPARATOR = "\n=== PROMPT {i} ===\n"
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
 
 
 def _start_pose(args: argparse.Namespace, scene) -> AgentPose:
@@ -144,18 +151,10 @@ def cmd_route_check(args: argparse.Namespace) -> int:
 
 def _read_keyed_texts(path: str, allow_multi: bool) -> dict[tuple[str, int], list[str]]:
     keyed: dict[tuple[str, int], list[str]] = {}
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        where = f"{path}:{lineno}"
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"{where}: {exc}") from exc
-        if not isinstance(data, dict) or "scene_id" not in data or "sample_id" not in data:
-            raise DatasetError(f"{where}: record needs scene_id and sample_id")
-        key = (data["scene_id"], data["sample_id"])
+    for _, where, data in read_jsonl(path):
+        if isinstance(data, SceneFormatError):
+            raise DatasetError(f"{where}: {data}") from data
+        key = sample_key(data, where)
         if key in keyed:
             raise DatasetError(f"{where}: duplicate key {key}")
         if allow_multi and "texts" in data:

@@ -22,6 +22,7 @@ from .scene import (
     SceneModel,
     load_scene,
     parse_triplet_record,
+    read_jsonl,
     triplet_warnings,
 )
 from .textmatch import find_category_spans, words_of
@@ -36,19 +37,6 @@ FINDING_KINDS = (
     "step-structure",
     "unparsed-route",
 )
-
-# Composition of the complete benchmark corpus, used as a cross-check by
-# the stats self-test when that corpus is present locally.
-FULL_CORPUS_EXPECTED = {
-    "train_scenes": 1201,
-    "val_scenes": 312,
-    "instructions_per_scene": 18.25,
-    "mean_steps": 3.98,
-    "mean_words": 76.67,
-    "step_fraction_3": 0.2807,
-    "step_fraction_4": 0.4397,
-    "step_fraction_5": 0.2446,
-}
 
 _ROUTE_VERDICT_TO_KIND = {
     "unparsed": "unparsed-route",
@@ -116,6 +104,19 @@ class DatasetStats:
         }
 
 
+def sample_key(
+    record: dict, where: str, default_sample_id: int | None = None
+) -> tuple[str, int]:
+    """A record's (scene_id, sample_id): a string and an integer that is not a bool."""
+    scene_id = record.get("scene_id")
+    sample_id = record.get("sample_id", default_sample_id)
+    if not isinstance(scene_id, str):
+        raise DatasetError(f"{where}: scene_id must be a string")
+    if not isinstance(sample_id, int) or isinstance(sample_id, bool):
+        raise DatasetError(f"{where}: sample_id must be an integer")
+    return scene_id, sample_id
+
+
 def load_dataset(
     dataset_dir: str | Path,
 ) -> tuple[list[DatasetSample], dict[str, SceneModel]]:
@@ -136,31 +137,27 @@ def load_dataset(
     samples: list[DatasetSample] = []
     for split, path in split_files:
         try:
-            lines = path.read_text(encoding="utf-8").splitlines()
+            entries = read_jsonl(path)
         except OSError as exc:
             raise DatasetError(f"{path}: {exc}") from exc
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
+        for lineno, where, data in entries:
             try:
-                data = json.loads(line)
-                if not isinstance(data, dict):
-                    raise SceneFormatError("record must be a JSON object")
+                if isinstance(data, SceneFormatError):
+                    raise data
                 triplet = parse_triplet_record(data, where)
-            except (json.JSONDecodeError, SceneFormatError) as exc:
+            except SceneFormatError as exc:
                 raise DatasetError(f"{where}: {exc}") from exc
-            sample_id = data.get("sample_id", lineno)
-            if not isinstance(sample_id, int):
-                raise DatasetError(f"{where}: sample_id must be an integer")
-            if triplet.scene_id not in scenes:
-                scene_path = root / "scenes" / f"{triplet.scene_id}.json"
+            scene_id, sample_id = sample_key(data, where, default_sample_id=lineno)
+            if scene_id in ("", ".", "..") or set(scene_id) & set("/\\\0"):
+                raise DatasetError(f"{where}: scene_id {scene_id!r} is not a plain file name")
+            if scene_id not in scenes:
+                scene_path = root / "scenes" / f"{scene_id}.json"
                 if not scene_path.exists():
                     raise DatasetError(f"{where}: scene file not found: {scene_path}")
-                scenes[triplet.scene_id] = load_scene(scene_path)
+                scenes[scene_id] = load_scene(scene_path)
             samples.append(
                 DatasetSample(
-                    key=(triplet.scene_id, sample_id),
+                    key=(scene_id, sample_id),
                     split=split,
                     line=lineno,
                     triplet=triplet,

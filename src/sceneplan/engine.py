@@ -8,6 +8,7 @@ generator emits the "[END]" stop token or the step cap is hit.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable
@@ -76,8 +77,8 @@ class EpisodeConfig:
     def __post_init__(self) -> None:
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if self.w_l <= 0:
-            raise ValueError("w_l must be positive")
+        if not (math.isfinite(self.w_l) and self.w_l > 0):
+            raise ValueError("w_l must be positive and finite")
 
 
 @dataclass(frozen=True)

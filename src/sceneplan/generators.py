@@ -334,12 +334,3 @@ class RuleBasedGenerator:
             text = text[0].upper() + text[1:]
         return text
 
-
-def scripted_generator(replies: list[str]) -> Callable[[GeneratorRequest], GeneratorReply]:
-    """Generator that plays back canned raw replies by step index; test helper."""
-    def generate(request: GeneratorRequest) -> GeneratorReply:
-        if request.step_index > len(replies):
-            raise IndexError(f"no scripted reply for step {request.step_index}")
-        return reply_from_raw(replies[request.step_index - 1])
-
-    return generate

@@ -20,17 +20,6 @@ DEFAULT_K = 2
 DEFAULT_MODULATION_WEIGHT = 2.0
 NEAR_DISTANCE = 0.15  # meters; closer than this overrides axis-based kinds
 
-RELATION_KINDS = (
-    "left-of",
-    "right-of",
-    "above",
-    "below",
-    "in-front-of",
-    "behind",
-    "near",
-)
-
-
 @dataclass(frozen=True)
 class SpatialRelation:
     """Relation kind plus exact Euclidean centroid distance in meters."""
@@ -43,7 +32,6 @@ class SpatialRelation:
 class GraphNode:
     object: ObjectInstance
     weight: float = 1.0
-    feature: list[float] | None = None
 
 
 @dataclass
@@ -144,10 +132,9 @@ def modulate(
 
     The touched sets are unions over all mentions, and every touched element
     is multiplied exactly once per call, however many mentions share it.
-    Feature vectors, when present, are scaled with their node.
     """
-    if w_l <= 0:
-        raise ValueError(f"w_l must be positive, got {w_l}")
+    if not (math.isfinite(w_l) and w_l > 0):
+        raise ValueError(f"w_l must be positive and finite, got {w_l}")
     unknown = [i for i in mentioned_ids if i not in graph.nodes]
     if unknown:
         raise KeyError(f"unknown object id(s) {unknown}")
@@ -159,10 +146,7 @@ def modulate(
             touched_nodes.add(neighbor)
             touched_edges.add((node_id, neighbor))
     for node_id in touched_nodes:
-        node = graph.nodes[node_id]
-        node.weight *= w_l
-        if node.feature is not None:
-            node.feature = [v * w_l for v in node.feature]
+        graph.nodes[node_id].weight *= w_l
     for key in touched_edges:
         graph.edges[key].weight *= w_l
     return ModulationRecord(

@@ -30,15 +30,6 @@ HEADING_TO_DIR = {0: (0.0, 1.0), 90: (-1.0, 0.0), 180: (0.0, -1.0), 270: (1.0, 0
 ADJACENCY_CLEARANCE = 0.2  # meters kept between the agent and an AABB face
 STRAIGHT_AHEAD_CONE = 30.0  # degrees; half-angle for "straight ahead" claims
 
-VERDICTS = (
-    "ok",
-    "unreachable-target",
-    "direction-inconsistent",
-    "unknown-object",
-    "unparsed",
-)
-
-
 class RouteError(Exception):
     pass
 
@@ -557,14 +548,11 @@ def verify_route(
                     # route reachability is judged from the nearest free cell.
                     start_cell = nearest_free_cell(grid, pose.position)
                 goals = adjacent_free_cells(grid, target.aabb)
-                if start_cell is None or (
-                    start_cell not in goals
-                    and shortest_cell_path(grid, start_cell, goals) is None
-                ):
+                if start_cell is None or shortest_cell_path(grid, start_cell, goals) is None:
                     verdict = "unreachable-target"
                     detail = f"no path to {clause.target_category}"
                     break
-            pose = apply_clause(pose, clause, scene)
+            pose = replace(pose, position=_landing_point(pose, clause, target, scene))
         reports.append(
             RouteCheckReport(
                 step_index=step.index,
@@ -585,17 +573,9 @@ def default_start_pose(scene: SceneModel) -> AgentPose:
     grid = scene.occupancy
     if grid is None:
         return AgentPose(position=(0.0, 0.0), heading=0)
-    free = [
-        (row, col)
-        for row in range(grid.rows)
-        for col in range(grid.cols)
-        if not grid.is_blocked(row, col)
-    ]
-    if not free:
+    best = nearest_free_cell(grid, grid.origin)
+    if best is None:
         raise RouteError(f"scene {scene.scene_id} occupancy grid is fully blocked")
-    best = min(
-        free, key=lambda c: (math.dist(grid.cell_center(*c), grid.origin), c)
-    )
     return AgentPose(position=grid.cell_center(*best), heading=0)
 
 

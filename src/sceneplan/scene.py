@@ -12,6 +12,7 @@ across workers.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -184,13 +185,20 @@ class TripletWarning:
     detail: str
 
 
+def _number(raw: object, where: str) -> float:
+    try:
+        value = float(raw)  # type: ignore[arg-type]
+    except (TypeError, ValueError, OverflowError):
+        raise SceneFormatError(f"{where}: expected a number") from None
+    if not math.isfinite(value):
+        raise SceneFormatError(f"{where}: expected a finite number")
+    return value
+
+
 def _vec3(raw: object, where: str) -> Vec3:
     if not isinstance(raw, (list, tuple)) or len(raw) != 3:
         raise SceneFormatError(f"{where}: expected 3 numbers")
-    try:
-        return (float(raw[0]), float(raw[1]), float(raw[2]))
-    except (TypeError, ValueError):
-        raise SceneFormatError(f"{where}: expected 3 numbers") from None
+    return (_number(raw[0], where), _number(raw[1], where), _number(raw[2], where))
 
 
 def _require(record: dict, key: str, where: str) -> object:
@@ -226,12 +234,13 @@ def _parse_occupancy(raw: object) -> OccupancyGrid:
     where = "occupancy"
     if not isinstance(raw, dict):
         raise SceneFormatError(f"{where}: expected object")
-    cell_size = float(_require(raw, "cell_size", where))  # type: ignore[arg-type]
+    cell_size = _number(_require(raw, "cell_size", where), f"{where}.cell_size")
     if cell_size <= 0:
         raise SceneFormatError(f"{where}.cell_size: must be positive")
     origin_raw = _require(raw, "origin", where)
     if not isinstance(origin_raw, (list, tuple)) or len(origin_raw) != 2:
         raise SceneFormatError(f"{where}.origin: expected 2 numbers")
+    origin = tuple(_number(v, f"{where}.origin") for v in origin_raw)
     rows = _require(raw, "rows", where)
     cols = _require(raw, "cols", where)
     if not isinstance(rows, int) or not isinstance(cols, int) or rows <= 0 or cols <= 0:
@@ -241,7 +250,7 @@ def _parse_occupancy(raw: object) -> OccupancyGrid:
         raise SceneFormatError(f"{where}.blocked: expected {rows * cols} flags")
     return OccupancyGrid(
         cell_size=cell_size,
-        origin=(float(origin_raw[0]), float(origin_raw[1])),
+        origin=origin,  # type: ignore[arg-type]
         rows=rows,
         cols=cols,
         blocked=tuple(bool(v) for v in blocked_raw),
@@ -274,6 +283,8 @@ def load_scene(path: str | Path) -> SceneModel:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SceneFormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise SceneFormatError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise SceneFormatError(f"{path}: top level must be a JSON object")
     scene_id = _require(data, "scene_id", "scene")
@@ -416,6 +427,28 @@ def triplet_warnings(
     return warnings
 
 
+def read_jsonl(path: str | Path) -> list[tuple[int, str, dict | SceneFormatError]]:
+    """Parse every nonblank line of a JSON Lines file.
+
+    Each entry is (line number, ``path:line`` locus, record).  A line that
+    is not a JSON object comes back as the :class:`SceneFormatError` saying
+    why, in place of its record, so each caller keeps its own policy: skip
+    the line or fail.  An unreadable file raises :class:`OSError`.
+    """
+    entries: list[tuple[int, str, dict | SceneFormatError]] = []
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            record = SceneFormatError(str(exc))
+        if not isinstance(record, (dict, SceneFormatError)):
+            record = SceneFormatError("record must be a JSON object")
+        entries.append((lineno, f"{path}:{lineno}", record))
+    return entries
+
+
 def load_triplets(
     path: str | Path, scene: SceneModel | None = None
 ) -> tuple[list[InstructionPlanTriplet], list[TripletWarning]]:
@@ -426,22 +459,18 @@ def load_triplets(
     semantic invariant are returned alongside a structured warning.  Blank
     lines are ignored.
     """
-    path = Path(path)
     triplets: list[InstructionPlanTriplet] = []
     warnings: list[TripletWarning] = []
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        entries = read_jsonl(path)
     except OSError as exc:
         raise SceneFormatError(f"{path}: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+    for lineno, _, data in entries:
         try:
-            data = json.loads(line)
-            if not isinstance(data, dict):
-                raise SceneFormatError("record must be a JSON object")
+            if isinstance(data, SceneFormatError):
+                raise data
             triplet = parse_triplet_record(data)
-        except (json.JSONDecodeError, SceneFormatError) as exc:
+        except SceneFormatError as exc:
             warnings.append(TripletWarning("syntax", lineno, str(exc)))
             continue
         warnings.extend(triplet_warnings(triplet, scene, lineno))

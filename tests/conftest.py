@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import random
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
+from sceneplan.engine import GeneratorReply, GeneratorRequest, reply_from_raw
 from sceneplan.scene import Aabb, ObjectInstance, OccupancyGrid, SceneModel, load_scene
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -98,3 +100,13 @@ def make_random_grid_scene(seed: int) -> SceneModel | None:
     )
     scene.validate()
     return scene
+
+
+def scripted_generator(replies: list[str]) -> Callable[[GeneratorRequest], GeneratorReply]:
+    """Generator that plays back canned raw replies by step index."""
+    def generate(request: GeneratorRequest) -> GeneratorReply:
+        if request.step_index > len(replies):
+            raise IndexError(f"no scripted reply for step {request.step_index}")
+        return reply_from_raw(replies[request.step_index - 1])
+
+    return generate

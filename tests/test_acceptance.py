@@ -26,7 +26,6 @@ from sceneplan.generators import (
     LlmClient,
     LlmEndpointConfig,
     MalformedReplyError,
-    scripted_generator,
 )
 from sceneplan.graph import build_graph, knn_ids, modulate, reset_weights
 from sceneplan.metrics import evaluate_pairs, pair_from_text
@@ -46,7 +45,12 @@ from sceneplan.route import (
     verify_route,
 )
 from sceneplan.scene import PlanStep
-from tests.conftest import FIXTURES, make_random_grid_scene, make_random_scene
+from tests.conftest import (
+    FIXTURES,
+    make_random_grid_scene,
+    make_random_scene,
+    scripted_generator,
+)
 from tests.dataset_builder import build_faulty_dataset
 from tests.oracles import oracle_bfs_length, oracle_knn, oracle_modulated_sets
 from tests.test_generators import StubEndpoint

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sceneplan.cli import main
 from tests.conftest import FIXTURES
@@ -323,3 +329,183 @@ class TestGenPromptsCommand:
         code, _, err = _run(capsys, ["gen-prompts", "--scene", KITCHEN, "--n", "0"])
         assert code == 1
         assert "positive" in err
+
+
+def _kitchen_with(tmp_path, **occupancy) -> str:
+    data = json.loads(Path(KITCHEN).read_text(encoding="utf-8"))
+    data["occupancy"].update(occupancy)
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+def _evaluate_argv(tmp_path, keys) -> list[str]:
+    """Predictions and references with the same records, one per key."""
+    path = tmp_path / "records.jsonl"
+    path.write_text(
+        "".join(
+            json.dumps({"scene_id": scene_id, "sample_id": sample_id, "text": "walk to the sink"})
+            + "\n"
+            for scene_id, sample_id in keys
+        ),
+        encoding="utf-8",
+    )
+    return ["evaluate", "--predictions", str(path), "--references", str(path)]
+
+
+def _deep_json(tmp_path, name: str) -> str:
+    path = tmp_path / name
+    path.write_text("[" * 100_000 + "\n", encoding="utf-8")
+    return str(path)
+
+
+def _dataset_with_scene_id(tmp_path, scene_id: str) -> list[str]:
+    """A dataset whose one record names a scene file outside ``scenes/``."""
+    records = build_clean_dataset(tmp_path)
+    (tmp_path / "outside.json").write_text(
+        (tmp_path / "scenes" / "kitchen-01.json").read_text(encoding="utf-8"), encoding="utf-8"
+    )
+    record = {**records[0], "scene_id": scene_id}
+    (tmp_path / "triplets" / "train.jsonl").write_text(json.dumps(record) + "\n", encoding="utf-8")
+    return ["validate", str(tmp_path)]
+
+
+PLAN = ["plan", "--instruction", "make tea"]
+
+# Inputs that once crashed a command or printed invalid JSON.
+HOSTILE_INPUTS = {
+    "occupancy-cell-size-null": lambda tmp: PLAN + ["--scene", _kitchen_with(tmp, cell_size=None)],
+    "occupancy-origin-null": lambda tmp: PLAN + ["--scene", _kitchen_with(tmp, origin=[None, 0])],
+    "occupancy-cell-size-huge-int": lambda tmp: PLAN
+    + ["--scene", _kitchen_with(tmp, cell_size=10**400)],
+    "scene-nested-too-deeply": lambda tmp: PLAN + ["--scene", _deep_json(tmp, "deep.json")],
+    "w-l-nan": lambda tmp: PLAN + ["--scene", KITCHEN, "--w-l", "nan", "--dump-graph"],
+    "w-l-inf": lambda tmp: PLAN + ["--scene", KITCHEN, "--w-l", "inf", "--dump-graph"],
+    "evaluate-sample-id-list": lambda tmp: _evaluate_argv(tmp, [("s", [1]), ("s", 2)]),
+    "evaluate-sample-id-bool": lambda tmp: _evaluate_argv(tmp, [("s", True), ("s", 2)]),
+    "evaluate-scene-id-null": lambda tmp: _evaluate_argv(tmp, [(None, 1), ("s", 1)]),
+    "evaluate-nested-too-deeply": lambda tmp: [
+        "evaluate",
+        "--predictions",
+        _deep_json(tmp, "deep.jsonl"),
+        "--references",
+        _deep_json(tmp, "deep.jsonl"),
+    ],
+    "validate-scene-id-outside-dataset": lambda tmp: _dataset_with_scene_id(tmp, "../outside"),
+}
+
+
+class TestHostileInputs:
+    @pytest.mark.parametrize("case", sorted(HOSTILE_INPUTS))
+    def test_fails_with_one_error_line(self, capsys, tmp_path, case):
+        argv = HOSTILE_INPUTS[case](tmp_path)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=4,
+) | st.sampled_from([10**400, -1.0, 0.0, [None, 0]])
+_BROKEN = object()  # stands for a line that is not JSON at all
+_TEXTS = st.text(alphabet="ab .'!", max_size=12)
+
+
+@st.composite
+def _occupancy_blocks(draw) -> dict:
+    """A grid that covers the kitchen, then up to two fields replaced or dropped."""
+    rows, cols = draw(st.integers(10, 14)), draw(st.integers(10, 14))
+    block = {
+        "cell_size": draw(st.floats(0.7, 1.0)),
+        "origin": draw(st.lists(st.floats(-3.0, -2.0), min_size=2, max_size=2)),
+        "rows": rows,
+        "cols": cols,
+        "blocked": draw(
+            st.lists(st.sampled_from([0] * 7 + [1]), min_size=rows * cols, max_size=rows * cols)
+        ),
+    }
+    for _ in range(draw(st.integers(0, 2))):
+        field = draw(st.sampled_from(sorted(block)))
+        if draw(st.booleans()):
+            block[field] = draw(_JUNK)
+        else:
+            del block[field]
+    return block
+
+
+@st.composite
+def _evaluate_files(draw) -> tuple[str, str]:
+    """Matching prediction and reference files, then up to two records spoiled."""
+    key = st.tuples(st.sampled_from(["s", "t"]), st.integers(0, 2))
+    keys = draw(st.lists(key, min_size=1, max_size=4, unique=True))
+    predictions = [{"scene_id": s, "sample_id": i, "text": draw(_TEXTS)} for s, i in keys]
+    references = [
+        {"scene_id": s, "sample_id": i, "texts": draw(st.lists(_TEXTS, min_size=1, max_size=2))}
+        for s, i in keys
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        records = draw(st.sampled_from([predictions, references]))
+        index = draw(st.integers(0, len(records) - 1))
+        field = draw(st.sampled_from(["scene_id", "sample_id", "text", "texts", None]))
+        if field is None:
+            records[index] = draw(_JUNK | st.just(_BROKEN))
+        elif isinstance(records[index], dict):
+            records[index] = {**records[index], field: draw(_JUNK)}
+    return tuple(
+        "".join(("{" if r is _BROKEN else json.dumps(r)) + "\n" for r in records)
+        for records in (predictions, references)
+    )
+
+
+def _run_isolated(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestFuzzedInputs:
+    """Fuzzed files keep the contract: exit 0 with one JSON document, or exit 1."""
+
+    @staticmethod
+    def _check(code: int, out: str, err: str) -> None:
+        assert code in (0, 1)
+        assert "Traceback" not in err
+        if code == 0:
+            json.loads(out, parse_constant=_reject_constant)
+        else:
+            assert out == ""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(block=_occupancy_blocks())
+    def test_plan_on_fuzzed_occupancy(self, block):
+        data = json.loads(Path(KITCHEN).read_text(encoding="utf-8"))
+        data["occupancy"] = block
+        with tempfile.TemporaryDirectory() as tmp:
+            scene = Path(tmp) / "scene.json"
+            scene.write_text(json.dumps(data), encoding="utf-8")
+            self._check(*_run_isolated(PLAN + ["--scene", str(scene), "--dump-graph"]))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(files=_evaluate_files())
+    def test_evaluate_on_fuzzed_records(self, files):
+        with tempfile.TemporaryDirectory() as tmp:
+            preds = Path(tmp) / "pred.jsonl"
+            refs = Path(tmp) / "ref.jsonl"
+            preds.write_text(files[0], encoding="utf-8")
+            refs.write_text(files[1], encoding="utf-8")
+            self._check(
+                *_run_isolated(["evaluate", "--predictions", str(preds), "--references", str(refs)])
+            )

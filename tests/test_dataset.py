@@ -93,6 +93,30 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match=r"train\.jsonl:1"):
             load_dataset(root)
 
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            {"scene_id": "../kitchen-01"},
+            {"scene_id": "scenes/kitchen-01"},
+            {"scene_id": ".."},
+            {"scene_id": "."},
+            {"sample_id": True},
+            {"sample_id": "1"},
+        ],
+    )
+    def test_bad_record_key_is_fatal_with_locus(self, tmp_path, clean_dir, patch):
+        clean_root, records = clean_dir
+        root = tmp_path / "keys"
+        (root / "scenes").mkdir(parents=True)
+        (root / "triplets").mkdir()
+        scene_text = (clean_root / "scenes" / "kitchen-01.json").read_text(encoding="utf-8")
+        (root / "kitchen-01.json").write_text(scene_text, encoding="utf-8")
+        (root / "scenes" / "kitchen-01.json").write_text(scene_text, encoding="utf-8")
+        record = {**records[0], **patch}
+        (root / "triplets" / "train.jsonl").write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=r"train\.jsonl:1: (scene|sample)_id"):
+            load_dataset(root)
+
     def test_missing_split_files_fatal(self, tmp_path):
         with pytest.raises(DatasetError, match="no train.jsonl"):
             load_dataset(tmp_path)

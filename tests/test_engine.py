@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from sceneplan.engine import (
@@ -17,9 +19,9 @@ from sceneplan.engine import (
     run_episode,
     strip_step_label,
 )
-from sceneplan.generators import scripted_generator
 from sceneplan.graph import build_graph
 from sceneplan.scene import PlanStep
+from tests.conftest import scripted_generator
 
 
 def _recording(generator):
@@ -214,8 +216,9 @@ class TestRunEpisode:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="max_steps"):
             EpisodeConfig(max_steps=0)
-        with pytest.raises(ValueError, match="w_l"):
-            EpisodeConfig(w_l=0.0)
+        for w_l in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="w_l"):
+                EpisodeConfig(w_l=w_l)
 
     def test_episode_to_dict_shape(self, kitchen):
         script = [f"Plan. Step 1: Walk to the mug. {END_TOKEN}"]

@@ -24,11 +24,11 @@ from sceneplan.generators import (
     MissingCategoryError,
     RuleBasedGenerator,
     TransportError,
-    scripted_generator,
     select_rule,
 )
 from sceneplan.graph import build_graph
 from sceneplan.route import default_start_pose, verify_route
+from tests.conftest import scripted_generator
 
 
 class StubEndpoint:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import re
 
 import pytest
 
@@ -140,6 +142,31 @@ class TestSceneIo:
         out = tmp_path / "bad.json"
         out.write_text("{not json", encoding="utf-8")
         with pytest.raises(SceneFormatError, match=r"bad\.json:1:"):
+            load_scene(out)
+
+    @pytest.mark.parametrize(
+        "field, value, locus",
+        [
+            (("occupancy", "cell_size"), None, "occupancy.cell_size"),
+            (("occupancy", "cell_size"), "wide", "occupancy.cell_size"),
+            (("occupancy", "cell_size"), 10**400, "occupancy.cell_size"),
+            (("occupancy", "cell_size"), math.nan, "occupancy.cell_size"),
+            (("occupancy", "origin"), [None, 0], "occupancy.origin"),
+            (("occupancy", "origin"), [0, math.inf], "occupancy.origin"),
+            (("objects", 0, "centroid"), [0, -math.inf, 0], "objects[0].centroid"),
+        ],
+    )
+    def test_numbers_must_be_finite_with_field_locus(
+        self, kitchen_path, tmp_path, field, value, locus
+    ):
+        data = json.loads(kitchen_path.read_text(encoding="utf-8"))
+        target = data
+        for key in field[:-1]:
+            target = target[key]
+        target[field[-1]] = value
+        out = tmp_path / "scene.json"
+        out.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(SceneFormatError, match=re.escape(locus)):
             load_scene(out)
 
     def test_vocab_defaults_to_distinct_count(self, tmp_path):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
+import math
 import sys
 from pathlib import Path
 
@@ -20,7 +20,7 @@ from .dataset import (
     sample_key,
     validate_dataset,
 )
-from .engine import EpisodeConfig, EpisodeError, episode_to_dict, run_episode
+from .engine import DEFAULT_MAX_STEPS, EpisodeConfig, EpisodeError, episode_to_dict, run_episode
 from .generators import (
     DEFAULT_RULES,
     LlmClient,
@@ -58,6 +58,8 @@ def _start_pose(args: argparse.Namespace, scene) -> AgentPose:
         return default_start_pose(scene)
     if args.start_x is None or args.start_y is None:
         raise RouteError("--start-x and --start-y must be given together")
+    if not (math.isfinite(args.start_x) and math.isfinite(args.start_y)):
+        raise RouteError("--start-x and --start-y must be finite")
     return AgentPose(
         position=(args.start_x, args.start_y), heading=args.start_heading
     )
@@ -107,7 +109,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         if not args.endpoint or not args.model:
             raise LlmError("--backend llm requires --endpoint and --model")
         config = LlmEndpointConfig(base_url=args.endpoint, model_name=args.model)
-        generator = LlmClient(config, rng=random.Random(args.seed))
+        generator = LlmClient(config)
     snapshots: list[dict] = []
 
     def observe(request):
@@ -226,8 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="KNN degree for graph construction")
     p_plan.add_argument("--w-l", type=float, default=DEFAULT_MODULATION_WEIGHT,
                         dest="w_l", help="modulation weight factor")
-    p_plan.add_argument("--max-steps", type=int, default=8)
-    p_plan.add_argument("--seed", type=int, default=0)
+    p_plan.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     p_plan.add_argument("--dump-graph", action="store_true",
                         help="include per-step graph snapshots in the output")
     p_plan.add_argument("--endpoint", default=None, help="LLM service base URL")
@@ -256,7 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error; the contract is 0 or 1.
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (

@@ -72,7 +72,6 @@ def reply_from_raw(raw: str) -> GeneratorReply:
 class EpisodeConfig:
     max_steps: int = DEFAULT_MAX_STEPS
     w_l: float = DEFAULT_MODULATION_WEIGHT
-    prompt_budget: int | None = None
 
     def __post_init__(self) -> None:
         if self.max_steps < 1:
@@ -144,7 +143,6 @@ def run_episode(
     sets still produce a record), so callers who reuse a graph across
     episodes should reset its weights first.
     """
-    budget = config.prompt_budget if config.prompt_budget is not None else len(graph.nodes)
     steps: list[PlanStep] = []
     modulations: list[ModulationRecord] = []
     activity = ""
@@ -161,7 +159,7 @@ def run_episode(
         )
 
     for step_index in range(1, config.max_steps + 1):
-        system_context = SYSTEM_PREAMBLE + "\n" + serialize_for_prompt(graph, budget)
+        system_context = SYSTEM_PREAMBLE + "\n" + serialize_for_prompt(graph)
         if step_index == 1:
             user_prompt = instruction
         else:

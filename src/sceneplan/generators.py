@@ -34,6 +34,7 @@ DEFAULT_API_KEY_ENV = "SHARP_API_KEY"
 DEFAULT_IN_FLIGHT_LIMIT = 4
 BACKOFF_BASE_SECONDS = 0.5
 BACKOFF_FACTOR = 2.0
+TEMPERATURE = 0.0
 
 OBJECT_SLOT = "<object>"
 ROUTE_SLOT = "<route>"
@@ -62,15 +63,12 @@ class LlmEndpointConfig:
     api_key_env: str = DEFAULT_API_KEY_ENV
     timeout: float = 30.0
     max_retries: int = 3
-    temperature: float = 0.0
 
     def __post_init__(self) -> None:
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if not 0 <= self.temperature <= 2:
-            raise ValueError("temperature must be in [0, 2]")
 
 
 class LlmClient:
@@ -97,9 +95,6 @@ class LlmClient:
         self._session = requests.Session()
 
     def __call__(self, request: GeneratorRequest) -> GeneratorReply:
-        return self.generate(request)
-
-    def generate(self, request: GeneratorRequest) -> GeneratorReply:
         api_key = os.environ.get(self.config.api_key_env)
         if not api_key:
             raise AuthError(
@@ -108,7 +103,7 @@ class LlmClient:
         url = self.config.base_url.rstrip("/") + "/chat/completions"
         body = {
             "model": self.config.model_name,
-            "temperature": self.config.temperature,
+            "temperature": TEMPERATURE,
             "messages": [
                 {"role": "system", "content": request.system_context},
                 {"role": "user", "content": request.user_prompt},
@@ -240,15 +235,13 @@ def _keyword_matches(rule: ActivityRule, instruction_tokens: list[str]) -> int:
     return count
 
 
-def select_rule(
-    instruction: str, rules: tuple[ActivityRule, ...], fallback: ActivityRule = GENERIC_RULE
-) -> ActivityRule:
+def select_rule(instruction: str, rules: tuple[ActivityRule, ...]) -> ActivityRule:
     """Rule with most trigger keywords in the instruction; ties keep list order.
 
-    With no keyword matched anywhere, the fallback rule applies.
+    With no keyword matched anywhere, ``GENERIC_RULE`` applies.
     """
     tokens = words_of(instruction)
-    best = fallback
+    best = GENERIC_RULE
     best_count = 0
     for rule in rules:
         count = _keyword_matches(rule, tokens)

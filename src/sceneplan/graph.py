@@ -10,7 +10,6 @@ weight-ranked prompt serialization.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -57,13 +56,8 @@ class ModulationRecord:
 
     step_index: int
     mentioned_ids: tuple[int, ...]
-    w_l: float
     touched_nodes: frozenset[int]
     touched_edges: frozenset[tuple[int, int]]
-
-
-def centroid_distance(a: ObjectInstance, b: ObjectInstance) -> float:
-    return math.dist(a.centroid, b.centroid)
 
 
 def classify_relation(a: ObjectInstance, b: ObjectInstance) -> SpatialRelation:
@@ -95,7 +89,7 @@ def knn_ids(scene: SceneModel, k: int) -> dict[int, list[int]]:
     for obj in scene.objects:
         ranked = sorted(
             (other for other in scene.objects if other.id != obj.id),
-            key=lambda other: (centroid_distance(obj, other), other.id),
+            key=lambda other: (math.dist(obj.centroid, other.centroid), other.id),
         )
         result[obj.id] = [other.id for other in ranked[:k]]
     return result
@@ -132,6 +126,8 @@ def modulate(
 
     The touched sets are unions over all mentions, and every touched element
     is multiplied exactly once per call, however many mentions share it.
+    Raises ``ValueError`` naming the step, and scales nothing, when a scaled
+    weight would overflow to infinity or underflow to zero.
     """
     if not (math.isfinite(w_l) and w_l > 0):
         raise ValueError(f"w_l must be positive and finite, got {w_l}")
@@ -145,6 +141,13 @@ def modulate(
         for neighbor in graph.neighbors(node_id):
             touched_nodes.add(neighbor)
             touched_edges.add((node_id, neighbor))
+    weights = [graph.nodes[node_id].weight for node_id in touched_nodes]
+    weights += [graph.edges[key].weight for key in touched_edges]
+    if not all(0 < weight * w_l < math.inf for weight in weights):
+        raise ValueError(
+            f"step {step_index}: scaling by w_l={w_l} takes a weight out of the "
+            "positive finite range"
+        )
     for node_id in touched_nodes:
         graph.nodes[node_id].weight *= w_l
     for key in touched_edges:
@@ -152,7 +155,6 @@ def modulate(
     return ModulationRecord(
         step_index=step_index,
         mentioned_ids=tuple(mentioned_ids),
-        w_l=w_l,
         touched_nodes=frozenset(touched_nodes),
         touched_edges=frozenset(touched_edges),
     )
@@ -166,33 +168,28 @@ def reset_weights(graph: SceneGraph) -> None:
         edge.weight = 1.0
 
 
-def serialize_for_prompt(graph: SceneGraph, budget: int) -> str:
-    """Weight-ranked text rendering of the graph, at most ``budget`` node lines.
+def serialize_for_prompt(graph: SceneGraph) -> str:
+    """Weight-ranked text rendering of every node and edge of the graph.
 
     Nodes are ordered by descending weight, ties by ascending id, each as
-    "<category>#<id> (w=<weight>)".  Edge lines follow for every retained
-    node's edges whose other end is also retained, as "<cat>#<i> <kind>
-    <cat>#<j>".  Pure function of (weights, budget): identical inputs give
-    byte-identical output.
+    "<category>#<id> (w=<weight>)".  Edge lines follow in the same node
+    order, each node's out-edges by ascending neighbor id, as "<cat>#<i>
+    <kind> <cat>#<j>".  Pure function of the weights: identical inputs
+    give byte-identical output.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    ranked = sorted(graph.nodes.items(), key=lambda kv: (-kv[1].weight, kv[0]))
-    retained = [node_id for node_id, _ in ranked[:budget]]
-    retained_set = set(retained)
+    ranked = sorted(graph.nodes, key=lambda node_id: (-graph.nodes[node_id].weight, node_id))
 
     def label(node_id: int) -> str:
         return f"{graph.nodes[node_id].object.category}#{node_id}"
 
     lines = [
         f"{label(node_id)} (w={format(graph.nodes[node_id].weight, 'g')})"
-        for node_id in retained
+        for node_id in ranked
     ]
-    for node_id in retained:
+    for node_id in ranked:
         for dst in graph.neighbors(node_id):
-            if dst in retained_set:
-                kind = graph.edges[(node_id, dst)].relation.kind
-                lines.append(f"{label(node_id)} {kind} {label(dst)}")
+            kind = graph.edges[(node_id, dst)].relation.kind
+            lines.append(f"{label(node_id)} {kind} {label(dst)}")
     return "\n".join(lines)
 
 
@@ -215,7 +212,3 @@ def graph_to_dict(graph: SceneGraph) -> dict:
             for (src, dst), edge in sorted(graph.edges.items())
         ],
     }
-
-
-def dump_graph(graph: SceneGraph) -> str:
-    return json.dumps(graph_to_dict(graph), indent=2)

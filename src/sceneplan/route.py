@@ -20,7 +20,7 @@ from .textmatch import resolve_noun_phrase, words_of
 
 MOVE_VERBS = ("walk", "move", "go", "head", "proceed")
 TURN_VERB = "turn"
-# Adverb lexicon is extensible; matching is token-based, longest first.
+# Matching is token-based and takes the first hit, so keep longest first.
 DEFAULT_ADVERBS = ("straight ahead", "forward", "back", "around")
 
 HEADINGS = (0, 90, 180, 270)
@@ -113,9 +113,7 @@ def split_fragments(text: str) -> list[str]:
 _ARTICLES = {"the", "a", "an"}
 
 
-def _match_fragment(
-    tokens: list[str], adverbs: tuple[str, ...]
-) -> RouteClause | None:
+def _match_fragment(tokens: list[str]) -> RouteClause | None:
     verb = tokens[0]
     if verb == TURN_VERB:
         if (
@@ -132,7 +130,7 @@ def _match_fragment(
         return None
     rest = tokens[1:]
     adverb = None
-    for candidate in sorted(adverbs, key=lambda a: -len(a.split())):
+    for candidate in DEFAULT_ADVERBS:
         cand_tokens = candidate.split()
         if rest[: len(cand_tokens)] == cand_tokens:
             adverb = candidate
@@ -153,9 +151,7 @@ def _match_fragment(
     return RouteClause(verb=verb, target_category=target, adverb=adverb)
 
 
-def parse_fragments(
-    step_text: str, adverbs: tuple[str, ...] = DEFAULT_ADVERBS
-) -> list[ParsedFragment]:
+def parse_fragments(step_text: str) -> list[ParsedFragment]:
     """Classify every fragment of a step: route clause, failed movement, or other.
 
     Fragments that do not begin with a movement verb (e.g. "pick up the
@@ -171,16 +167,14 @@ def parse_fragments(
         if tokens[0] not in MOVE_VERBS and tokens[0] != TURN_VERB:
             fragments.append(ParsedFragment(piece, None, is_movement=False))
             continue
-        clause = _match_fragment(tokens, adverbs)
+        clause = _match_fragment(tokens)
         fragments.append(ParsedFragment(piece, clause, is_movement=True))
     return fragments
 
 
-def parse_route(
-    step_text: str, adverbs: tuple[str, ...] = DEFAULT_ADVERBS
-) -> list[RouteClause]:
+def parse_route(step_text: str) -> list[RouteClause]:
     """All route clauses in a step, in text order.  Total: never raises."""
-    return [f.clause for f in parse_fragments(step_text, adverbs) if f.clause]
+    return [f.clause for f in parse_fragments(step_text) if f.clause]
 
 
 def turn_heading(heading: int, degrees: int, direction: str) -> int:
@@ -330,16 +324,14 @@ def apply_clause(pose: AgentPose, clause: RouteClause, scene: SceneModel) -> Age
     return replace(pose, position=_landing_point(pose, clause, target, scene))
 
 
-def _within_cone(
-    pose: AgentPose, target: ObjectInstance, half_angle_deg: float = STRAIGHT_AHEAD_CONE
-) -> bool:
+def _within_cone(pose: AgentPose, target: ObjectInstance) -> bool:
     vx = target.centroid[0] - pose.position[0]
     vy = target.centroid[1] - pose.position[1]
     norm = math.hypot(vx, vy)
     if norm == 0:
         return True
     dx, dy = HEADING_TO_DIR[pose.heading]
-    return (vx * dx + vy * dy) / norm >= math.cos(math.radians(half_angle_deg))
+    return (vx * dx + vy * dy) / norm >= math.cos(math.radians(STRAIGHT_AHEAD_CONE))
 
 
 def shortest_cell_path(
@@ -424,16 +416,12 @@ def _turn_clauses(current: int, wanted: int) -> list[RouteClause]:
 
 
 def path_to_clauses(
-    path: list[tuple[int, int]],
-    start_heading: int,
-    target_category: str,
-    final_straight: bool = True,
+    path: list[tuple[int, int]], start_heading: int, target_category: str
 ) -> list[RouteClause]:
     """Compress a cell path into TURN/MOVE clauses; final move names the target.
 
-    ``final_straight`` controls whether the targeted move claims "straight
-    ahead"; the planner clears it when the target sits outside the heading
-    cone, so rendered routes never fail their own direction check.
+    Every move claims "straight ahead"; :func:`plan_route` drops the claim
+    from the final move when the target sits outside the heading cone.
     """
     if len(path) < 2:
         return []
@@ -455,7 +443,7 @@ def path_to_clauses(
         clauses.append(
             RouteClause(
                 verb="walk",
-                adverb="straight ahead" if not final or final_straight else None,
+                adverb="straight ahead",
                 target_category=target_category if final else None,
             )
         )

@@ -94,10 +94,14 @@ class OccupancyGrid:
         return self.in_bounds(row, col) and not self.is_blocked(row, col)
 
     def cell_of(self, x: float, y: float) -> tuple[int, int]:
-        """Grid cell containing world point (x, y); points on the far edge clamp in."""
-        col = int((x - self.origin[0]) / self.cell_size)
-        row = int((y - self.origin[1]) / self.cell_size)
-        return min(max(row, 0), self.rows - 1), min(max(col, 0), self.cols - 1)
+        """Grid cell containing world point (x, y); points outside clamp to the edge cell.
+
+        Clamping happens before ``int()``, so a far point whose offset is
+        ``inf`` in cell units still lands on the edge.
+        """
+        col = (x - self.origin[0]) / self.cell_size
+        row = (y - self.origin[1]) / self.cell_size
+        return int(min(max(row, 0), self.rows - 1)), int(min(max(col, 0), self.cols - 1))
 
     def cell_center(self, row: int, col: int) -> tuple[float, float]:
         return (

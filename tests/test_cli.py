@@ -371,6 +371,7 @@ def _dataset_with_scene_id(tmp_path, scene_id: str) -> list[str]:
 
 
 PLAN = ["plan", "--instruction", "make tea"]
+ROUTE_CHECK = ["route-check", "--triplets", str(FIXTURES / "triplets_valid.jsonl")]
 
 # Inputs that once crashed a command or printed invalid JSON.
 HOSTILE_INPUTS = {
@@ -381,6 +382,19 @@ HOSTILE_INPUTS = {
     "scene-nested-too-deeply": lambda tmp: PLAN + ["--scene", _deep_json(tmp, "deep.json")],
     "w-l-nan": lambda tmp: PLAN + ["--scene", KITCHEN, "--w-l", "nan", "--dump-graph"],
     "w-l-inf": lambda tmp: PLAN + ["--scene", KITCHEN, "--w-l", "inf", "--dump-graph"],
+    "w-l-overflows-weights": lambda tmp: PLAN + ["--scene", KITCHEN, "--w-l", "1e300"],
+    "w-l-overflows-weights-dump-graph": lambda tmp: PLAN
+    + ["--scene", KITCHEN, "--w-l", "1e300", "--dump-graph"],
+    "w-l-underflows-weights": lambda tmp: PLAN + ["--scene", KITCHEN, "--w-l", "1e-300"],
+    "plan-start-x-inf": lambda tmp: PLAN
+    + ["--scene", KITCHEN, "--start-x", "inf", "--start-y", "0"],
+    "plan-start-y-nan": lambda tmp: PLAN
+    + ["--scene", KITCHEN, "--start-x", "0", "--start-y", "nan"],
+    "route-check-start-x-inf": lambda tmp: ROUTE_CHECK
+    + ["--scene", KITCHEN, "--start-x", "inf", "--start-y", "0"],
+    "route-check-start-x-nan": lambda tmp: ROUTE_CHECK
+    + ["--scene", KITCHEN, "--start-x", "nan", "--start-y", "0"],
+    "evaluate-one-pair": lambda tmp: _evaluate_argv(tmp, [("s", 1)]),
     "evaluate-sample-id-list": lambda tmp: _evaluate_argv(tmp, [("s", [1]), ("s", 2)]),
     "evaluate-sample-id-bool": lambda tmp: _evaluate_argv(tmp, [("s", True), ("s", 2)]),
     "evaluate-scene-id-null": lambda tmp: _evaluate_argv(tmp, [(None, 1), ("s", 1)]),
@@ -406,6 +420,40 @@ class TestHostileInputs:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", [PLAN, ROUTE_CHECK], ids=["plan", "route-check"])
+    @pytest.mark.parametrize("x,y", [("1e308", "0"), ("-1e308", "1e308")])
+    def test_far_start_keeps_the_contract(self, capsys, command, x, y):
+        code = main(command + ["--scene", KITCHEN, f"--start-x={x}", f"--start-y={y}"])
+        captured = capsys.readouterr()
+        assert code in (0, 1)
+        assert "Traceback" not in captured.err
+        if captured.out:
+            json.loads(captured.out)
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plan", "--instruction", "make tea"],
+            PLAN + ["--scene", KITCHEN, "--k", "abc"],
+            ["no-such-command"],
+            [],
+        ],
+        ids=["missing-required", "not-an-int", "unknown-command", "no-command"],
+    )
+    def test_usage_error_exits_1_with_argparse_message(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ")
+        assert "error: " in captured.err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["plan", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: ")
 
 
 _JUNK = st.recursive(
@@ -465,6 +513,39 @@ def _evaluate_files(draw) -> tuple[str, str]:
     )
 
 
+def _spoil(draw, value):
+    """``value`` with one subtree, picked at random depth, replaced by junk or removed."""
+    if not isinstance(value, (dict, list)) or not value or draw(st.integers(0, 3)) == 0:
+        return draw(_JUNK)
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    key = draw(st.sampled_from(sorted(copy) if isinstance(copy, dict) else range(len(copy))))
+    if draw(st.integers(0, 3)) == 0:
+        del copy[key]
+    else:
+        copy[key] = _spoil(draw, copy[key])
+    return copy
+
+
+@st.composite
+def _route_check_files(draw) -> tuple[str, str]:
+    """The kitchen and its valid triplets, then up to two objects and two records spoiled."""
+    scene = json.loads(Path(KITCHEN).read_text(encoding="utf-8"))
+    for _ in range(draw(st.integers(0, 2))):
+        scene["objects"] = _spoil(draw, scene["objects"])
+    records = [
+        json.loads(line)
+        for line in (FIXTURES / "triplets_valid.jsonl").read_text(encoding="utf-8").splitlines()
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        index = draw(st.integers(0, len(records) - 1))
+        if draw(st.integers(0, 3)) == 0:
+            records[index] = _BROKEN
+        elif records[index] is not _BROKEN:
+            records[index] = _spoil(draw, records[index])
+    triplets = "".join(("{" if r is _BROKEN else json.dumps(r)) + "\n" for r in records)
+    return json.dumps(scene), triplets
+
+
 def _run_isolated(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -497,6 +578,23 @@ class TestFuzzedInputs:
             scene = Path(tmp) / "scene.json"
             scene.write_text(json.dumps(data), encoding="utf-8")
             self._check(*_run_isolated(PLAN + ["--scene", str(scene), "--dump-graph"]))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(files=_route_check_files())
+    def test_route_check_on_fuzzed_objects_and_records(self, files):
+        with tempfile.TemporaryDirectory() as tmp:
+            scene = Path(tmp) / "scene.json"
+            triplets = Path(tmp) / "triplets.jsonl"
+            scene.write_text(files[0], encoding="utf-8")
+            triplets.write_text(files[1], encoding="utf-8")
+            code, out, err = _run_isolated(
+                ["route-check", "--scene", str(scene), "--triplets", str(triplets)]
+            )
+        # A route that fails its check exits 1 with its report on stdout.
+        assert code in (0, 1)
+        assert "Traceback" not in err
+        if out:
+            json.loads(out, parse_constant=_reject_constant)
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(files=_evaluate_files())

@@ -191,16 +191,6 @@ class TestRunEpisode:
         assert node_lines[: len(boosted)] == boosted
         assert "kettle#4 (w=2)" in boosted
 
-    def test_prompt_budget_limits_context_lines(self, kitchen):
-        graph = build_graph(kitchen)
-        script = [f"Plan. Step 1: done. {END_TOKEN}"]
-        generator, requests = _recording(scripted_generator(script))
-        run_episode(
-            kitchen, graph, "help", generator, EpisodeConfig(prompt_budget=3)
-        )
-        node_lines = [l for l in requests[0].system_context.splitlines() if "(w=" in l]
-        assert len(node_lines) == 3
-
     def test_generator_failure_preserves_partial_episode(self, kitchen):
         def flaky(request: GeneratorRequest):
             if request.step_index == 2:

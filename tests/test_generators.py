@@ -127,7 +127,7 @@ REQUEST = GeneratorRequest(system_context="scene", user_prompt="I am tired", ste
 class TestLlmClient:
     def test_success_parses_content_and_detects_end(self, api_key):
         with StubEndpoint([{"text": "Step 2: Turn left. [END]"}]) as stub:
-            reply = _client(stub).generate(REQUEST)
+            reply = _client(stub)(REQUEST)
         assert reply.text == "Step 2: Turn left."
         assert reply.saw_end
         sent = stub.requests[0]
@@ -143,7 +143,7 @@ class TestLlmClient:
         script = [{"status": 500}, {"status": 503}, {"text": "Step 1: ok."}]
         with StubEndpoint(script) as stub:
             client = _client(stub, max_retries=3)
-            reply = client.generate(REQUEST)
+            reply = client(REQUEST)
         assert reply.text == "Step 1: ok."
         assert len(stub.requests) == 3
         sleeps = client.recorded_sleeps
@@ -156,14 +156,14 @@ class TestLlmClient:
         with StubEndpoint([{"status": 500}] * 3) as stub:
             client = _client(stub, max_retries=2)
             with pytest.raises(TransportError, match="after 3 attempts"):
-                client.generate(REQUEST)
+                client(REQUEST)
         assert len(stub.requests) == 3
 
     def test_auth_rejection_is_immediate(self, api_key):
         with StubEndpoint([{"status": 401, "raw": "{}"}]) as stub:
             client = _client(stub)
             with pytest.raises(AuthError, match="401"):
-                client.generate(REQUEST)
+                client(REQUEST)
         assert len(stub.requests) == 1
         assert client.recorded_sleeps == []
 
@@ -171,24 +171,24 @@ class TestLlmClient:
         monkeypatch.delenv("SHARP_API_KEY", raising=False)
         with StubEndpoint() as stub:
             with pytest.raises(AuthError, match="SHARP_API_KEY"):
-                _client(stub).generate(REQUEST)
+                _client(stub)(REQUEST)
         assert stub.requests == []
 
     def test_non_json_body_is_malformed_not_retried(self, api_key):
         with StubEndpoint([{"raw": "not json at all"}]) as stub:
             with pytest.raises(MalformedReplyError, match="not JSON"):
-                _client(stub).generate(REQUEST)
+                _client(stub)(REQUEST)
         assert len(stub.requests) == 1
 
     def test_missing_choices_is_malformed(self, api_key):
         with StubEndpoint([{"payload": {"unexpected": True}}]) as stub:
             with pytest.raises(MalformedReplyError, match="choices"):
-                _client(stub).generate(REQUEST)
+                _client(stub)(REQUEST)
 
     def test_other_client_errors_are_not_retried(self, api_key):
         with StubEndpoint([{"status": 418, "raw": "{}"}]) as stub:
             with pytest.raises(LlmError, match="418"):
-                _client(stub).generate(REQUEST)
+                _client(stub)(REQUEST)
         assert len(stub.requests) == 1
 
     def test_connection_failure_retries_then_raises(self, api_key):
@@ -198,14 +198,14 @@ class TestLlmClient:
         sleeps: list[float] = []
         client = LlmClient(config, sleep=sleeps.append, rng=random.Random(0))
         with pytest.raises(TransportError, match="transport error"):
-            client.generate(REQUEST)
+            client(REQUEST)
         assert len(sleeps) == 1
 
     def test_in_flight_limit_respected_across_threads(self, api_key):
         with StubEndpoint(delay=0.05) as stub:
             client = _client(stub)
             threads = [
-                threading.Thread(target=client.generate, args=(REQUEST,))
+                threading.Thread(target=client, args=(REQUEST,))
                 for _ in range(10)
             ]
             for t in threads:
@@ -219,7 +219,7 @@ class TestLlmClient:
         with StubEndpoint(delay=0.05) as stub:
             client = _client(stub, max_in_flight=2)
             threads = [
-                threading.Thread(target=client.generate, args=(REQUEST,))
+                threading.Thread(target=client, args=(REQUEST,))
                 for _ in range(6)
             ]
             for t in threads:
@@ -233,8 +233,6 @@ class TestLlmClient:
             LlmEndpointConfig(base_url="x", model_name="m", timeout=0)
         with pytest.raises(ValueError, match="max_retries"):
             LlmEndpointConfig(base_url="x", model_name="m", max_retries=-1)
-        with pytest.raises(ValueError, match="temperature"):
-            LlmEndpointConfig(base_url="x", model_name="m", temperature=3.0)
         config = LlmEndpointConfig(base_url="x", model_name="m")
         with pytest.raises(ValueError, match="max_in_flight"):
             LlmClient(config, max_in_flight=0)

@@ -12,7 +12,6 @@ from sceneplan.graph import (
     NEAR_DISTANCE,
     build_graph,
     classify_relation,
-    dump_graph,
     graph_to_dict,
     knn_ids,
     modulate,
@@ -199,12 +198,21 @@ class TestModulation:
             with pytest.raises(ValueError, match="w_l must be positive"):
                 modulate(graph, [0], w_l=w_l)
 
+    def test_weight_leaving_positive_finite_range_raises_and_scales_nothing(self):
+        for w_l in (1e300, 1e-300):
+            graph = build_graph(make_random_scene(16, n_objects=4))
+            modulate(graph, [0], w_l=w_l, step_index=1)
+            before = graph_to_dict(graph)
+            with pytest.raises(ValueError, match="step 2"):
+                modulate(graph, [0], w_l=w_l, step_index=2)
+            assert graph_to_dict(graph) == before
+
 
 class TestSerialization:
     def test_prompt_ranking_weight_desc_then_id_asc(self, kitchen):
         graph = build_graph(kitchen)
         modulate(graph, [4])  # kettle
-        text = serialize_for_prompt(graph, budget=len(graph.nodes))
+        text = serialize_for_prompt(graph)
         node_lines = [l for l in text.splitlines() if "(w=" in l]
         weights = []
         for line in node_lines:
@@ -213,36 +221,20 @@ class TestSerialization:
             weights.append((-w, node_id))
         assert weights == sorted(weights)
 
-    def test_budget_truncates_node_lines(self, kitchen):
-        graph = build_graph(kitchen)
-        text = serialize_for_prompt(graph, budget=3)
-        assert len([l for l in text.splitlines() if "(w=" in l]) == 3
-
-    def test_edges_only_among_retained_nodes(self, kitchen):
+    def test_one_line_per_node_and_per_edge(self, kitchen):
         graph = build_graph(kitchen)
         modulate(graph, [4])
-        text = serialize_for_prompt(graph, budget=3)
-        retained = {
-            int(l.split("#")[1].split(" ")[0]) for l in text.splitlines() if "(w=" in l
-        }
-        for line in text.splitlines():
-            if "(w=" in line:
-                continue
-            ids = [int(part.split(" ")[0]) for part in line.split("#")[1:]]
-            assert all(i in retained for i in ids)
+        lines = serialize_for_prompt(graph).splitlines()
+        assert len(lines) == len(graph.nodes) + len(graph.edges)
+        assert len([l for l in lines if "(w=" in l]) == len(graph.nodes)
 
     def test_serialization_is_deterministic(self, kitchen):
         a = build_graph(kitchen)
         b = build_graph(kitchen)
         modulate(a, [2, 8])
         modulate(b, [2, 8])
-        assert serialize_for_prompt(a, 6) == serialize_for_prompt(b, 6)
-        assert dump_graph(a) == dump_graph(b)
-
-    def test_budget_must_be_positive(self, kitchen):
-        graph = build_graph(kitchen)
-        with pytest.raises(ValueError, match="budget"):
-            serialize_for_prompt(graph, 0)
+        assert serialize_for_prompt(a) == serialize_for_prompt(b)
+        assert graph_to_dict(a) == graph_to_dict(b)
 
     def test_graph_to_dict_sorted_and_complete(self, kitchen):
         graph = build_graph(kitchen)

@@ -117,11 +117,6 @@ class TestRouteGrammar:
         assert parse_route("!!! ??? 12 monkeys") == []
         assert parse_route("") == []
 
-    def test_custom_adverb_lexicon(self):
-        assert parse_route("walk sideways", adverbs=("sideways",)) == [
-            RouteClause("walk", adverb="sideways")
-        ]
-
 
 class TestTurnAlgebra:
     def test_left_is_counterclockwise_from_plus_y(self):

@@ -74,6 +74,8 @@ class TestOccupancyGrid:
     def test_cell_of_clamps_outside_points(self):
         assert self.GRID.cell_of(-100.0, -100.0) == (0, 0)
         assert self.GRID.cell_of(100.0, 100.0) == (self.GRID.rows - 1, self.GRID.cols - 1)
+        # Offsets that overflow to inf in cell units clamp like any other far point.
+        assert self.GRID.cell_of(1e308, -1e308) == (0, self.GRID.cols - 1)
 
     def test_is_free_handles_out_of_bounds(self):
         assert not self.GRID.is_free(-1, 0)

@@ -101,6 +101,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
+    if args.backend == "llm" and (args.start_x is not None or args.start_y is not None):
+        raise LlmError("--start-x and --start-y apply only to --backend rules")
     scene = load_scene(args.scene)
     graph = build_graph(scene, k=args.k)
     if args.backend == "rules":

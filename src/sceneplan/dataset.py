@@ -141,12 +141,13 @@ def load_dataset(
         except OSError as exc:
             raise DatasetError(f"{path}: {exc}") from exc
         for lineno, where, data in entries:
+            if isinstance(data, SceneFormatError):
+                raise DatasetError(f"{where}: {data}")
             try:
-                if isinstance(data, SceneFormatError):
-                    raise data
                 triplet = parse_triplet_record(data, where)
             except SceneFormatError as exc:
-                raise DatasetError(f"{where}: {exc}") from exc
+                # The parser's message already starts with the locus.
+                raise DatasetError(str(exc)) from exc
             scene_id, sample_id = sample_key(data, where, default_sample_id=lineno)
             if scene_id in ("", ".", "..") or set(scene_id) & set("/\\\0"):
                 raise DatasetError(f"{where}: scene_id {scene_id!r} is not a plain file name")

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .porter import stem
 
@@ -31,6 +32,8 @@ CIDER_SCALE = 10.0
 CIDER_MAX_N = 4
 
 _NON_TOKEN = re.compile(r"[^a-z0-9\s]")
+# N-gram orders counted once per pair: BLEU-1..4 and CIDEr's n = 1..CIDER_MAX_N.
+_ORDERS = range(1, max(4, CIDER_MAX_N) + 1)
 
 
 def tokenize(text: str) -> list[str]:
@@ -46,6 +49,38 @@ class TokenizedPair:
     def __post_init__(self) -> None:
         if not self.references:
             raise ValueError("a pair needs at least one reference")
+
+    @cached_property
+    def ngram_counts(self) -> tuple[NgramCounts, ...]:
+        """The counts of each n-gram order, built on first use and kept with the pair.
+
+        The cache lives in the instance ``__dict__``, outside the dataclass
+        fields, so equality and hashing still see only the tokens.
+        """
+        orders = []
+        for n in _ORDERS:
+            candidate = _ngrams(self.candidate, n)
+            references = tuple(_ngrams(ref, n) for ref in self.references)
+            reference_max = _max_counts(references)
+            orders.append(NgramCounts(
+                candidate=candidate,
+                references=references,
+                clipped=sum(
+                    min(count, reference_max.get(gram, 0)) for gram, count in candidate.items()
+                ),
+                total=sum(candidate.values()),
+            ))
+        return tuple(orders)
+
+
+@dataclass(frozen=True)
+class NgramCounts:
+    """One n-gram order of a pair: every count BLEU and CIDEr read."""
+
+    candidate: Counter
+    references: tuple[Counter, ...]
+    clipped: int  # candidate grams, each capped at its largest count in one reference
+    total: int  # candidate grams
 
 
 def pair_from_text(candidate: str, references: list[str] | tuple[str, ...]) -> TokenizedPair:
@@ -80,7 +115,18 @@ class MetricReport:
 
 
 def _ngrams(tokens: tuple[str, ...], n: int) -> Counter:
-    return Counter(tokens[i : i + n] for i in range(len(tokens) - n + 1))
+    # Grams enter the Counter in position order; CIDEr's float sums follow it.
+    return Counter(zip(*(tokens[k:] for k in range(n))))
+
+
+def _max_counts(counters: tuple[Counter, ...]) -> dict[tuple, int]:
+    """Each gram's largest count in any one of ``counters``."""
+    merged = dict(counters[0])
+    for counts in counters[1:]:
+        for gram, count in counts.items():
+            if count > merged.get(gram, 0):
+                merged[gram] = count
+    return merged
 
 
 def bleu(pairs: list[TokenizedPair], max_n: int) -> float:
@@ -90,18 +136,9 @@ def bleu(pairs: list[TokenizedPair], max_n: int) -> float:
     if not 1 <= max_n <= 4:
         raise ValueError("max_n must be in 1..4")
     log_precision_sum = 0.0
-    for n in range(1, max_n + 1):
-        clipped = 0
-        total = 0
-        for pair in pairs:
-            counts = _ngrams(pair.candidate, n)
-            total += sum(counts.values())
-            max_ref: Counter = Counter()
-            for ref in pair.references:
-                for gram, count in _ngrams(ref, n).items():
-                    if count > max_ref[gram]:
-                        max_ref[gram] = count
-            clipped += sum(min(c, max_ref[g]) for g, c in counts.items())
+    for order in range(max_n):
+        clipped = sum(pair.ngram_counts[order].clipped for pair in pairs)
+        total = sum(pair.ngram_counts[order].total for pair in pairs)
         if clipped == 0 or total == 0:
             return 0.0
         log_precision_sum += math.log(clipped / total)
@@ -120,18 +157,23 @@ def bleu(pairs: list[TokenizedPair], max_n: int) -> float:
 
 
 def lcs_length(a: tuple[str, ...], b: tuple[str, ...]) -> int:
-    if not a or not b:
-        return 0
-    previous = [0] * (len(b) + 1)
+    """Length of a longest common subsequence, one big-int step per token of ``a``.
+
+    Bit-parallel LCS (Allison & Dix, 1986; Hyyrö, 2004): bit j of ``v`` is 0
+    where the DP row steps up at column j of ``b``, so the LCS is the count
+    of zero bits among the ``len(b)`` low bits.
+    """
+    masks: dict[str, int] = {}
+    for j, token in enumerate(b):
+        masks[token] = masks.get(token, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    v = full
     for token in a:
-        current = [0]
-        for j, other in enumerate(b):
-            if token == other:
-                current.append(previous[j] + 1)
-            else:
-                current.append(max(previous[j + 1], current[j]))
-        previous = current
-    return previous[-1]
+        m = masks.get(token)
+        if m:
+            u = v & m
+            v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def _rouge_pair(candidate: tuple[str, ...], reference: tuple[str, ...]) -> float:
@@ -169,23 +211,44 @@ def align_unigrams(
     differ from a chunk-minimal alignment, whose computation is
     exponential in repeated tokens.
     """
-    matched_ref = [False] * len(reference)
-    matched_cand = [False] * len(candidate)
     alignment: list[tuple[int, int]] = []
-    for key in (lambda t: t, stem):
-        ref_keys = [key(t) for t in reference]
-        for i, token in enumerate(candidate):
-            if matched_cand[i]:
-                continue
-            want = key(token)
-            for j, have in enumerate(ref_keys):
-                if not matched_ref[j] and have == want:
-                    matched_cand[i] = True
-                    matched_ref[j] = True
-                    alignment.append((i, j))
-                    break
+    cand_left, ref_left = _match_stage(
+        list(enumerate(candidate)), list(enumerate(reference)), alignment
+    )
+    if cand_left and ref_left:
+        _match_stage(
+            [(i, stem(token)) for i, token in cand_left],
+            [(j, stem(token)) for j, token in ref_left],
+            alignment,
+        )
     alignment.sort()
     return alignment
+
+
+def _match_stage(
+    cand_keys: list[tuple[int, str]],
+    ref_keys: list[tuple[int, str]],
+    alignment: list[tuple[int, int]],
+) -> tuple[list[tuple[int, str]], list[tuple[int, str]]]:
+    """Match each candidate key to the lowest free reference position with that key.
+
+    Takes and returns (position, key) lists; appends the matches to
+    ``alignment`` and returns the candidate and reference entries left over.
+    """
+    free: dict[str, deque[int]] = {}
+    for j, key in ref_keys:
+        free.setdefault(key, deque()).append(j)
+    cand_left = []
+    taken = set()
+    for i, key in cand_keys:
+        positions = free.get(key)
+        if positions:
+            j = positions.popleft()
+            alignment.append((i, j))
+            taken.add(j)
+        else:
+            cand_left.append((i, key))
+    return cand_left, [(j, key) for j, key in ref_keys if j not in taken]
 
 
 def _chunk_count(alignment: list[tuple[int, int]]) -> int:
@@ -219,11 +282,8 @@ def meteor(pairs: list[TokenizedPair]) -> float:
     ) / len(pairs)
 
 
-def _tfidf_vector(tokens: tuple[str, ...], n: int, idf: dict[tuple, float]) -> dict:
-    return {
-        gram: count * idf.get(gram, 0.0)
-        for gram, count in _ngrams(tokens, n).items()
-    }
+def _tfidf_vector(counts: Counter, idf: dict[tuple, float]) -> dict:
+    return {gram: count * idf.get(gram, 0.0) for gram, count in counts.items()}
 
 
 def _cosine(u: dict, v: dict) -> float:
@@ -241,25 +301,22 @@ def cider(pairs: list[TokenizedPair]) -> float:
         raise ValueError("cider requires at least 2 pairs (idf needs a corpus)")
     n_pairs = len(pairs)
     idf_by_n: list[dict[tuple, float]] = []
-    for n in range(1, CIDER_MAX_N + 1):
+    for order in range(CIDER_MAX_N):
         document_frequency: Counter = Counter()
         for pair in pairs:
-            grams: set[tuple] = set()
-            for ref in pair.references:
-                grams.update(_ngrams(ref, n))
-            document_frequency.update(grams)
+            document_frequency.update(set().union(*pair.ngram_counts[order].references))
         idf_by_n.append(
             {g: math.log(n_pairs / (1 + df)) for g, df in document_frequency.items()}
         )
     total = 0.0
     for pair in pairs:
         per_n = 0.0
-        for n in range(1, CIDER_MAX_N + 1):
-            idf = idf_by_n[n - 1]
-            cand_vec = _tfidf_vector(pair.candidate, n, idf)
+        for order in range(CIDER_MAX_N):
+            idf = idf_by_n[order]
+            counts = pair.ngram_counts[order]
+            cand_vec = _tfidf_vector(counts.candidate, idf)
             similarity = sum(
-                _cosine(cand_vec, _tfidf_vector(ref, n, idf))
-                for ref in pair.references
+                _cosine(cand_vec, _tfidf_vector(ref, idf)) for ref in counts.references
             ) / len(pair.references)
             per_n += CIDER_SCALE * similarity
         total += per_n / CIDER_MAX_N

@@ -7,6 +7,8 @@ returned unchanged.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 _VOWELS = "aeiou"
 
 
@@ -59,12 +61,10 @@ def _apply_rules(word: str, rules: list[tuple[str, str, int | None]]) -> str:
     """Apply the longest-suffix rule whose measure condition holds.
 
     Each rule is (suffix, replacement, min_measure); min_measure None means
-    unconditional.  Rules are tried longest suffix first and only the first
-    suffix match is considered.
+    unconditional.  ``rules`` is sorted longest suffix first and only the
+    first suffix match is considered.
     """
-    for suffix, replacement, min_measure in sorted(
-        rules, key=lambda r: -len(r[0])
-    ):
+    for suffix, replacement, min_measure in rules:
         if word.endswith(suffix):
             stem = word[: len(word) - len(suffix)]
             if min_measure is None or _measure(stem) > min_measure:
@@ -73,7 +73,9 @@ def _apply_rules(word: str, rules: list[tuple[str, str, int | None]]) -> str:
     return word
 
 
-_STEP2_RULES = [
+# The rule tables are sorted longest suffix first once, here; the sort is
+# stable, so rules with suffixes of one length keep their listed order.
+_STEP2_RULES = sorted([
     ("ational", "ate", 0),
     ("tional", "tion", 0),
     ("enci", "ence", 0),
@@ -97,9 +99,9 @@ _STEP2_RULES = [
     ("aliti", "al", 0),
     ("iviti", "ive", 0),
     ("biliti", "ble", 0),
-]
+], key=lambda r: -len(r[0]))
 
-_STEP3_RULES = [
+_STEP3_RULES = sorted([
     ("icate", "ic", 0),
     ("ative", "", 0),
     ("alize", "al", 0),
@@ -107,12 +109,12 @@ _STEP3_RULES = [
     ("ical", "ic", 0),
     ("ful", "", 0),
     ("ness", "", 0),
-]
+], key=lambda r: -len(r[0]))
 
-_STEP4_SUFFIXES = (
+_STEP4_SUFFIXES = sorted((
     "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
     "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
-)
+), key=len, reverse=True)
 
 
 def _step1a(word: str) -> str:
@@ -154,7 +156,7 @@ def _step1c(word: str) -> str:
 
 
 def _step4(word: str) -> str:
-    for suffix in sorted(_STEP4_SUFFIXES, key=len, reverse=True):
+    for suffix in _STEP4_SUFFIXES:
         if word.endswith(suffix):
             stem = word[: len(word) - len(suffix)]
             if _measure(stem) <= 1:
@@ -184,6 +186,9 @@ def _step5b(word: str) -> str:
     return word
 
 
+# Bounded: a corpus repeats a small vocabulary, and an unbounded cache would
+# grow with every distinct word a long-lived caller ever stems.
+@lru_cache(maxsize=4096)
 def stem(word: str) -> str:
     """Stem one lowercase word."""
     if len(word) <= 2:

@@ -223,6 +223,29 @@ def oracle_meteor_pair(cand: list[str], ref: list[str], stem_fn) -> float:
     return best_score
 
 
+def oracle_greedy_alignment(cand, ref, stem_fn) -> list[tuple[int, int]]:
+    """Greedy two-stage alignment by rescanning: per stage (exact, then stem),
+    each unmatched candidate token takes the first unmatched reference token
+    with the same key.  Returns sorted (candidate_index, reference_index) pairs.
+    """
+    matched_ref = [False] * len(ref)
+    matched_cand = [False] * len(cand)
+    alignment = []
+    for key in (lambda t: t, stem_fn):
+        ref_keys = [key(t) for t in ref]
+        for i, token in enumerate(cand):
+            if matched_cand[i]:
+                continue
+            want = key(token)
+            for j, have in enumerate(ref_keys):
+                if not matched_ref[j] and have == want:
+                    matched_cand[i] = True
+                    matched_ref[j] = True
+                    alignment.append((i, j))
+                    break
+    return sorted(alignment)
+
+
 def oracle_meteor(candidates, references, stem_fn) -> float:
     total = 0.0
     for cand, refs in zip(candidates, references):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import tempfile
@@ -17,6 +18,11 @@ from tests.conftest import FIXTURES
 from tests.dataset_builder import build_clean_dataset, build_faulty_dataset
 
 KITCHEN = str(FIXTURES / "kitchen.json")
+PLAN = ["plan", "--instruction", "make tea"]
+# The endpoint is never contacted: every case using it fails before a request.
+LLM_PLAN = PLAN + [
+    "--scene", KITCHEN, "--backend", "llm", "--endpoint", "http://localhost:9", "--model", "m"
+]
 
 
 def _run(capsys, argv: list[str]) -> tuple[int, dict | None, str]:
@@ -159,6 +165,12 @@ class TestPlanCommand:
         code, _, err = _run(capsys, self.ARGS + ["--backend", "llm"])
         assert code == 1
         assert "--endpoint" in err
+
+    def test_llm_backend_rejects_start_flags_before_building_a_client(self, capsys, monkeypatch):
+        monkeypatch.delenv("SHARP_API_KEY", raising=False)
+        code, _, err = _run(capsys, LLM_PLAN + ["--start-x", "1.0", "--start-y", "1.0"])
+        assert code == 1
+        assert "only to --backend rules" in err
 
     def test_unknown_scene_path_fails_and_names_it(self, capsys, tmp_path):
         ghost = tmp_path / "nope.json"
@@ -370,7 +382,6 @@ def _dataset_with_scene_id(tmp_path, scene_id: str) -> list[str]:
     return ["validate", str(tmp_path)]
 
 
-PLAN = ["plan", "--instruction", "make tea"]
 ROUTE_CHECK = ["route-check", "--triplets", str(FIXTURES / "triplets_valid.jsonl")]
 
 # Inputs that once crashed a command or printed invalid JSON.
@@ -390,6 +401,8 @@ HOSTILE_INPUTS = {
     + ["--scene", KITCHEN, "--start-x", "inf", "--start-y", "0"],
     "plan-start-y-nan": lambda tmp: PLAN
     + ["--scene", KITCHEN, "--start-x", "0", "--start-y", "nan"],
+    "plan-llm-start-finite": lambda tmp: LLM_PLAN + ["--start-x", "1.0", "--start-y", "1.0"],
+    "plan-llm-start-x-inf": lambda tmp: LLM_PLAN + ["--start-x", "inf", "--start-y", "0"],
     "route-check-start-x-inf": lambda tmp: ROUTE_CHECK
     + ["--scene", KITCHEN, "--start-x", "inf", "--start-y", "0"],
     "route-check-start-x-nan": lambda tmp: ROUTE_CHECK
@@ -546,6 +559,32 @@ def _route_check_files(draw) -> tuple[str, str]:
     return json.dumps(scene), triplets
 
 
+@functools.cache
+def _clean_records() -> tuple[str, ...]:
+    """A small clean dataset's records, as JSON lines, built once."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return tuple(json.dumps(r) for r in build_clean_dataset(Path(tmp), count=4))
+
+
+@st.composite
+def _validate_files(draw) -> tuple[str, str]:
+    """The kitchen and a clean dataset on it, then up to two objects and two records spoiled."""
+    scene = json.loads(Path(KITCHEN).read_text(encoding="utf-8"))
+    # A spoiled scene usually fails to load, so most examples keep it whole
+    # and reach the records.
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        scene["objects"] = _spoil(draw, scene["objects"])
+    records = [json.loads(line) for line in _clean_records()]
+    for _ in range(draw(st.integers(0, 2))):
+        index = draw(st.integers(0, len(records) - 1))
+        if draw(st.integers(0, 3)) == 0:
+            records[index] = _BROKEN
+        elif records[index] is not _BROKEN:
+            records[index] = _spoil(draw, records[index])
+    triplets = "".join(("{" if r is _BROKEN else json.dumps(r)) + "\n" for r in records)
+    return json.dumps(scene), triplets
+
+
 def _run_isolated(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -591,6 +630,21 @@ class TestFuzzedInputs:
                 ["route-check", "--scene", str(scene), "--triplets", str(triplets)]
             )
         # A route that fails its check exits 1 with its report on stdout.
+        assert code in (0, 1)
+        assert "Traceback" not in err
+        if out:
+            json.loads(out, parse_constant=_reject_constant)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(files=_validate_files())
+    def test_validate_on_fuzzed_records(self, files):
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "scenes").mkdir()
+            (Path(tmp) / "triplets").mkdir()
+            (Path(tmp) / "scenes" / "kitchen-01.json").write_text(files[0], encoding="utf-8")
+            (Path(tmp) / "triplets" / "train.jsonl").write_text(files[1], encoding="utf-8")
+            code, out, err = _run_isolated(["validate", tmp])
+        # Hard findings exit 1 with the findings report on stdout.
         assert code in (0, 1)
         assert "Traceback" not in err
         if out:

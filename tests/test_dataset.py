@@ -93,6 +93,15 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match=r"train\.jsonl:1"):
             load_dataset(root)
 
+    def test_unparsable_record_names_its_locus_once(self, tmp_path):
+        root = tmp_path / "fields"
+        (root / "scenes").mkdir(parents=True)
+        (root / "triplets").mkdir()
+        (root / "triplets" / "train.jsonl").write_text('{"scene_id": 1}\n', encoding="utf-8")
+        with pytest.raises(DatasetError) as info:
+            load_dataset(root)
+        assert str(info.value).count("train.jsonl:1") == 1
+
     @pytest.mark.parametrize(
         "patch",
         [

@@ -7,10 +7,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sceneplan.metrics import (
     MetricReport,
     TokenizedPair,
+    align_unigrams,
     bleu,
     cider,
     evaluate_pairs,
@@ -26,6 +29,7 @@ from tests.oracles import (
     _gram_counts,
     oracle_bleu,
     oracle_cider,
+    oracle_greedy_alignment,
     oracle_lcs,
     oracle_meteor,
     oracle_rouge_l,
@@ -35,6 +39,13 @@ from tests.oracles import (
 GOLDEN = json.loads((FIXTURES / "golden_corpus.json").read_text(encoding="utf-8"))
 GOLDEN_PAIRS = [pair_from_text(e["candidate"], e["references"]) for e in GOLDEN["pairs"]]
 EXPECTED = GOLDEN["expected"]
+
+
+# Several words share each stem ("turn", "turned", "turns", "turning").
+ALIGNMENT_VOCAB = [
+    "turn", "turned", "turns", "turning", "walk", "walked", "walking",
+    "the", "to", "sink", "sinks", "relational", "relate", "mug",
+]
 
 
 def _pair(candidate: str, *references: str) -> TokenizedPair:
@@ -153,6 +164,21 @@ class TestOracleAgreement:
         assert report.meteor == pytest.approx(EXPECTED["meteor"], abs=1e-9)
         assert report.cider == pytest.approx(EXPECTED["cider"], abs=1e-9)
 
+    def test_golden_corpus_is_bit_identical(self):
+        pairs = [pair_from_text(e["candidate"], e["references"]) for e in GOLDEN["pairs"]]
+        report = evaluate_pairs(pairs)
+        assert list(report.bleu) == EXPECTED["bleu"]
+        assert report.rouge_l == EXPECTED["rouge_l"]
+        assert report.meteor == EXPECTED["meteor"]
+        assert report.cider == EXPECTED["cider"]
+        # Scoring caches n-gram counts on each pair; equality and hashing
+        # must still see only the tokens.
+        for pair, entry in zip(pairs, GOLDEN["pairs"]):
+            assert "ngram_counts" in vars(pair)
+            fresh = pair_from_text(entry["candidate"], entry["references"])
+            assert pair == fresh
+            assert hash(pair) == hash(fresh)
+
     def test_lcs_matches_recursive_oracle(self):
         rng = random.Random(11)
         vocab = ["a", "b", "c", "d"]
@@ -160,6 +186,38 @@ class TestOracleAgreement:
             a = tuple(rng.choice(vocab) for _ in range(rng.randint(0, 9)))
             b = tuple(rng.choice(vocab) for _ in range(rng.randint(0, 9)))
             assert lcs_length(a, b) == oracle_lcs(a, b)
+
+    # Past 64 reference tokens the bit vector spans several machine words.
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(data=st.data(), vocab_size=st.integers(2, 5))
+    def test_lcs_matches_recursive_oracle_on_long_inputs(self, data, vocab_size):
+        def tokens() -> tuple[str, ...]:
+            # The length is drawn first: hypothesis alone keeps lists short.
+            n = data.draw(st.integers(0, 150))
+            words = st.sampled_from("abcde"[:vocab_size])
+            return tuple(data.draw(st.lists(words, min_size=n, max_size=n)))
+
+        a, b = tokens(), tokens()
+        assert lcs_length(a, b) == oracle_lcs(a, b)
+
+    # Inflections of one stem and repeated tokens make the stem stage and
+    # the lowest-free-position rule matter.
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        corpus=st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(ALIGNMENT_VOCAB), max_size=30),
+                st.lists(st.sampled_from(ALIGNMENT_VOCAB), max_size=30),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_alignment_matches_rescanning_greedy_oracle(self, corpus):
+        for cand, ref in corpus:
+            assert align_unigrams(tuple(cand), tuple(ref)) == oracle_greedy_alignment(
+                cand, ref, stem
+            )
 
     def test_random_corpora_match_oracles(self):
         for seed in range(8):

@@ -60,9 +60,8 @@ def _start_pose(args: argparse.Namespace, scene) -> AgentPose:
         raise RouteError("--start-x and --start-y must be given together")
     if not (math.isfinite(args.start_x) and math.isfinite(args.start_y)):
         raise RouteError("--start-x and --start-y must be finite")
-    return AgentPose(
-        position=(args.start_x, args.start_y), heading=args.start_heading
-    )
+    heading = 0 if args.start_heading is None else args.start_heading
+    return AgentPose(position=(args.start_x, args.start_y), heading=heading)
 
 
 def _add_start_flags(parser: argparse.ArgumentParser) -> None:
@@ -70,8 +69,8 @@ def _add_start_flags(parser: argparse.ArgumentParser) -> None:
                         help="start position x in meters (default: free cell nearest grid origin)")
     parser.add_argument("--start-y", type=float, default=None,
                         help="start position y in meters")
-    parser.add_argument("--start-heading", type=int, default=0,
-                        choices=(0, 90, 180, 270), help="start heading in degrees (0 = +y)")
+    parser.add_argument("--start-heading", type=int, default=None,
+                        choices=(0, 90, 180, 270), help="start heading in degrees (default: 0 = +y)")
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -101,8 +100,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    if args.backend == "llm" and (args.start_x is not None or args.start_y is not None):
-        raise LlmError("--start-x and --start-y apply only to --backend rules")
+    start_flags = (args.start_x, args.start_y, args.start_heading)
+    if args.backend == "llm" and any(flag is not None for flag in start_flags):
+        raise LlmError("--start-x, --start-y and --start-heading apply only to --backend rules")
     scene = load_scene(args.scene)
     graph = build_graph(scene, k=args.k)
     if args.backend == "rules":

@@ -383,20 +383,46 @@ def shortest_cell_path(
     return None
 
 
+def _ring(grid: OccupancyGrid, row0: int, col0: int, d: int) -> list[tuple[int, int]]:
+    """In-grid cells at Chebyshev distance exactly ``d`` from (row0, col0)."""
+    if d == 0:
+        return [(row0, col0)]
+    cells: list[tuple[int, int]] = []
+    col_lo, col_hi = max(col0 - d, 0), min(col0 + d, grid.cols - 1)
+    for row in (row0 - d, row0 + d):
+        if 0 <= row < grid.rows:
+            cells.extend((row, col) for col in range(col_lo, col_hi + 1))
+    row_lo, row_hi = max(row0 - d + 1, 0), min(row0 + d - 1, grid.rows - 1)
+    for col in (col0 - d, col0 + d):
+        if 0 <= col < grid.cols:
+            cells.extend((row, col) for row in range(row_lo, row_hi + 1))
+    return cells
+
+
 def nearest_free_cell(
     grid: OccupancyGrid, position: tuple[float, float]
 ) -> tuple[int, int] | None:
-    """Free cell whose center is closest to a world point, ties by (row, col)."""
-    best: tuple[int, int] | None = None
-    best_key: tuple[float, int, int] | None = None
-    for row in range(grid.rows):
-        for col in range(grid.cols):
+    """Free cell whose center is closest to a world point, ties by (row, col).
+
+    Scans rings of growing Chebyshev radius ``d`` around the cell that
+    contains the point (the edge cell for a point outside the grid).  Every
+    center in ring ``d`` lies at least ``(d - 0.5)`` cells from the point,
+    so the search stops once ``(d - 1)`` cells exceed the best distance:
+    no later cell can be closer or tie.
+    """
+    row0, col0 = grid.cell_of(*position)
+    reach = max(row0, grid.rows - 1 - row0, col0, grid.cols - 1 - col0)
+    best: tuple[float, int, int] | None = None
+    for d in range(reach + 1):
+        if best is not None and (d - 1) * grid.cell_size > best[0]:
+            break
+        for row, col in _ring(grid, row0, col0, d):
             if grid.is_blocked(row, col):
                 continue
             key = (math.dist(position, grid.cell_center(row, col)), row, col)
-            if best_key is None or key < best_key:
-                best, best_key = (row, col), key
-    return best
+            if best is None or key < best:
+                best = key
+    return None if best is None else (best[1], best[2])
 
 
 def _heading_of_step(delta: tuple[int, int]) -> int:
@@ -499,8 +525,10 @@ def verify_route(
     for a movement fragment outside the grammar, "unknown-object" when a
     target matches no scene category, "direction-inconsistent" when
     "straight ahead" points more than 30 degrees away from the target, and
-    "unreachable-target" when the occupancy grid admits no path.  Later
-    steps are still checked from wherever the pose ended up.
+    "unreachable-target" when no free cell adjacent to the target lies in
+    the start cell's free-cell component, which is exactly when
+    :func:`shortest_cell_path` would find no path.  Later steps are still
+    checked from wherever the pose ended up.
     """
     reports: list[RouteCheckReport] = []
     pose = start
@@ -536,7 +564,9 @@ def verify_route(
                     # route reachability is judged from the nearest free cell.
                     start_cell = nearest_free_cell(grid, pose.position)
                 goals = adjacent_free_cells(grid, target.aabb)
-                if start_cell is None or shortest_cell_path(grid, start_cell, goals) is None:
+                if start_cell is None or not any(
+                    grid.component_of(*goal) == grid.component_of(*start_cell) for goal in goals
+                ):
                     verdict = "unreachable-target"
                     detail = f"no path to {clause.target_category}"
                     break

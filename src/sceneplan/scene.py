@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 Vec3 = tuple[float, float, float]
@@ -93,6 +95,10 @@ class OccupancyGrid:
     def is_free(self, row: int, col: int) -> bool:
         return self.in_bounds(row, col) and not self.is_blocked(row, col)
 
+    def component_of(self, row: int, col: int) -> int:
+        """Label of the cell's free-cell component (see :attr:`component_labels`)."""
+        return self.component_labels[row * self.cols + col]
+
     def cell_of(self, x: float, y: float) -> tuple[int, int]:
         """Grid cell containing world point (x, y); points outside clamp to the edge cell.
 
@@ -114,6 +120,45 @@ class OccupancyGrid:
             self.origin[0] <= x <= self.origin[0] + self.cols * self.cell_size
             and self.origin[1] <= y <= self.origin[1] + self.rows * self.cell_size
         )
+
+    @cached_property
+    def component_labels(self) -> tuple[int, ...]:
+        """Row-major 4-connected free-cell component label per cell, -1 if blocked.
+
+        Two free cells share a label iff a 4-connected path of free cells
+        joins them.  Built on first use by an iterative flood fill and kept
+        in the instance ``__dict__``, outside the dataclass fields, so
+        equality, hashing and serialization still see only the grid.
+        """
+        rows, cols = self.rows, self.cols
+        # A border of blocked padding makes every neighbor index valid, so
+        # the fill needs no bounds checks.
+        width = cols + 2
+        unvisited = bytearray((rows + 2) * width)  # 1 = free cell not yet labelled
+        for row in range(rows):
+            start = (row + 1) * width + 1
+            unvisited[start:start + cols] = bytes(
+                not b for b in self.blocked[row * cols:(row + 1) * cols]
+            )
+        labels = [-1] * len(unvisited)
+        label = 0
+        for seed in range(len(unvisited)):
+            if not unvisited[seed]:
+                continue
+            unvisited[seed] = 0
+            labels[seed] = label
+            stack = [seed]
+            while stack:
+                index = stack.pop()
+                for neighbor in (index - width, index + width, index - 1, index + 1):
+                    if unvisited[neighbor]:
+                        unvisited[neighbor] = 0
+                        labels[neighbor] = label
+                        stack.append(neighbor)
+            label += 1
+        return tuple(chain.from_iterable(
+            labels[(row + 1) * width + 1:(row + 2) * width - 1] for row in range(rows)
+        ))
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,22 @@ def oracle_bfs_length(
     return None
 
 
+def oracle_nearest_free_cell(grid, position) -> tuple[int, int] | None:
+    """Full scan: the free cell whose center is closest to the point, ties by (row, col)."""
+    ox, oy = grid.origin
+    size = grid.cell_size
+    best = None
+    for row in range(grid.rows):
+        for col in range(grid.cols):
+            if grid.blocked[row * grid.cols + col]:
+                continue
+            center = (ox + (col + 0.5) * size, oy + (row + 0.5) * size)
+            key = (math.dist(position, center), row, col)
+            if best is None or key < best:
+                best = key
+    return None if best is None else (best[1], best[2])
+
+
 def oracle_ray_hits_rect(pos, direction, rect) -> float | None:
     """March an axis-aligned ray in tiny steps until it enters the rect."""
     xmin, ymin, xmax, ymax = rect

@@ -171,6 +171,10 @@ class TestPlanCommand:
         code, _, err = _run(capsys, LLM_PLAN + ["--start-x", "1.0", "--start-y", "1.0"])
         assert code == 1
         assert "only to --backend rules" in err
+        # An explicit heading of 0 is rejected too, not taken for the default.
+        code, _, err = _run(capsys, LLM_PLAN + ["--start-heading", "0"])
+        assert code == 1
+        assert "only to --backend rules" in err
 
     def test_unknown_scene_path_fails_and_names_it(self, capsys, tmp_path):
         ghost = tmp_path / "nope.json"
@@ -403,6 +407,7 @@ HOSTILE_INPUTS = {
     + ["--scene", KITCHEN, "--start-x", "0", "--start-y", "nan"],
     "plan-llm-start-finite": lambda tmp: LLM_PLAN + ["--start-x", "1.0", "--start-y", "1.0"],
     "plan-llm-start-x-inf": lambda tmp: LLM_PLAN + ["--start-x", "inf", "--start-y", "0"],
+    "plan-llm-start-heading": lambda tmp: LLM_PLAN + ["--start-heading", "90"],
     "route-check-start-x-inf": lambda tmp: ROUTE_CHECK
     + ["--scene", KITCHEN, "--start-x", "inf", "--start-y", "0"],
     "route-check-start-x-nan": lambda tmp: ROUTE_CHECK

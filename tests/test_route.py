@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sceneplan.route import (
     ADJACENCY_CLEARANCE,
@@ -33,9 +36,16 @@ from sceneplan.route import (
     turn_heading,
     verify_route,
 )
-from sceneplan.scene import Aabb, ObjectInstance, OccupancyGrid, PlanStep, SceneModel
+from sceneplan.scene import (
+    Aabb,
+    ObjectInstance,
+    OccupancyGrid,
+    PlanStep,
+    SceneModel,
+    scene_to_dict,
+)
 from tests.conftest import make_random_grid_scene
-from tests.oracles import oracle_bfs_length, oracle_ray_hits_rect
+from tests.oracles import oracle_bfs_length, oracle_nearest_free_cell, oracle_ray_hits_rect
 
 
 def _pose(x: float, y: float, heading: int = 0) -> AgentPose:
@@ -493,6 +503,140 @@ class TestVerifyRoute:
         assert not grid.is_free(*grid.cell_of(*inside.position))
         reports = verify_route(steps, kitchen, pose)
         assert reports[0].verdict == "ok"
+
+
+def _coordinate(data, low: float, size: float, cells: int) -> float:
+    """One axis of a probe point: on a cell center or edge (ties), far away, or anywhere."""
+    kind = data.draw(st.sampled_from(("center", "edge", "far", "any")))
+    if kind == "center":
+        return low + (data.draw(st.integers(-2, cells + 1)) + 0.5) * size
+    if kind == "edge":
+        return low + data.draw(st.integers(-2, cells + 2)) * size
+    if kind == "far":
+        return data.draw(st.sampled_from((-1e308, -1e6, 1e6, 1e308)))
+    return data.draw(st.floats(low - 5 * size, low + (cells + 5) * size))
+
+
+class TestNearestFreeCell:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        rows=st.integers(1, 30),
+        cols=st.integers(1, 30),
+        size=st.sampled_from((0.05, 0.1, 0.25, 0.5, 1.0, 2.5)),
+        origin=st.sampled_from(((0.0, 0.0), (-3.0, 1.5), (0.3, -0.7))),
+        density=st.sampled_from((0.0, 0.3, 0.7, 0.95, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ring_search_matches_full_scan(
+        self, data, rows, cols, size, origin, density, seed
+    ):
+        rng = random.Random(seed)
+        blocked = tuple(rng.random() < density for _ in range(rows * cols))
+        grid = OccupancyGrid(size, origin, rows, cols, blocked)
+        point = (
+            _coordinate(data, origin[0], size, cols),
+            _coordinate(data, origin[1], size, rows),
+        )
+        assert nearest_free_cell(grid, point) == oracle_nearest_free_cell(grid, point)
+
+    def test_fully_blocked_grid_has_none(self):
+        grid = OccupancyGrid(0.5, (0.0, 0.0), 3, 4, (True,) * 12)
+        assert nearest_free_cell(grid, (0.7, 0.7)) is None
+
+
+def _grid_worlds() -> list[SceneModel]:
+    """Random grid worlds (seed 38 seals its target off from the start) and the sealed crate."""
+    return [make_random_grid_scene(seed) for seed in range(40)] + [_sealed_scene()]
+
+
+def _free_cells(grid: OccupancyGrid) -> set[tuple[int, int]]:
+    return {(r, c) for r in range(grid.rows) for c in range(grid.cols) if grid.is_free(r, c)}
+
+
+class TestComponentLabels:
+    def test_labels_agree_with_bfs_connectivity(self):
+        for world, scene in enumerate(_grid_worlds()):
+            grid = scene.occupancy
+            free = _free_cells(grid)
+            assert len(grid.component_labels) == grid.rows * grid.cols
+            for row in range(grid.rows):
+                for col in range(grid.cols):
+                    assert (grid.component_of(row, col) == -1) == ((row, col) not in free)
+            cells = sorted(free)
+            rng = random.Random(world)
+            # Random pairs, mostly in one component, and one cell of every
+            # component against the first cell, all in different components.
+            pairs = [tuple(rng.sample(cells, 2)) for _ in range(20)]
+            first_of = {}
+            for cell in cells:
+                first_of.setdefault(grid.component_of(*cell), cell)
+            pairs += [(cell, cells[0]) for cell in first_of.values()]
+            for a, b in pairs:
+                connected = oracle_bfs_length(free, a, {b}) is not None
+                same = grid.component_of(*a) == grid.component_of(*b)
+                assert same == connected, (scene.scene_id, a, b)
+
+    def test_unreachable_verdict_matches_bfs_oracle(self):
+        verdicts = set()
+        for world, scene in enumerate(_grid_worlds()):
+            grid = scene.occupancy
+            free = _free_cells(grid)
+            target = scene.objects[0]
+            goals = adjacent_free_cells(grid, target.aabb)
+            rng = random.Random(world)
+            cells = [(r, c) for r in range(grid.rows) for c in range(grid.cols)]
+            # Free cells walled in on all four sides are components that
+            # hold no goal; the target's own cell is inside furniture, so
+            # the judged start is then the nearest free cell.
+            walled_in = [
+                (r, c)
+                for r, c in sorted(free)
+                if not free & {(r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)}
+            ]
+            probes = rng.sample(cells, 8) + walled_in[:3] + [grid.cell_of(*target.centroid[:2])]
+            for cell in probes:
+                x, y = grid.cell_center(*cell)
+                judged = cell if cell in free else oracle_nearest_free_cell(grid, (x, y))
+                unreachable = judged is None or oracle_bfs_length(free, judged, goals) is None
+                # The second step drifts 1 m forward onto the same point first.
+                for text, start in (
+                    ("walk to the crate", (x, y)),
+                    ("walk forward and walk to the crate", (x, y - 1.0)),
+                ):
+                    (report,) = verify_route([_step(text)], scene, _pose(*start))
+                    assert report.verdict in ("ok", "unreachable-target")
+                    assert (report.verdict == "unreachable-target") == unreachable, (
+                        scene.scene_id, cell, text,
+                    )
+                    verdicts.add(report.verdict)
+        assert verdicts == {"ok", "unreachable-target"}
+
+    def test_built_labels_leave_equality_and_hash_alone(self):
+        scene = make_random_grid_scene(4)
+        grid = scene.occupancy
+        fresh = replace(grid)
+        assert grid.component_labels
+        assert "component_labels" not in fresh.__dict__
+        assert grid == fresh
+        assert hash(grid) == hash(fresh)
+        assert scene_to_dict(scene) == scene_to_dict(replace(scene, occupancy=fresh))
+
+    def test_long_corridor_does_not_recurse(self):
+        n = 20_000
+        blocked = [False] * n
+        blocked[n // 2] = True
+        grid = OccupancyGrid(1.0, (0.0, 0.0), 1, n, tuple(blocked))
+        assert grid.component_labels == (0,) * (n // 2) + (-1,) + (1,) * (n - n // 2 - 1)
+        assert nearest_free_cell(grid, grid.cell_center(0, n // 2)) == (0, n // 2 - 1)
+
+    def test_planning_never_builds_labels(self, kitchen):
+        for obj in kitchen.objects:
+            try:
+                plan_route(default_start_pose(kitchen), obj.id, kitchen)
+            except RouteError:
+                pass
+        assert "component_labels" not in kitchen.occupancy.__dict__
 
 
 class TestDefaultStartPose:

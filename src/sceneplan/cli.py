@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .dataset import (
@@ -54,13 +55,13 @@ def _emit(payload: dict) -> None:
 
 
 def _start_pose(args: argparse.Namespace, scene) -> AgentPose:
+    heading = 0 if args.start_heading is None else args.start_heading
     if args.start_x is None and args.start_y is None:
-        return default_start_pose(scene)
+        return replace(default_start_pose(scene), heading=heading)
     if args.start_x is None or args.start_y is None:
         raise RouteError("--start-x and --start-y must be given together")
     if not (math.isfinite(args.start_x) and math.isfinite(args.start_y)):
         raise RouteError("--start-x and --start-y must be finite")
-    heading = 0 if args.start_heading is None else args.start_heading
     return AgentPose(position=(args.start_x, args.start_y), heading=heading)
 
 

@@ -8,14 +8,18 @@ fixed step script with object and route slots filled from scene geometry.
 
 from __future__ import annotations
 
+import http.client
+import json
+import math
 import os
 import random
 import threading
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass
 from typing import Callable
-
-import requests
 
 from .engine import GeneratorReply, GeneratorRequest, reply_from_raw
 from .route import (
@@ -65,10 +69,19 @@ class LlmEndpointConfig:
     max_retries: int = 3
 
     def __post_init__(self) -> None:
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValueError("timeout must be positive and finite")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
+
+
+def _open(request: urllib.request.Request, timeout: float):
+    """``urlopen``, but a non-2xx reply is returned, not raised: ``HTTPError``
+    has ``.status`` and ``.read()`` like any response."""
+    try:
+        return urllib.request.urlopen(request, timeout=timeout)
+    except urllib.error.HTTPError as error:
+        return error
 
 
 class LlmClient:
@@ -76,7 +89,8 @@ class LlmClient:
 
     Retries transport failures and 5xx responses with jittered exponential
     backoff; auth failures and malformed bodies fail immediately.  At most
-    ``max_in_flight`` requests are on the wire at once, across threads.
+    ``max_in_flight`` posts are on the wire at once, across threads.
+    Each request opens its own connection.
     """
 
     def __init__(
@@ -92,7 +106,6 @@ class LlmClient:
         self._semaphore = threading.Semaphore(max_in_flight)
         self._sleep = sleep
         self._rng = rng if rng is not None else random.Random()
-        self._session = requests.Session()
 
     def __call__(self, request: GeneratorRequest) -> GeneratorReply:
         api_key = os.environ.get(self.config.api_key_env)
@@ -101,6 +114,8 @@ class LlmClient:
                 f"environment variable {self.config.api_key_env} is not set"
             )
         url = self.config.base_url.rstrip("/") + "/chat/completions"
+        if urllib.parse.urlsplit(url).scheme not in ("http", "https"):
+            raise LlmError(f"endpoint must be an http or https URL: {self.config.base_url!r}")
         body = {
             "model": self.config.model_name,
             "temperature": TEMPERATURE,
@@ -109,7 +124,12 @@ class LlmClient:
                 {"role": "user", "content": request.user_prompt},
             ],
         }
-        headers = {"Authorization": f"Bearer {api_key}"}
+        post = urllib.request.Request(
+            url,
+            data=json.dumps(body).encode("utf-8"),
+            headers={"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"},
+            method="POST",
+        )
         attempts = self.config.max_retries + 1
         last_failure = ""
         for attempt in range(attempts):
@@ -117,29 +137,28 @@ class LlmClient:
                 delay = BACKOFF_BASE_SECONDS * BACKOFF_FACTOR ** (attempt - 1)
                 self._sleep(delay * self._rng.uniform(0.5, 1.5))
             try:
-                with self._semaphore:
-                    response = self._session.post(
-                        url, json=body, headers=headers, timeout=self.config.timeout
-                    )
-            except requests.RequestException as exc:
+                with self._semaphore, _open(post, self.config.timeout) as response:
+                    status = response.status
+                    raw = response.read()
+            except (OSError, http.client.HTTPException) as exc:
                 last_failure = f"transport error: {exc}"
                 continue
-            if response.status_code in (401, 403):
-                raise AuthError(f"endpoint rejected credentials ({response.status_code})")
-            if response.status_code >= 500:
-                last_failure = f"server error {response.status_code}"
+            if status in (401, 403):
+                raise AuthError(f"endpoint rejected credentials ({status})")
+            if status >= 500:
+                last_failure = f"server error {status}"
                 continue
-            if response.status_code != 200:
+            if status != 200:
                 raise LlmError(
-                    f"unexpected status {response.status_code}: {response.text[:200]}"
+                    f"unexpected status {status}: {raw.decode('utf-8', 'replace')[:200]}"
                 )
-            return reply_from_raw(self._extract_text(response))
+            return reply_from_raw(self._extract_text(raw))
         raise TransportError(f"{last_failure} after {attempts} attempts")
 
     @staticmethod
-    def _extract_text(response: requests.Response) -> str:
+    def _extract_text(raw: bytes) -> str:
         try:
-            payload = response.json()
+            payload = json.loads(raw)
         except ValueError as exc:
             raise MalformedReplyError(f"response body is not JSON: {exc}") from exc
         try:

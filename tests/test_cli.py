@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sceneplan.cli import main
+from sceneplan.route import default_start_pose
+from sceneplan.scene import load_scene
 from tests.conftest import FIXTURES
 from tests.dataset_builder import build_clean_dataset, build_faulty_dataset
 
@@ -227,6 +229,24 @@ class TestRouteCheckCommand:
         assert code == 1
         assert payload["all_ok"] is False
         assert payload["routes"][0]["reports"][0]["verdict"] == "unparsed"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["route-check", "--scene", KITCHEN, "--triplets", str(FIXTURES / "triplets_valid.jsonl")],
+        ["plan", "--scene", KITCHEN, "--instruction", "I am tired and want coffee"],
+    ],
+    ids=["route-check", "plan"],
+)
+def test_start_heading_alone_turns_the_default_pose(capsys, argv):
+    x, y = default_start_pose(load_scene(KITCHEN)).position
+    main(argv + ["--start-heading", "90"])
+    heading_only = capsys.readouterr().out
+    main(argv + ["--start-heading", "90", "--start-x", repr(x), "--start-y", repr(y)])
+    assert heading_only == capsys.readouterr().out
+    main(argv)
+    assert heading_only != capsys.readouterr().out
 
 
 class TestEvaluateCommand:

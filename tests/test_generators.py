@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
+import sceneplan
 from sceneplan.engine import EpisodeError, GeneratorRequest, run_episode
 from sceneplan.generators import (
     BACKOFF_BASE_SECONDS,
@@ -32,7 +37,12 @@ from tests.conftest import scripted_generator
 
 
 class StubEndpoint:
-    """Scripted chat-completions endpoint; records requests and concurrency."""
+    """Scripted chat-completions endpoint; records requests and concurrency.
+
+    A response spec may set ``delay`` (seconds before replying), ``drop``
+    (close the connection without a reply) or ``truncate`` (promise more
+    body bytes than are sent, then close).
+    """
 
     def __init__(self, responses: list[dict] | None = None, delay: float = 0.0):
         self.lock = threading.Lock()
@@ -53,6 +63,7 @@ class StubEndpoint:
                         {
                             "path": self.path,
                             "auth": self.headers.get("Authorization"),
+                            "content_type": self.headers.get("Content-Type"),
                             "body": body,
                         }
                     )
@@ -60,24 +71,34 @@ class StubEndpoint:
                     stub.max_in_flight = max(stub.max_in_flight, stub.in_flight)
                     spec = stub.responses.pop(0) if stub.responses else dict(stub.default)
                 try:
-                    if stub.delay:
-                        time.sleep(stub.delay)
-                    if "raw" in spec:
-                        payload = spec["raw"].encode("utf-8")
-                    elif "payload" in spec:
-                        payload = json.dumps(spec["payload"]).encode("utf-8")
-                    else:
-                        payload = json.dumps(
-                            {"choices": [{"message": {"content": spec.get("text", "")}}]}
-                        ).encode("utf-8")
-                    self.send_response(spec.get("status", 200))
-                    self.send_header("Content-Type", "application/json")
-                    self.send_header("Content-Length", str(len(payload)))
-                    self.end_headers()
-                    self.wfile.write(payload)
+                    time.sleep(spec.get("delay", stub.delay))
                 finally:
+                    # Leave the count before replying: a client that has read
+                    # the reply may post again before this thread runs on.
                     with stub.lock:
                         stub.in_flight -= 1
+                if spec.get("drop"):
+                    return
+                if "raw" in spec:
+                    payload = spec["raw"].encode("utf-8")
+                elif "payload" in spec:
+                    payload = json.dumps(spec["payload"]).encode("utf-8")
+                else:
+                    payload = json.dumps(
+                        {"choices": [{"message": {"content": spec.get("text", "")}}]}
+                    ).encode("utf-8")
+                self.send_response(spec.get("status", 200))
+                self.send_header("Content-Type", "application/json")
+                promised = len(payload) + (100 if spec.get("truncate") else 0)
+                self.send_header("Content-Length", str(promised))
+                self.end_headers()
+                self.wfile.write(payload)
+
+            def handle(self) -> None:
+                try:
+                    super().handle()
+                except ConnectionError:
+                    pass  # the client timed out and hung up before the reply
 
             def log_message(self, *args) -> None:
                 pass
@@ -110,6 +131,7 @@ def _client(stub: StubEndpoint, **kwargs) -> LlmClient:
         base_url=stub.base_url,
         model_name="stub-model",
         max_retries=kwargs.pop("max_retries", 3),
+        timeout=kwargs.pop("timeout", 30.0),
     )
     client = LlmClient(
         config,
@@ -133,6 +155,7 @@ class TestLlmClient:
         sent = stub.requests[0]
         assert sent["path"] == "/v1/chat/completions"
         assert sent["auth"] == "Bearer test-key-123"
+        assert sent["content_type"] == "application/json"
         assert sent["body"]["model"] == "stub-model"
         roles = [m["role"] for m in sent["body"]["messages"]]
         assert roles == ["system", "user"]
@@ -201,6 +224,35 @@ class TestLlmClient:
             client(REQUEST)
         assert len(sleeps) == 1
 
+    @pytest.mark.parametrize("spec", [{"drop": True}, {"truncate": True}], ids=["drop", "truncate"])
+    def test_broken_reply_retries_then_raises(self, api_key, spec):
+        with StubEndpoint([spec] * 2) as stub:
+            client = _client(stub, max_retries=1)
+            with pytest.raises(TransportError, match="transport error.*after 2 attempts"):
+                client(REQUEST)
+        assert len(stub.requests) == 2
+        assert len(client.recorded_sleeps) == 1
+
+    def test_reply_slower_than_timeout_retries_then_raises(self, api_key):
+        with StubEndpoint([{"delay": 0.5}] * 2) as stub:
+            client = _client(stub, max_retries=1, timeout=0.05)
+            with pytest.raises(TransportError, match="transport error.*after 2 attempts"):
+                client(REQUEST)
+        assert len(stub.requests) == 2
+        assert len(client.recorded_sleeps) == 1
+
+    def test_non_http_endpoint_is_rejected_before_any_request(self, api_key, tmp_path):
+        reply = tmp_path / "chat" / "completions"
+        reply.parent.mkdir()
+        reply.write_text(json.dumps({"choices": [{"message": {"content": "Step 1: ok."}}]}))
+        for base_url in (tmp_path.as_uri(), "data:,x", "127.0.0.1:9"):
+            config = LlmEndpointConfig(base_url=base_url, model_name="m")
+            sleeps: list[float] = []
+            client = LlmClient(config, sleep=sleeps.append)
+            with pytest.raises(LlmError, match="http or https"):
+                client(REQUEST)
+            assert sleeps == []
+
     def test_in_flight_limit_respected_across_threads(self, api_key):
         with StubEndpoint(delay=0.05) as stub:
             client = _client(stub)
@@ -229,13 +281,29 @@ class TestLlmClient:
             assert stub.max_in_flight <= 2
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="timeout"):
-            LlmEndpointConfig(base_url="x", model_name="m", timeout=0)
+        for timeout in (0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="timeout"):
+                LlmEndpointConfig(base_url="x", model_name="m", timeout=timeout)
         with pytest.raises(ValueError, match="max_retries"):
             LlmEndpointConfig(base_url="x", model_name="m", max_retries=-1)
         config = LlmEndpointConfig(base_url="x", model_name="m")
         with pytest.raises(ValueError, match="max_in_flight"):
             LlmClient(config, max_in_flight=0)
+
+
+def test_cli_and_llm_client_import_no_third_party_http_stack():
+    script = (
+        "import sys, sceneplan.cli\n"
+        "from sceneplan.generators import LlmClient, LlmEndpointConfig\n"
+        "LlmClient(LlmEndpointConfig(base_url='http://127.0.0.1:9', model_name='m'))\n"
+        "print(sorted({'requests', 'urllib3'} & set(sys.modules)))\n"
+    )
+    src = str(Path(sceneplan.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 class TestRuleSelection:

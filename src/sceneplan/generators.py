@@ -75,11 +75,19 @@ class LlmEndpointConfig:
             raise ValueError("max_retries must be >= 0")
 
 
-def _open(request: urllib.request.Request, timeout: float):
-    """``urlopen``, but a non-2xx reply is returned, not raised: ``HTTPError``
-    has ``.status`` and ``.read()`` like any response."""
+class _NoRedirect(urllib.request.HTTPRedirectHandler):
+    """Follow no redirect: urllib would re-send the ``Authorization`` header
+    to whatever host a 301/302/303 names, even over plain http."""
+
+    def redirect_request(self, *args, **kwargs) -> None:
+        return None
+
+
+def _open(opener: urllib.request.OpenerDirector, request: urllib.request.Request, timeout: float):
+    """``opener.open``, but a non-2xx reply is returned, not raised:
+    ``HTTPError`` has ``.status`` and ``.read()`` like any response."""
     try:
-        return urllib.request.urlopen(request, timeout=timeout)
+        return opener.open(request, timeout=timeout)
     except urllib.error.HTTPError as error:
         return error
 
@@ -104,6 +112,7 @@ class LlmClient:
             raise ValueError("max_in_flight must be >= 1")
         self.config = config
         self._semaphore = threading.Semaphore(max_in_flight)
+        self._opener = urllib.request.build_opener(_NoRedirect)
         self._sleep = sleep
         self._rng = rng if rng is not None else random.Random()
 
@@ -113,8 +122,17 @@ class LlmClient:
             raise AuthError(
                 f"environment variable {self.config.api_key_env} is not set"
             )
+        if any(c in "\r\n" or ord(c) > 0xFF for c in api_key):
+            raise AuthError(
+                f"environment variable {self.config.api_key_env} holds a key"
+                " that cannot be sent in an HTTP header"
+            )
         url = self.config.base_url.rstrip("/") + "/chat/completions"
-        if urllib.parse.urlsplit(url).scheme not in ("http", "https"):
+        try:
+            scheme = urllib.parse.urlsplit(url).scheme
+        except ValueError as exc:
+            raise LlmError(f"endpoint is not a valid URL: {self.config.base_url!r}") from exc
+        if scheme not in ("http", "https"):
             raise LlmError(f"endpoint must be an http or https URL: {self.config.base_url!r}")
         body = {
             "model": self.config.model_name,
@@ -137,12 +155,14 @@ class LlmClient:
                 delay = BACKOFF_BASE_SECONDS * BACKOFF_FACTOR ** (attempt - 1)
                 self._sleep(delay * self._rng.uniform(0.5, 1.5))
             try:
-                with self._semaphore, _open(post, self.config.timeout) as response:
+                with self._semaphore, _open(self._opener, post, self.config.timeout) as response:
                     status = response.status
                     raw = response.read()
             except (OSError, http.client.HTTPException) as exc:
                 last_failure = f"transport error: {exc}"
                 continue
+            except ValueError as exc:
+                raise LlmError(f"cannot post to {url!r}: {exc}") from exc
             if status in (401, 403):
                 raise AuthError(f"endpoint rejected credentials ({status})")
             if status >= 500:

@@ -40,8 +40,9 @@ class StubEndpoint:
     """Scripted chat-completions endpoint; records requests and concurrency.
 
     A response spec may set ``delay`` (seconds before replying), ``drop``
-    (close the connection without a reply) or ``truncate`` (promise more
-    body bytes than are sent, then close).
+    (close the connection without a reply), ``truncate`` (promise more
+    body bytes than are sent, then close) or ``location`` (a ``Location``
+    header).  GET requests are recorded and answered like POSTs.
     """
 
     def __init__(self, responses: list[dict] | None = None, delay: float = 0.0):
@@ -61,6 +62,7 @@ class StubEndpoint:
                 with stub.lock:
                     stub.requests.append(
                         {
+                            "method": self.command,
                             "path": self.path,
                             "auth": self.headers.get("Authorization"),
                             "content_type": self.headers.get("Content-Type"),
@@ -89,10 +91,14 @@ class StubEndpoint:
                     ).encode("utf-8")
                 self.send_response(spec.get("status", 200))
                 self.send_header("Content-Type", "application/json")
+                if "location" in spec:
+                    self.send_header("Location", spec["location"])
                 promised = len(payload) + (100 if spec.get("truncate") else 0)
                 self.send_header("Content-Length", str(promised))
                 self.end_headers()
                 self.wfile.write(payload)
+
+            do_GET = do_POST  # noqa: N815 (http.server API)
 
             def handle(self) -> None:
                 try:
@@ -252,6 +258,36 @@ class TestLlmClient:
             with pytest.raises(LlmError, match="http or https"):
                 client(REQUEST)
             assert sleeps == []
+
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+    def test_redirect_is_not_followed(self, api_key, status):
+        with StubEndpoint() as elsewhere:
+            target = elsewhere.base_url + "/chat/completions"
+            with StubEndpoint([{"status": status, "location": target, "raw": ""}]) as stub:
+                client = _client(stub)
+                with pytest.raises(LlmError, match=f"unexpected status {status}"):
+                    client(REQUEST)
+        assert len(stub.requests) == 1
+        assert elsewhere.requests == []
+        assert client.recorded_sleeps == []
+
+    @pytest.mark.parametrize("key", ["key\r\nX-Injected: 1", "ключ"], ids=["crlf", "non-latin-1"])
+    def test_unsendable_api_key_fails_before_any_request(self, monkeypatch, key):
+        monkeypatch.setenv("SHARP_API_KEY", key)
+        with StubEndpoint() as stub:
+            with pytest.raises(AuthError, match="SHARP_API_KEY") as raised:
+                _client(stub)(REQUEST)
+        assert key not in str(raised.value)
+        assert stub.requests == []
+
+    @pytest.mark.parametrize("base_url", ["http://[::1", "http://a..b:9", "http://127.0.0.1:9\n"])
+    def test_unusable_endpoint_url_fails_without_retry(self, api_key, base_url):
+        config = LlmEndpointConfig(base_url=base_url, model_name="m")
+        sleeps: list[float] = []
+        with pytest.raises(LlmError, match="valid URL|cannot post") as raised:
+            LlmClient(config, sleep=sleeps.append)(REQUEST)
+        assert not isinstance(raised.value, TransportError)
+        assert sleeps == []
 
     def test_in_flight_limit_respected_across_threads(self, api_key):
         with StubEndpoint(delay=0.05) as stub:

@@ -140,8 +140,8 @@ def run_episode(
     """Run one progressive generation episode over the scene graph.
 
     The graph is modulated in place once per generated step (empty mention
-    sets still produce a record), so callers who reuse a graph across
-    episodes should reset its weights first.
+    sets still produce a record), so build a fresh graph per episode, as
+    ``cmd_plan`` does.
     """
     steps: list[PlanStep] = []
     modulations: list[ModulationRecord] = []

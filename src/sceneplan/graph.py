@@ -41,13 +41,11 @@ class GraphEdge:
 
 @dataclass
 class SceneGraph:
-    nodes: dict[int, GraphNode]
-    edges: dict[tuple[int, int], GraphEdge]
-    k: int
+    """``edges[src][dst]`` is the edge src->dst; each inner dict is in ascending dst order."""
 
-    def neighbors(self, node_id: int) -> list[int]:
-        """Out-neighbors of ``node_id`` in ascending id order."""
-        return sorted(dst for (src, dst) in self.edges if src == node_id)
+    nodes: dict[int, GraphNode]
+    edges: dict[int, dict[int, GraphEdge]]
+    k: int
 
 
 @dataclass(frozen=True)
@@ -107,12 +105,10 @@ def build_graph(scene: SceneModel, k: int = DEFAULT_K) -> SceneGraph:
         raise ValueError("scene has no objects")
     by_id = scene.by_id()
     nodes = {obj.id: GraphNode(object=obj) for obj in scene.objects}
-    edges: dict[tuple[int, int], GraphEdge] = {}
-    for src, neighbor_ids in knn_ids(scene, k).items():
-        for dst in neighbor_ids:
-            edges[(src, dst)] = GraphEdge(
-                relation=classify_relation(by_id[src], by_id[dst])
-            )
+    edges = {
+        src: {dst: GraphEdge(classify_relation(by_id[src], by_id[dst])) for dst in sorted(dsts)}
+        for src, dsts in knn_ids(scene, k).items()
+    }
     return SceneGraph(nodes=nodes, edges=edges, k=k)
 
 
@@ -134,15 +130,11 @@ def modulate(
     unknown = [i for i in mentioned_ids if i not in graph.nodes]
     if unknown:
         raise KeyError(f"unknown object id(s) {unknown}")
-    touched_nodes: set[int] = set()
-    touched_edges: set[tuple[int, int]] = set()
-    for node_id in mentioned_ids:
-        touched_nodes.add(node_id)
-        for neighbor in graph.neighbors(node_id):
-            touched_nodes.add(neighbor)
-            touched_edges.add((node_id, neighbor))
+    touched_nodes = set(mentioned_ids)
+    touched_edges = {(src, dst) for src in touched_nodes for dst in graph.edges[src]}
+    touched_nodes.update(dst for _, dst in touched_edges)
     weights = [graph.nodes[node_id].weight for node_id in touched_nodes]
-    weights += [graph.edges[key].weight for key in touched_edges]
+    weights += [graph.edges[src][dst].weight for src, dst in touched_edges]
     if not all(0 < weight * w_l < math.inf for weight in weights):
         raise ValueError(
             f"step {step_index}: scaling by w_l={w_l} takes a weight out of the "
@@ -150,22 +142,14 @@ def modulate(
         )
     for node_id in touched_nodes:
         graph.nodes[node_id].weight *= w_l
-    for key in touched_edges:
-        graph.edges[key].weight *= w_l
+    for src, dst in touched_edges:
+        graph.edges[src][dst].weight *= w_l
     return ModulationRecord(
         step_index=step_index,
         mentioned_ids=tuple(mentioned_ids),
         touched_nodes=frozenset(touched_nodes),
         touched_edges=frozenset(touched_edges),
     )
-
-
-def reset_weights(graph: SceneGraph) -> None:
-    """Restore all node and edge weights to 1.0 (idempotent)."""
-    for node in graph.nodes.values():
-        node.weight = 1.0
-    for edge in graph.edges.values():
-        edge.weight = 1.0
 
 
 def serialize_for_prompt(graph: SceneGraph) -> str:
@@ -187,9 +171,8 @@ def serialize_for_prompt(graph: SceneGraph) -> str:
         for node_id in ranked
     ]
     for node_id in ranked:
-        for dst in graph.neighbors(node_id):
-            kind = graph.edges[(node_id, dst)].relation.kind
-            lines.append(f"{label(node_id)} {kind} {label(dst)}")
+        for dst, edge in graph.edges[node_id].items():
+            lines.append(f"{label(node_id)} {edge.relation.kind} {label(dst)}")
     return "\n".join(lines)
 
 
@@ -209,6 +192,7 @@ def graph_to_dict(graph: SceneGraph) -> dict:
                 "weight": edge.weight,
                 "distance": edge.relation.distance,
             }
-            for (src, dst), edge in sorted(graph.edges.items())
+            for src, out in sorted(graph.edges.items())
+            for dst, edge in out.items()
         ],
     }

@@ -59,7 +59,7 @@ class ObjectInstance:
     def validate(self) -> None:
         if self.id < 0:
             raise SceneInvariantError(f"object {self.id}: id must be non-negative")
-        if not self.category:
+        if not self.category.split():
             raise SceneInvariantError(f"object {self.id}: empty category")
         if self.category != self.category.lower():
             raise SceneInvariantError(

@@ -11,6 +11,8 @@ import math
 from collections import deque
 from functools import lru_cache
 
+from sceneplan.graph import classify_relation
+
 
 # ---------------------------------------------------------------- geometry
 
@@ -45,6 +47,23 @@ def oracle_modulated_sets(
             nodes.add(j)
             edges.add((i, j))
     return nodes, edges
+
+
+def oracle_serialize_for_prompt(objects, k: int, weights: dict[int, float]) -> str:
+    """Prompt text by definition: nodes by (-weight, id), then each node's out-edges.
+
+    Out-edges go by ascending neighbor id.  Edge kinds come from
+    ``classify_relation``, which the relation tests pin by hand.
+    """
+    by_id = {obj.id: obj for obj in objects}
+    knn = oracle_knn({obj.id: obj.centroid for obj in objects}, k)
+    order = sorted(by_id, key=lambda i: (-weights[i], i))
+    lines = [f"{by_id[i].category}#{i} (w={weights[i]:g})" for i in order]
+    for i in order:
+        for j in sorted(knn[i]):
+            kind = classify_relation(by_id[i], by_id[j]).kind
+            lines.append(f"{by_id[i].category}#{i} {kind} {by_id[j].category}#{j}")
+    return "\n".join(lines)
 
 
 def oracle_bfs_length(

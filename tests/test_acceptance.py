@@ -27,7 +27,7 @@ from sceneplan.generators import (
     LlmEndpointConfig,
     MalformedReplyError,
 )
-from sceneplan.graph import build_graph, knn_ids, modulate, reset_weights
+from sceneplan.graph import build_graph, knn_ids, modulate
 from sceneplan.metrics import evaluate_pairs, pair_from_text
 from sceneplan.route import (
     AgentPose,
@@ -122,14 +122,12 @@ def test_modulation_scales_exactly_the_mentioned_neighborhood(announce):
             assert record.touched_edges == edges
             for node_id, node in graph.nodes.items():
                 assert node.weight == (2.0 if node_id in nodes else 1.0)
-            for key, edge in graph.edges.items():
-                assert edge.weight == (2.0 if key in edges else 1.0)
+            for src, out in graph.edges.items():
+                for dst, edge in out.items():
+                    assert edge.weight == (2.0 if (src, dst) in edges else 1.0)
             modulate(graph, mentioned, w_l=1.0, step_index=2)
             for node_id, node in graph.nodes.items():
                 assert node.weight == (2.0 if node_id in nodes else 1.0)
-            reset_weights(graph)
-            assert all(n.weight == 1.0 for n in graph.nodes.values())
-            assert all(e.weight == 1.0 for e in graph.edges.values())
 
 
 def test_knn_matches_brute_force(announce):

@@ -406,6 +406,21 @@ def _dataset_with_scene_id(tmp_path, scene_id: str) -> list[str]:
     return ["validate", str(tmp_path)]
 
 
+def _blank_category_kitchen(path: Path) -> str:
+    """Write the kitchen to ``path`` with its first object's category a single space."""
+    data = json.loads(Path(KITCHEN).read_text(encoding="utf-8"))
+    data["objects"][0]["category"] = " "
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+def _blank_category_dataset(tmp_path, command: str) -> list[str]:
+    """A clean dataset whose kitchen scene has a whitespace-only category."""
+    build_clean_dataset(tmp_path)
+    _blank_category_kitchen(tmp_path / "scenes" / "kitchen-01.json")
+    return [command, str(tmp_path)]
+
+
 ROUTE_CHECK = ["route-check", "--triplets", str(FIXTURES / "triplets_valid.jsonl")]
 
 # Inputs that once crashed a command or printed invalid JSON.
@@ -444,6 +459,12 @@ HOSTILE_INPUTS = {
         _deep_json(tmp, "deep.jsonl"),
     ],
     "validate-scene-id-outside-dataset": lambda tmp: _dataset_with_scene_id(tmp, "../outside"),
+    "plan-whitespace-category": lambda tmp: PLAN
+    + ["--scene", _blank_category_kitchen(tmp / "scene.json")],
+    "route-check-whitespace-category": lambda tmp: ROUTE_CHECK
+    + ["--scene", _blank_category_kitchen(tmp / "scene.json")],
+    "validate-whitespace-category": lambda tmp: _blank_category_dataset(tmp, "validate"),
+    "stats-whitespace-category": lambda tmp: _blank_category_dataset(tmp, "stats"),
 }
 
 
@@ -564,12 +585,27 @@ def _spoil(draw, value):
     return copy
 
 
+# Non-empty category strings that name no word; each once hung mention matching.
+_BLANK_CATEGORIES = st.sampled_from([" ", "\t", "\u00a0"])
+
+
+def _spoil_objects(draw, objects):
+    """``objects`` spoiled by ``_spoil``, or with one object's category made blank."""
+    if isinstance(objects, list) and objects and draw(st.integers(0, 3)) == 0:
+        index = draw(st.integers(0, len(objects) - 1))
+        if isinstance(objects[index], dict):
+            copy = list(objects)
+            copy[index] = {**objects[index], "category": draw(_BLANK_CATEGORIES)}
+            return copy
+    return _spoil(draw, objects)
+
+
 @st.composite
 def _route_check_files(draw) -> tuple[str, str]:
     """The kitchen and its valid triplets, then up to two objects and two records spoiled."""
     scene = json.loads(Path(KITCHEN).read_text(encoding="utf-8"))
     for _ in range(draw(st.integers(0, 2))):
-        scene["objects"] = _spoil(draw, scene["objects"])
+        scene["objects"] = _spoil_objects(draw, scene["objects"])
     records = [
         json.loads(line)
         for line in (FIXTURES / "triplets_valid.jsonl").read_text(encoding="utf-8").splitlines()
@@ -598,7 +634,7 @@ def _validate_files(draw) -> tuple[str, str]:
     # A spoiled scene usually fails to load, so most examples keep it whole
     # and reach the records.
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
-        scene["objects"] = _spoil(draw, scene["objects"])
+        scene["objects"] = _spoil_objects(draw, scene["objects"])
     records = [json.loads(line) for line in _clean_records()]
     for _ in range(draw(st.integers(0, 2))):
         index = draw(st.integers(0, len(records) - 1))

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sceneplan.graph import (
     DEFAULT_K,
@@ -15,12 +17,11 @@ from sceneplan.graph import (
     graph_to_dict,
     knn_ids,
     modulate,
-    reset_weights,
     serialize_for_prompt,
 )
-from sceneplan.scene import Aabb, ObjectInstance
+from sceneplan.scene import Aabb, ObjectInstance, SceneModel
 from tests.conftest import make_random_scene
-from tests.oracles import oracle_knn, oracle_modulated_sets
+from tests.oracles import oracle_knn, oracle_modulated_sets, oracle_serialize_for_prompt
 
 
 def _at(oid: int, x: float, y: float, z: float, category: str = "box") -> ObjectInstance:
@@ -86,7 +87,7 @@ class TestKnnConstruction:
         scene = make_random_scene(3, n_objects=4)
         graph = build_graph(scene, k=7)
         for node_id in graph.nodes:
-            assert len(graph.neighbors(node_id)) == 3
+            assert len(graph.edges[node_id]) == 3
 
     def test_default_k_is_two(self):
         scene = make_random_scene(4, n_objects=6)
@@ -95,7 +96,7 @@ class TestKnnConstruction:
     def test_initial_weights_are_one(self):
         graph = build_graph(make_random_scene(5, n_objects=8))
         assert all(n.weight == 1.0 for n in graph.nodes.values())
-        assert all(e.weight == 1.0 for e in graph.edges.values())
+        assert all(e.weight == 1.0 for out in graph.edges.values() for e in out.values())
 
     def test_rejects_bad_inputs(self):
         scene = make_random_scene(6, n_objects=3)
@@ -113,8 +114,8 @@ class TestKnnConstruction:
             "pair", (_at(0, 0.0, 0.0, 0.0), _at(1, 2.0, 0.0, 0.0)), category_vocab_size=1
         )
         graph = build_graph(scene, k=1)
-        assert graph.edges[(0, 1)].relation.kind == "right-of"
-        assert graph.edges[(1, 0)].relation.kind == "left-of"
+        assert graph.edges[0][1].relation.kind == "right-of"
+        assert graph.edges[1][0].relation.kind == "left-of"
 
 
 class TestModulation:
@@ -160,9 +161,10 @@ class TestModulation:
         for node_id, node in graph.nodes.items():
             expected = DEFAULT_MODULATION_WEIGHT if node_id in record.touched_nodes else 1.0
             assert node.weight == expected
-        for key, edge in graph.edges.items():
-            expected = DEFAULT_MODULATION_WEIGHT if key in record.touched_edges else 1.0
-            assert edge.weight == expected
+        for src, out in graph.edges.items():
+            for dst, edge in out.items():
+                expected = DEFAULT_MODULATION_WEIGHT if (src, dst) in record.touched_edges else 1.0
+                assert edge.weight == expected
 
     def test_unit_weight_changes_nothing(self):
         graph = build_graph(make_random_scene(11, n_objects=6))
@@ -176,15 +178,6 @@ class TestModulation:
         record = modulate(graph, [])
         assert record.touched_nodes == frozenset()
         assert record.touched_edges == frozenset()
-        assert all(n.weight == 1.0 for n in graph.nodes.values())
-
-    def test_reset_restores_unit_weights(self):
-        graph = build_graph(make_random_scene(13, n_objects=8))
-        modulate(graph, [0, 3], w_l=5.0)
-        reset_weights(graph)
-        assert all(n.weight == 1.0 for n in graph.nodes.values())
-        assert all(e.weight == 1.0 for e in graph.edges.values())
-        reset_weights(graph)  # idempotent
         assert all(n.weight == 1.0 for n in graph.nodes.values())
 
     def test_unknown_id_raises(self):
@@ -225,7 +218,7 @@ class TestSerialization:
         graph = build_graph(kitchen)
         modulate(graph, [4])
         lines = serialize_for_prompt(graph).splitlines()
-        assert len(lines) == len(graph.nodes) + len(graph.edges)
+        assert len(lines) == len(graph.nodes) + sum(map(len, graph.edges.values()))
         assert len([l for l in lines if "(w=" in l]) == len(graph.nodes)
 
     def test_serialization_is_deterministic(self, kitchen):
@@ -242,6 +235,65 @@ class TestSerialization:
         assert snapshot["k"] == graph.k
         ids = [n["id"] for n in snapshot["nodes"]]
         assert ids == sorted(ids)
-        assert len(snapshot["edges"]) == len(graph.edges)
+        assert len(snapshot["edges"]) == sum(map(len, graph.edges.values()))
         keys = [(e["src"], e["dst"]) for e in snapshot["edges"]]
         assert keys == sorted(keys)
+
+
+@st.composite
+def _lattice_scenes(draw) -> SceneModel:
+    """1-8 objects with scattered ids on a coarse lattice: shared centroids and ties abound."""
+    ids = draw(st.lists(st.integers(0, 20), min_size=1, max_size=8, unique=True))
+    coord = st.sampled_from([0.0, 0.5, 1.0])
+    category = st.sampled_from(["box", "cup", "sink"])
+    objects = tuple(_at(i, draw(coord), draw(coord), draw(coord), draw(category)) for i in ids)
+    return SceneModel("lattice", objects, category_vocab_size=3)
+
+
+class TestOracleAgreement:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 4))
+    def test_outputs_match_oracles_through_random_modulation(self, data, k):
+        scene = data.draw(_lattice_scenes())
+        by_id = scene.by_id()
+        ids = sorted(by_id)
+        knn = oracle_knn({i: obj.centroid for i, obj in by_id.items()}, k)
+        node_weights = dict.fromkeys(ids, 1.0)
+        edge_weights = {(i, j): 1.0 for i in ids for j in knn[i]}
+        graph = build_graph(scene, k=k)
+
+        def check() -> None:
+            assert serialize_for_prompt(graph) == oracle_serialize_for_prompt(
+                scene.objects, k, node_weights
+            )
+            edges = []
+            for i, j in sorted(edge_weights):
+                relation = classify_relation(by_id[i], by_id[j])
+                edges.append(
+                    {
+                        "src": i,
+                        "dst": j,
+                        "kind": relation.kind,
+                        "weight": edge_weights[(i, j)],
+                        "distance": relation.distance,
+                    }
+                )
+            nodes = [
+                {"id": i, "category": by_id[i].category, "weight": node_weights[i]} for i in ids
+            ]
+            assert graph_to_dict(graph) == {"k": k, "nodes": nodes, "edges": edges}
+
+        check()
+        mentions = st.lists(st.sampled_from(ids), max_size=3)
+        scales = st.sampled_from([0.5, 2.0, 3.0])
+        steps = data.draw(st.lists(st.tuples(mentions, scales), max_size=4))
+        for step, (mentioned, w_l) in enumerate(steps):
+            record = modulate(graph, mentioned, w_l=w_l, step_index=step)
+            nodes, edges = oracle_modulated_sets(set(mentioned), knn)
+            assert record.touched_nodes == nodes
+            assert record.touched_edges == edges
+            for i in nodes:
+                node_weights[i] *= w_l
+            for key in edges:
+                edge_weights[key] *= w_l
+            check()

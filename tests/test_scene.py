@@ -115,6 +115,11 @@ class TestSceneValidation:
         with pytest.raises(SceneInvariantError, match="not lowercase"):
             _obj(category="Table").validate()
 
+    @pytest.mark.parametrize("category", ["", " ", "\t", "\u00a0"])
+    def test_blank_category_rejected(self, category):
+        with pytest.raises(SceneInvariantError, match="empty category"):
+            _obj(category=category).validate()
+
 
 class TestSceneIo:
     def test_kitchen_fixture_loads(self, kitchen):

@@ -8,16 +8,13 @@ fixed step script with object and route slots filled from scene geometry.
 
 from __future__ import annotations
 
-import http.client
 import json
 import math
 import os
 import random
 import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass
 from typing import Callable
 
@@ -75,23 +72,6 @@ class LlmEndpointConfig:
             raise ValueError("max_retries must be >= 0")
 
 
-class _NoRedirect(urllib.request.HTTPRedirectHandler):
-    """Follow no redirect: urllib would re-send the ``Authorization`` header
-    to whatever host a 301/302/303 names, even over plain http."""
-
-    def redirect_request(self, *args, **kwargs) -> None:
-        return None
-
-
-def _open(opener: urllib.request.OpenerDirector, request: urllib.request.Request, timeout: float):
-    """``opener.open``, but a non-2xx reply is returned, not raised:
-    ``HTTPError`` has ``.status`` and ``.read()`` like any response."""
-    try:
-        return opener.open(request, timeout=timeout)
-    except urllib.error.HTTPError as error:
-        return error
-
-
 class LlmClient:
     """Chat-completions client usable as a step generator.
 
@@ -111,12 +91,26 @@ class LlmClient:
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
         self.config = config
+        # The HTTP stack (urllib.request, http.client, ssl, email) takes
+        # tens of milliseconds to import, so only a client loads it.
+        import urllib.request
+
+        class _NoRedirect(urllib.request.HTTPRedirectHandler):
+            """Follow no redirect: urllib would re-send the ``Authorization``
+            header to whatever host a 301/302/303 names, even over plain http."""
+
+            def redirect_request(self, *args, **kwargs) -> None:
+                return None
+
         self._semaphore = threading.Semaphore(max_in_flight)
         self._opener = urllib.request.build_opener(_NoRedirect)
         self._sleep = sleep
         self._rng = rng if rng is not None else random.Random()
 
     def __call__(self, request: GeneratorRequest) -> GeneratorReply:
+        import http.client
+        import urllib.request
+
         api_key = os.environ.get(self.config.api_key_env)
         if not api_key:
             raise AuthError(
@@ -155,7 +149,7 @@ class LlmClient:
                 delay = BACKOFF_BASE_SECONDS * BACKOFF_FACTOR ** (attempt - 1)
                 self._sleep(delay * self._rng.uniform(0.5, 1.5))
             try:
-                with self._semaphore, _open(self._opener, post, self.config.timeout) as response:
+                with self._semaphore, self._open(post) as response:
                     status = response.status
                     raw = response.read()
             except (OSError, http.client.HTTPException) as exc:
@@ -174,6 +168,16 @@ class LlmClient:
                 )
             return reply_from_raw(self._extract_text(raw))
         raise TransportError(f"{last_failure} after {attempts} attempts")
+
+    def _open(self, post):
+        """``self._opener.open``, but a non-2xx reply is returned, not raised:
+        ``HTTPError`` has ``.status`` and ``.read()`` like any response."""
+        import urllib.error
+
+        try:
+            return self._opener.open(post, timeout=self.config.timeout)
+        except urllib.error.HTTPError as error:
+            return error
 
     @staticmethod
     def _extract_text(raw: bytes) -> str:

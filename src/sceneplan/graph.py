@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .scene import ObjectInstance, SceneModel
+from .scene import ObjectInstance, SceneModel, ring_cells
 
 DEFAULT_K = 2
 DEFAULT_MODULATION_WEIGHT = 2.0
@@ -82,14 +82,56 @@ def classify_relation(a: ObjectInstance, b: ObjectInstance) -> SpatialRelation:
 
 
 def knn_ids(scene: SceneModel, k: int) -> dict[int, list[int]]:
-    """The k nearest neighbor ids of every object (distance, then lower id)."""
+    """The k nearest neighbor ids of every object (3-D distance, then lower id).
+
+    Objects go into a uniform grid of square buckets over their centroids'
+    x/y, sized for about two objects per bucket (Cleary 1979); one bucket
+    holds them all when the x/y extent is zero or overflows.  Each object
+    scans rings of buckets of growing Chebyshev radius ``d`` around its own.
+    Every centroid in ring ``d`` is at least ``(d - 1)`` bucket sizes away
+    in x or y, so the scan stops once that exceeds the k-th best distance:
+    no later object can be closer or tie.
+    """
+    objects = scene.objects
+    if not objects:
+        return {}
+    n = len(objects)
+    xs = [obj.centroid[0] for obj in objects]
+    ys = [obj.centroid[1] for obj in objects]
+    x0, y0 = min(xs), min(ys)
+    width, height = max(xs) - x0, max(ys) - y0
+    # Square buckets of area width*height/(n/2), but no fewer than n/2 along
+    # the longer side, so a colinear layout still spreads out.
+    size = max(math.sqrt(width / n * 2) * math.sqrt(height), max(width, height) / n * 2)
+    if 0 < size < math.inf:
+        cols, rows = max(1, int(width / size)), max(1, int(height / size))
+        cells = [
+            (min(int((y - y0) / size), rows - 1), min(int((x - x0) / size), cols - 1))
+            for x, y in zip(xs, ys)
+        ]
+    else:
+        cols = rows = 1
+        cells = [(0, 0)] * n
+    buckets: dict[tuple[int, int], list[ObjectInstance]] = {}
+    for obj, cell in zip(objects, cells):
+        buckets.setdefault(cell, []).append(obj)
+    # Bucket indices come from rounded float division, so a centroid may sit
+    # a few ulps of the extent past its bucket's edge; shrinking the ring
+    # bound by more than that keeps it a true lower bound on math.dist.
+    ring_bound = size * (1 - (cols + rows + 4) * 2.0**-50)
     result: dict[int, list[int]] = {}
-    for obj in scene.objects:
-        ranked = sorted(
-            (other for other in scene.objects if other.id != obj.id),
-            key=lambda other: (math.dist(obj.centroid, other.centroid), other.id),
-        )
-        result[obj.id] = [other.id for other in ranked[:k]]
+    for obj, (row0, col0) in zip(objects, cells):
+        best: list[tuple[float, int]] = []
+        for d in range(max(row0, rows - 1 - row0, col0, cols - 1 - col0) + 1):
+            if len(best) == k and (d - 1) * ring_bound > best[-1][0]:
+                break
+            for cell in ring_cells(rows, cols, row0, col0, d):
+                for other in buckets.get(cell, ()):
+                    if other.id != obj.id:
+                        best.append((math.dist(obj.centroid, other.centroid), other.id))
+            best.sort()
+            del best[k:]
+        result[obj.id] = [other_id for _, other_id in best]
     return result
 
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 
-from .scene import Aabb, ObjectInstance, OccupancyGrid, PlanStep, SceneModel
+from .scene import Aabb, ObjectInstance, OccupancyGrid, PlanStep, SceneModel, ring_cells
 from .textmatch import resolve_noun_phrase, words_of
 
 MOVE_VERBS = ("walk", "move", "go", "head", "proceed")
@@ -383,22 +383,6 @@ def shortest_cell_path(
     return None
 
 
-def _ring(grid: OccupancyGrid, row0: int, col0: int, d: int) -> list[tuple[int, int]]:
-    """In-grid cells at Chebyshev distance exactly ``d`` from (row0, col0)."""
-    if d == 0:
-        return [(row0, col0)]
-    cells: list[tuple[int, int]] = []
-    col_lo, col_hi = max(col0 - d, 0), min(col0 + d, grid.cols - 1)
-    for row in (row0 - d, row0 + d):
-        if 0 <= row < grid.rows:
-            cells.extend((row, col) for col in range(col_lo, col_hi + 1))
-    row_lo, row_hi = max(row0 - d + 1, 0), min(row0 + d - 1, grid.rows - 1)
-    for col in (col0 - d, col0 + d):
-        if 0 <= col < grid.cols:
-            cells.extend((row, col) for row in range(row_lo, row_hi + 1))
-    return cells
-
-
 def nearest_free_cell(
     grid: OccupancyGrid, position: tuple[float, float]
 ) -> tuple[int, int] | None:
@@ -416,7 +400,7 @@ def nearest_free_cell(
     for d in range(reach + 1):
         if best is not None and (d - 1) * grid.cell_size > best[0]:
             break
-        for row, col in _ring(grid, row0, col0, d):
+        for row, col in ring_cells(grid.rows, grid.cols, row0, col0, d):
             if grid.is_blocked(row, col):
                 continue
             key = (math.dist(position, grid.cell_center(row, col)), row, col)

@@ -161,6 +161,22 @@ class OccupancyGrid:
         ))
 
 
+def ring_cells(rows: int, cols: int, row0: int, col0: int, d: int) -> list[tuple[int, int]]:
+    """Cells of a rows x cols grid at Chebyshev distance exactly ``d`` from (row0, col0)."""
+    if d == 0:
+        return [(row0, col0)]
+    cells: list[tuple[int, int]] = []
+    col_lo, col_hi = max(col0 - d, 0), min(col0 + d, cols - 1)
+    for row in (row0 - d, row0 + d):
+        if 0 <= row < rows:
+            cells.extend((row, col) for col in range(col_lo, col_hi + 1))
+    row_lo, row_hi = max(row0 - d + 1, 0), min(row0 + d - 1, rows - 1)
+    for col in (col0 - d, col0 + d):
+        if 0 <= col < cols:
+            cells.extend((row, col) for row in range(row_lo, row_hi + 1))
+    return cells
+
+
 @dataclass(frozen=True)
 class SceneModel:
     """A 3D scene reduced to per-object geometry plus an optional occupancy grid."""

@@ -36,9 +36,10 @@ def find_category_spans(text: str, categories: set[str]) -> list[tuple[int, str]
 
     Longer (more-word) categories win at a given position; the same position
     never yields two overlapping matches.  Result is ordered by position.
+    A category with no tokens matches nowhere.
     """
     tokens = words_of(text)
-    by_len = sorted(categories, key=lambda c: (-len(c.split()), c))
+    by_len = sorted((c for c in categories if c.split()), key=lambda c: (-len(c.split()), c))
     spans: list[tuple[int, str]] = []
     pos = 0
     while pos < len(tokens):
@@ -81,5 +82,5 @@ def resolve_noun_phrase(noun_phrase: str, categories: set[str]) -> str | None:
     if not tokens:
         return None
     head = tokens[-1]
-    matches = sorted(c for c in categories if token_matches(head, c.split()[-1]))
+    matches = sorted(c for c in categories if c.split() and token_matches(head, c.split()[-1]))
     return matches[0] if matches else None

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 from typing import Callable
 
 import pytest
 
+import sceneplan
 from sceneplan.engine import GeneratorReply, GeneratorRequest, reply_from_raw
 from sceneplan.scene import Aabb, ObjectInstance, OccupancyGrid, SceneModel, load_scene
 
@@ -110,3 +114,21 @@ def scripted_generator(replies: list[str]) -> Callable[[GeneratorRequest], Gener
         return reply_from_raw(replies[request.step_index - 1])
 
     return generate
+
+
+def run_python(script: str, timeout: float = 30.0) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this ``sceneplan``.
+
+    Raises ``subprocess.TimeoutExpired`` when it runs longer than ``timeout``
+    seconds, and ``CalledProcessError`` when it exits non-zero.
+    """
+    src = str(Path(sceneplan.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+        timeout=timeout,
+    )

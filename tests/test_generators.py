@@ -3,18 +3,13 @@
 from __future__ import annotations
 
 import json
-import os
 import random
-import subprocess
-import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
 
 import pytest
 
-import sceneplan
 from sceneplan.engine import EpisodeError, GeneratorRequest, run_episode
 from sceneplan.generators import (
     BACKOFF_BASE_SECONDS,
@@ -33,7 +28,7 @@ from sceneplan.generators import (
 )
 from sceneplan.graph import build_graph
 from sceneplan.route import default_start_pose, verify_route
-from tests.conftest import scripted_generator
+from tests.conftest import run_python, scripted_generator
 
 
 class StubEndpoint:
@@ -334,12 +329,23 @@ def test_cli_and_llm_client_import_no_third_party_http_stack():
         "LlmClient(LlmEndpointConfig(base_url='http://127.0.0.1:9', model_name='m'))\n"
         "print(sorted({'requests', 'urllib3'} & set(sys.modules)))\n"
     )
-    src = str(Path(sceneplan.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    assert run_python(script).stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_the_http_stack_to_the_llm_client():
+    # ``import sceneplan.cli`` runs ``sceneplan/__init__``, which imports
+    # ``generators``; only constructing an ``LlmClient`` loads the stack.
+    script = (
+        "import json, sys, sceneplan.cli\n"
+        "stack = {'http.client', 'urllib.request', 'ssl', 'email'}\n"
+        "print(json.dumps(sorted(stack & set(sys.modules))))\n"
+        "from sceneplan.generators import LlmClient, LlmEndpointConfig\n"
+        "LlmClient(LlmEndpointConfig(base_url='http://127.0.0.1:9', model_name='m'))\n"
+        "print(json.dumps(sorted(stack & set(sys.modules))))\n"
     )
-    assert result.stdout.strip() == "[]"
+    before, after = map(json.loads, run_python(script).stdout.splitlines())
+    assert before == []
+    assert {"http.client", "urllib.request"} <= set(after)
 
 
 class TestRuleSelection:

@@ -30,6 +30,38 @@ def _at(oid: int, x: float, y: float, z: float, category: str = "box") -> Object
     )
 
 
+@st.composite
+def _knn_layouts(draw) -> SceneModel:
+    """1-40 objects laid out to stress the KNN bucket grid.
+
+    Each scene draws x and y from a pool of at most four values, and z from
+    three, so duplicate centroids, equal-distance ties and sparse far-apart
+    clusters abound.  Layouts cover points that differ only in z (one bucket holds
+    them all), colinear points, and spans of +-1e308 whose x/y extent
+    overflows to inf.
+    """
+    ids = draw(st.lists(st.integers(0, 200), min_size=1, max_size=40, unique=True))
+    layout = draw(st.sampled_from(["plane", "z-only", "colinear", "diagonal", "huge"]))
+    scale = draw(st.sampled_from([1.0, 0.25, 3e-7, 1e-300, 1e300]))
+    if layout == "huge":
+        values = [-1e308, -1.0, 0.0, 2.5, 1e308]
+    else:
+        spread = st.sampled_from([-2, 0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144])
+        values = [v * scale for v in draw(st.lists(spread, min_size=1, max_size=4))]
+    coord = st.sampled_from(values)
+    objects = []
+    for i in ids:
+        x, y, z = draw(coord), draw(coord), draw(st.sampled_from([0.0, scale, values[-1]]))
+        if layout == "z-only":
+            x = y = scale
+        elif layout == "colinear":
+            y = scale
+        elif layout == "diagonal":
+            y = x
+        objects.append(_at(i, x, y, z))
+    return SceneModel(layout, tuple(objects), category_vocab_size=1)
+
+
 class TestRelations:
     ANCHOR = _at(0, 0.0, 0.0, 0.0)
 
@@ -116,6 +148,16 @@ class TestKnnConstruction:
         graph = build_graph(scene, k=1)
         assert graph.edges[0][1].relation.kind == "right-of"
         assert graph.edges[1][0].relation.kind == "left-of"
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(scene=_knn_layouts(), k=st.integers(1, 5))
+    def test_bucket_grid_matches_oracle_on_hard_layouts(self, scene, k):
+        assert knn_ids(scene, k) == oracle_knn({o.id: o.centroid for o in scene.objects}, k)
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_bucket_grid_matches_oracle_on_1000_objects(self, k):
+        scene = make_random_scene(11, n_objects=1000)
+        assert knn_ids(scene, k) == oracle_knn({o.id: o.centroid for o in scene.objects}, k)
 
 
 class TestModulation:

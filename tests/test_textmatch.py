@@ -9,6 +9,7 @@ from sceneplan.textmatch import (
     token_matches,
     words_of,
 )
+from tests.conftest import run_python
 
 KITCHEN_CATEGORIES = {
     "kitchen counter",
@@ -60,6 +61,16 @@ class TestCategorySpans:
     def test_repeated_category_listed_once_per_position(self):
         spans = find_category_spans("mug next to another mug", KITCHEN_CATEGORIES)
         assert [c for _, c in spans] == ["mug", "mug"]
+
+    def test_category_without_tokens_matches_nowhere(self):
+        # A token-less category that matched would match at every position
+        # without advancing, so a regression hangs: run with a time limit.
+        script = (
+            "from sceneplan.textmatch import find_category_spans, resolve_noun_phrase\n"
+            "print(find_category_spans('walk to the sink', {'sink', ' ', ''}))\n"
+            "print(resolve_noun_phrase('the bowl', {'\\t'}))\n"
+        )
+        assert run_python(script, timeout=20.0).stdout.splitlines() == ["[(3, 'sink')]", "None"]
 
 
 class TestNounPhraseResolution:

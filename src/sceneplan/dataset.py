@@ -221,7 +221,7 @@ def compute_stats(
     for sample in samples:
         total_steps += len(sample.triplet.steps)
         total_words += _sample_word_count(sample.triplet)
-        categories = scenes[sample.triplet.scene_id].categories()
+        matcher = scenes[sample.triplet.scene_id].category_matcher
         for step in sample.triplet.steps:
             for fragment in parse_fragments(step.text):
                 if fragment.clause is not None:
@@ -230,7 +230,7 @@ def compute_stats(
                 if fragment.is_movement:
                     continue
                 tokens = words_of(fragment.text)
-                spans = find_category_spans(fragment.text, categories)
+                spans = find_category_spans(fragment.text, matcher)
                 if tokens and spans:
                     action_object[(tokens[0], spans[0][1])] += 1
     n = len(samples)

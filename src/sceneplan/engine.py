@@ -109,7 +109,7 @@ def detect_mentions(step_text: str, scene: SceneModel) -> list[int]:
     ("mugs" matches category "mug"); every instance of a mentioned category
     counts.
     """
-    categories = mentioned_categories(step_text, scene.categories())
+    categories = mentioned_categories(step_text, scene.category_matcher)
     return sorted(o.id for o in scene.objects if o.category in categories)
 
 

@@ -317,7 +317,7 @@ def apply_clause(pose: AgentPose, clause: RouteClause, scene: SceneModel) -> Age
     if clause.target_category is None:
         dx, dy = HEADING_TO_DIR[pose.heading]
         return replace(pose, position=(pose.position[0] + dx, pose.position[1] + dy))
-    category = resolve_noun_phrase(clause.target_category, scene.categories())
+    category = resolve_noun_phrase(clause.target_category, scene.category_matcher)
     if category is None:
         raise UnknownObjectError(clause.target_category)
     target = nearest_instance(scene, category, pose.position)
@@ -530,7 +530,7 @@ def verify_route(
             if clause.verb == TURN_VERB or clause.target_category is None:
                 pose = apply_clause(pose, clause, scene)
                 continue
-            category = resolve_noun_phrase(clause.target_category, scene.categories())
+            category = resolve_noun_phrase(clause.target_category, scene.category_matcher)
             if category is None:
                 verdict, detail = "unknown-object", clause.target_category
                 break

@@ -13,12 +13,17 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 
+from .textmatch import CategoryMatcher
+
 Vec3 = tuple[float, float, float]
+
+
+_FREE_RUN = re.compile(rb"\x00+")
 
 
 class SceneFormatError(ValueError):
@@ -126,39 +131,55 @@ class OccupancyGrid:
         """Row-major 4-connected free-cell component label per cell, -1 if blocked.
 
         Two free cells share a label iff a 4-connected path of free cells
-        joins them.  Built on first use by an iterative flood fill and kept
-        in the instance ``__dict__``, outside the dataclass fields, so
-        equality, hashing and serialization still see only the grid.
+        joins them; labels count up from 0 in the row-major order of each
+        component's first cell.  Built on first use in the two-pass form of
+        Rosenfeld & Pfaltz (1966) over runs of free cells: each row's runs
+        are joined by union-find to the runs they overlap in the row above,
+        then every run takes its root's label.  Kept in the instance
+        ``__dict__``, outside the dataclass fields, so equality, hashing and
+        serialization still see only the grid.
         """
-        rows, cols = self.rows, self.cols
-        # A border of blocked padding makes every neighbor index valid, so
-        # the fill needs no bounds checks.
-        width = cols + 2
-        unvisited = bytearray((rows + 2) * width)  # 1 = free cell not yet labelled
-        for row in range(rows):
-            start = (row + 1) * width + 1
-            unvisited[start:start + cols] = bytes(
-                not b for b in self.blocked[row * cols:(row + 1) * cols]
-            )
-        labels = [-1] * len(unvisited)
-        label = 0
-        for seed in range(len(unvisited)):
-            if not unvisited[seed]:
-                continue
-            unvisited[seed] = 0
-            labels[seed] = label
-            stack = [seed]
-            while stack:
-                index = stack.pop()
-                for neighbor in (index - width, index + width, index - 1, index + 1):
-                    if unvisited[neighbor]:
-                        unvisited[neighbor] = 0
-                        labels[neighbor] = label
-                        stack.append(neighbor)
-            label += 1
-        return tuple(chain.from_iterable(
-            labels[(row + 1) * width + 1:(row + 2) * width - 1] for row in range(rows)
-        ))
+        cols = self.cols
+        cells = bytes(self.blocked)  # 0 = free, 1 = blocked
+        parent: list[int] = []  # union-find forest over runs; a root is its tree's first run
+        spans: list[tuple[int, int]] = []  # (start, end) cell indices of each run
+        above: list[int] = []  # start col, end col, run, ... of the row above's runs
+
+        def root(run: int) -> int:
+            while parent[run] != run:
+                parent[run] = run = parent[parent[run]]  # path halving
+            return run
+
+        for row_start in range(0, len(cells), cols):
+            row: list[int] = []
+            i = 0
+            for match in _FREE_RUN.finditer(cells, row_start, row_start + cols):
+                span = match.span()
+                start, end = span[0] - row_start, span[1] - row_start
+                link = len(parent)
+                parent.append(link)
+                spans.append(span)
+                # Join the new run and every run above that overlaps
+                # [start, end) under the smallest of their roots.
+                while i < len(above) and above[i + 1] <= start:
+                    i += 3
+                j = i
+                while j < len(above) and above[j] < end:
+                    other = root(above[j + 2])
+                    if other < link:
+                        parent[link] = other
+                        link = other
+                    elif other > link:
+                        parent[other] = link
+                    j += 3
+                row += (start, end, link)
+            above = row
+        labels = [-1] * len(cells)
+        label_of: dict[int, int] = {}
+        for run, (start, end) in enumerate(spans):
+            label = label_of.setdefault(root(run), len(label_of))
+            labels[start:end] = [label] * (end - start)
+        return tuple(labels)
 
 
 def ring_cells(rows: int, cols: int, row0: int, col0: int, d: int) -> list[tuple[int, int]]:
@@ -211,6 +232,15 @@ class SceneModel:
 
     def categories(self) -> set[str]:
         return {o.category for o in self.objects}
+
+    @cached_property
+    def category_matcher(self) -> CategoryMatcher:
+        """The scene's categories indexed for matching in text, built on first use.
+
+        Kept in the instance ``__dict__``, outside the dataclass fields, so
+        equality, hashing and serialization still see only the scene.
+        """
+        return CategoryMatcher(self.categories())
 
     def instances_of(self, category: str) -> list[ObjectInstance]:
         return [o for o in self.objects if o.category == category]

@@ -3,11 +3,15 @@
 Shared by step-text mention detection and route target resolution so both
 use identical normalization: case-insensitive, whole-word, tolerant of
 trailing plural "s"/"es", multi-word categories matched token by token.
+Text and categories are split into words the same way (:func:`words_of`),
+so a category such as "t-shirt" matches the text "t-shirt" as the words
+"t", "shirt".
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
@@ -31,56 +35,94 @@ def token_matches(text_token: str, category_token: str) -> bool:
     return category_token in _singularize(text_token)
 
 
-def find_category_spans(text: str, categories: set[str]) -> list[tuple[int, str]]:
+class CategoryMatcher:
+    """A category set indexed for :func:`find_category_spans`.
+
+    Categories are keyed by their first word; each bucket holds
+    ``(-word count, name, remaining words)`` in ascending order, so the
+    first entry of a bucket that matches is the longest, then
+    lexicographically first, category starting with that word.  A second
+    index by last word serves :func:`resolve_noun_phrase`'s head-noun
+    fallback.  A category with no words is left out: it matches nowhere.
+    Build one per category set and reuse it (``SceneModel.category_matcher``).
+    """
+
+    def __init__(self, categories: Iterable[str]) -> None:
+        by_first: dict[str, list] = {}
+        by_last: dict[str, list[str]] = {}
+        for name in set(categories):
+            words = words_of(name)
+            if not words:
+                continue
+            by_first.setdefault(words[0], []).append((-len(words), name, words[1:]))
+            by_last.setdefault(words[-1], []).append(name)
+        self.by_first = {word: sorted(bucket) for word, bucket in by_first.items()}
+        self.by_last = by_last
+
+
+def _compiled(categories: CategoryMatcher | Iterable[str]) -> CategoryMatcher:
+    return categories if isinstance(categories, CategoryMatcher) else CategoryMatcher(categories)
+
+
+def find_category_spans(
+    text: str, categories: CategoryMatcher | Iterable[str]
+) -> list[tuple[int, str]]:
     """All category occurrences in ``text`` as (start-token-position, category).
 
     Longer (more-word) categories win at a given position; the same position
     never yields two overlapping matches.  Result is ordered by position.
-    A category with no tokens matches nowhere.
+    A category with no tokens matches nowhere.  A plain collection of
+    categories is indexed for this one call; pass a :class:`CategoryMatcher`
+    to reuse the index.
     """
-    tokens = words_of(text)
-    by_len = sorted((c for c in categories if c.split()), key=lambda c: (-len(c.split()), c))
+    by_first = _compiled(categories).by_first
+    forms = [_singularize(token) for token in words_of(text)]
+    count = len(forms)
     spans: list[tuple[int, str]] = []
     pos = 0
-    while pos < len(tokens):
-        hit = None
-        for category in by_len:
-            cat_tokens = category.split()
-            if pos + len(cat_tokens) > len(tokens):
-                continue
-            if all(
-                token_matches(tokens[pos + i], cat_tokens[i])
-                for i in range(len(cat_tokens))
-            ):
-                hit = category
-                break
-        if hit is None:
+    while pos < count:
+        best = None
+        for form in forms[pos]:
+            # Each form has its own bucket: keep the best of their first hits.
+            for size, name, rest in by_first.get(form, ()):
+                end = pos + 1 + len(rest)
+                if end <= count and all(
+                    word in forms[pos + 1 + i] for i, word in enumerate(rest)
+                ):
+                    if best is None or (size, name) < best[:2]:
+                        best = (size, name, end)
+                    break
+        if best is None:
             pos += 1
         else:
-            spans.append((pos, hit))
-            pos += len(hit.split())
+            spans.append((pos, best[1]))
+            pos = best[2]
     return spans
 
 
-def mentioned_categories(text: str, categories: set[str]) -> set[str]:
+def mentioned_categories(text: str, categories: CategoryMatcher | Iterable[str]) -> set[str]:
     return {category for _, category in find_category_spans(text, categories)}
 
 
-def resolve_noun_phrase(noun_phrase: str, categories: set[str]) -> str | None:
+def resolve_noun_phrase(
+    noun_phrase: str, categories: CategoryMatcher | Iterable[str]
+) -> str | None:
     """Best category named by a noun phrase.
 
     "the water kettle" resolves to "kettle", and a bare head noun reaches a
     multi-word category: "counter" resolves to "kitchen counter".
     """
-    spans = find_category_spans(noun_phrase, categories)
+    matcher = _compiled(categories)
+    spans = find_category_spans(noun_phrase, matcher)
     if spans:
         # Prefer the longest match anywhere in the phrase, then the latest
         # one (heads of English noun phrases come last).
-        return max(spans, key=lambda s: (len(s[1].split()), s[0]))[1]
+        return max(spans, key=lambda s: (len(words_of(s[1])), s[0]))[1]
     # Fall back to head-noun matching; ties resolve lexicographically.
     tokens = words_of(noun_phrase)
     if not tokens:
         return None
-    head = tokens[-1]
-    matches = sorted(c for c in categories if c.split() and token_matches(head, c.split()[-1]))
-    return matches[0] if matches else None
+    matches = [
+        name for form in _singularize(tokens[-1]) for name in matcher.by_last.get(form, ())
+    ]
+    return min(matches) if matches else None

@@ -12,6 +12,7 @@ from collections import deque
 from functools import lru_cache
 
 from sceneplan.graph import classify_relation
+from sceneplan.textmatch import token_matches, words_of
 
 
 # ---------------------------------------------------------------- geometry
@@ -117,6 +118,89 @@ def oracle_ray_hits_rect(pos, direction, rect) -> float | None:
         if abs(px) > 1e3 or abs(py) > 1e3:
             return None
     return None
+
+
+def oracle_component_labels(rows: int, cols: int, blocked) -> tuple[int, ...]:
+    """Row-major free-cell component labels by breadth-first search, -1 if blocked.
+
+    Free cells are visited in row-major order; each one not yet reached
+    starts the next label and spreads it to every free cell its search
+    reaches through 4-neighbors.
+    """
+    free = {(r, c) for r in range(rows) for c in range(cols) if not blocked[r * cols + c]}
+    label_of: dict[tuple[int, int], int] = {}
+    label = -1
+    for seed in sorted(free):
+        if seed in label_of:
+            continue
+        label += 1
+        label_of[seed] = label
+        queue = deque([seed])
+        while queue:
+            row, col = queue.popleft()
+            for cell in ((row - 1, col), (row + 1, col), (row, col - 1), (row, col + 1)):
+                if cell in free and cell not in label_of:
+                    label_of[cell] = label
+                    queue.append(cell)
+    return tuple(label_of.get((r, c), -1) for r in range(rows) for c in range(cols))
+
+
+# ----------------------------------------------------------- text matching
+# The category scan as it stood before the per-scene matcher: every call
+# re-sorts the categories and re-splits each one (on whitespace) at every
+# text position.  It agrees with ``CategoryMatcher`` wherever a category's
+# whitespace-separated words are [a-z0-9] runs.
+
+
+def oracle_find_category_spans(text: str, categories: set[str]) -> list[tuple[int, str]]:
+    """All category occurrences in ``text`` as (start-token-position, category).
+
+    Longer (more-word) categories win at a given position; the same position
+    never yields two overlapping matches.  Result is ordered by position.
+    A category with no tokens matches nowhere.
+    """
+    tokens = words_of(text)
+    by_len = sorted((c for c in categories if c.split()), key=lambda c: (-len(c.split()), c))
+    spans: list[tuple[int, str]] = []
+    pos = 0
+    while pos < len(tokens):
+        hit = None
+        for category in by_len:
+            cat_tokens = category.split()
+            if pos + len(cat_tokens) > len(tokens):
+                continue
+            if all(
+                token_matches(tokens[pos + i], cat_tokens[i])
+                for i in range(len(cat_tokens))
+            ):
+                hit = category
+                break
+        if hit is None:
+            pos += 1
+        else:
+            spans.append((pos, hit))
+            pos += len(hit.split())
+    return spans
+
+
+def oracle_resolve_noun_phrase(noun_phrase: str, categories: set[str]) -> str | None:
+    """Best category named by a noun phrase.
+
+    "the water kettle" resolves to "kettle", and a bare head noun reaches a
+    multi-word category: "counter" resolves to "kitchen counter".
+    """
+    spans = oracle_find_category_spans(noun_phrase, categories)
+    if spans:
+        # Prefer the longest match anywhere in the phrase, then the latest
+        # one (heads of English noun phrases come last).
+        return max(spans, key=lambda s: (len(s[1].split()), s[0]))[1]
+    # Fall back to head-noun matching; ties resolve lexicographically.
+    tokens = words_of(noun_phrase)
+    if not tokens:
+        return None
+    head = tokens[-1]
+    matches = sorted(c for c in categories if c.split() and token_matches(head, c.split()[-1]))
+    return matches[0] if matches else None
 
 
 # ------------------------------------------------------------ text metrics

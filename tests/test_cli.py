@@ -230,6 +230,56 @@ class TestRouteCheckCommand:
         assert payload["all_ok"] is False
         assert payload["routes"][0]["reports"][0]["verdict"] == "unparsed"
 
+    def test_category_with_punctuation_is_matched(self, capsys, tmp_path):
+        # Categories split into words the way text does, so "t-shirt" in a
+        # step names the category "t-shirt" (it used to be unknown-object).
+        scene = json.loads(Path(KITCHEN).read_text(encoding="utf-8"))
+        (stove,) = (o for o in scene["objects"] if o["id"] == 1)
+        stove["category"] = "t-shirt"
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(scene), encoding="utf-8")
+        record = {
+            "scene_id": scene["scene_id"],
+            "instruction": "I need something to wear",
+            "activity": "get dressed",
+            "steps": [{"index": 1, "text": "Walk to the t-shirt and pick up the t-shirt.",
+                       "object_ids": [1], "is_final": True}],
+        }
+        triplets = tmp_path / "tshirt.jsonl"
+        triplets.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        code, payload, err = _run(
+            capsys, ["route-check", "--scene", str(scene_path), "--triplets", str(triplets)]
+        )
+        assert (code, err) == (0, "")
+        (report,) = payload["routes"][0]["reports"]
+        assert (report["verdict"], report["clauses"]) == ("ok", ["walk to the t shirt"])
+
+
+# Byte-exact stdout of stats and route-check on the fixtures and on the
+# faulty dataset of tests/dataset_builder.py.  No benchmark workload runs
+# stats, so this is its output lock; editing these files changes CLI output.
+GOLDEN = FIXTURES / "cli_golden"
+
+
+@pytest.mark.parametrize(
+    "name, argv, code",
+    [
+        ("stats_faulty_dataset", ["stats", "{root}"], 0),
+        ("route_check_kitchen", ["route-check", "--scene", KITCHEN, "--triplets",
+                                 str(FIXTURES / "triplets_valid.jsonl")], 0),
+        ("route_check_faulty_kitchen_01",
+         ["route-check", "--scene", "{root}/scenes/kitchen-01.json",
+          "--triplets", "{root}/triplets/val.jsonl"], 1),
+        ("route_check_faulty_kitchen_02",
+         ["route-check", "--scene", "{root}/scenes/kitchen-02.json",
+          "--triplets", "{root}/triplets/val.jsonl"], 1),
+    ],
+)
+def test_stdout_matches_golden_bytes(capsys, faulty_dir, name, argv, code):
+    root, _ = faulty_dir
+    assert main([arg.format(root=root) for arg in argv]) == code
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
 
 @pytest.mark.parametrize(
     "argv",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from dataclasses import replace
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sceneplan import cli
 from sceneplan.route import (
     ADJACENCY_CLEARANCE,
     HEADING_TO_DIR,
@@ -42,10 +44,17 @@ from sceneplan.scene import (
     OccupancyGrid,
     PlanStep,
     SceneModel,
+    load_scene,
     scene_to_dict,
 )
+from sceneplan.textmatch import CategoryMatcher
 from tests.conftest import make_random_grid_scene
-from tests.oracles import oracle_bfs_length, oracle_nearest_free_cell, oracle_ray_hits_rect
+from tests.oracles import (
+    oracle_bfs_length,
+    oracle_component_labels,
+    oracle_nearest_free_cell,
+    oracle_ray_hits_rect,
+)
 
 
 def _pose(x: float, y: float, heading: int = 0) -> AgentPose:
@@ -554,6 +563,64 @@ def _free_cells(grid: OccupancyGrid) -> set[tuple[int, int]]:
     return {(r, c) for r in range(grid.rows) for c in range(grid.cols) if grid.is_free(r, c)}
 
 
+def _u_shape(rows: int, cols: int) -> set[tuple[int, int]]:
+    """Free cells of a U opening upward: its arms join only in the last row."""
+    return {(r, 0) for r in range(rows)} | {(r, cols - 1) for r in range(rows)} | {
+        (rows - 1, c) for c in range(cols)
+    }
+
+
+def _comb(rows: int, cols: int) -> set[tuple[int, int]]:
+    """Teeth on every other column, joined by a spine in the last row."""
+    return {(r, c) for r in range(rows - 1) for c in range(0, cols, 2)} | {
+        (rows - 1, c) for c in range(cols)
+    }
+
+
+def _spiral(rows: int, cols: int) -> set[tuple[int, int]]:
+    """A one-cell corridor spiralling inward clockwise from (0, 0), walled between laps."""
+    free = {(0, 0)}
+    row, col, d_row, d_col, turns = 0, 0, 0, 1, 0
+    while turns < 2:
+        step, ahead = (row + d_row, col + d_col), (row + 2 * d_row, col + 2 * d_col)
+        if 0 <= step[0] < rows and 0 <= step[1] < cols and step not in free and ahead not in free:
+            (row, col), turns = step, 0
+            free.add(step)
+        else:
+            d_row, d_col, turns = d_col, -d_row, turns + 1
+    return free
+
+
+_SHAPES = {"u": _u_shape, "comb": _comb, "spiral": _spiral}
+
+
+@st.composite
+def _label_grids(draw) -> OccupancyGrid:
+    """Random flags, 1 x n and n x 1 lines, all-blocked and all-free grids, and the
+    U, comb and spiral shapes, each shape flipped, transposed or inverted at random."""
+    kind = draw(st.sampled_from(["random", "row", "column", "blocked", "free", *_SHAPES]))
+    rows = 1 if kind == "row" else draw(st.integers(1, 14))
+    cols = 1 if kind == "column" else draw(st.integers(1, 14))
+    if kind in _SHAPES:
+        free = _SHAPES[kind](rows, cols)
+        blocked = [[(r, c) not in free for c in range(cols)] for r in range(rows)]
+        if draw(st.booleans()):
+            blocked.reverse()
+        if draw(st.booleans()):
+            blocked = [list(column) for column in zip(*blocked)]
+        if draw(st.booleans()):
+            blocked = [[not b for b in line] for line in blocked]
+        rows, cols = len(blocked), len(blocked[0])
+        flags = [b for line in blocked for b in line]
+    elif kind in ("blocked", "free"):
+        flags = [kind == "blocked"] * (rows * cols)
+    else:
+        density = draw(st.sampled_from([0.1, 0.3, 0.5, 0.7]))
+        rng = draw(st.randoms(use_true_random=False))
+        flags = [rng.random() < density for _ in range(rows * cols)]
+    return OccupancyGrid(1.0, (0.0, 0.0), rows, cols, tuple(flags))
+
+
 class TestComponentLabels:
     def test_labels_agree_with_bfs_connectivity(self):
         for world, scene in enumerate(_grid_worlds()):
@@ -613,14 +680,20 @@ class TestComponentLabels:
         assert verdicts == {"ok", "unreachable-target"}
 
     def test_built_labels_leave_equality_and_hash_alone(self):
+        # The same holds for the scene's cached category matcher.
         scene = make_random_grid_scene(4)
         grid = scene.occupancy
         fresh = replace(grid)
+        fresh_scene = replace(scene, occupancy=fresh)
         assert grid.component_labels
+        assert scene.category_matcher.by_first
         assert "component_labels" not in fresh.__dict__
+        assert "category_matcher" not in fresh_scene.__dict__
         assert grid == fresh
         assert hash(grid) == hash(fresh)
-        assert scene_to_dict(scene) == scene_to_dict(replace(scene, occupancy=fresh))
+        assert scene == fresh_scene
+        assert hash(scene) == hash(fresh_scene)
+        assert scene_to_dict(scene) == scene_to_dict(fresh_scene)
 
     def test_long_corridor_does_not_recurse(self):
         n = 20_000
@@ -630,6 +703,20 @@ class TestComponentLabels:
         assert grid.component_labels == (0,) * (n // 2) + (-1,) + (1,) * (n - n // 2 - 1)
         assert nearest_free_cell(grid, grid.cell_center(0, n // 2)) == (0, n // 2 - 1)
 
+    @settings(max_examples=300, deadline=None)
+    @given(grid=_label_grids())
+    def test_run_labels_match_the_bfs_oracle(self, grid):
+        # Equal tuples also pin the numbering: labels count up in the
+        # row-major order of each component's first cell.
+        assert grid.component_labels == oracle_component_labels(grid.rows, grid.cols, grid.blocked)
+
+    def test_shapes_that_join_in_a_later_row_are_one_component(self):
+        for shape in _SHAPES.values():
+            free = shape(9, 11)
+            blocked = tuple((r, c) not in free for r in range(9) for c in range(11))
+            labels = OccupancyGrid(1.0, (0.0, 0.0), 9, 11, blocked).component_labels
+            assert {label for label in labels if label != -1} == {0}, shape.__name__
+
     def test_planning_never_builds_labels(self, kitchen):
         for obj in kitchen.objects:
             try:
@@ -637,6 +724,29 @@ class TestComponentLabels:
             except RouteError:
                 pass
         assert "component_labels" not in kitchen.occupancy.__dict__
+
+    def test_plan_builds_one_category_matcher_and_no_labels(
+        self, kitchen_path, monkeypatch, capsys
+    ):
+        loaded, built = [], []
+        build = CategoryMatcher.__init__
+
+        def counting_build(matcher, categories):
+            built.append(matcher)
+            build(matcher, categories)
+
+        def load(path):
+            loaded.append(load_scene(path))
+            return loaded[-1]
+
+        monkeypatch.setattr(CategoryMatcher, "__init__", counting_build)
+        monkeypatch.setattr(cli, "load_scene", load)
+        argv = ["plan", "--scene", str(kitchen_path), "--instruction", "I am tired and want coffee"]
+        assert cli.main(argv) == 0
+        (scene,) = loaded
+        assert len(json.loads(capsys.readouterr().out)["steps"]) > 1
+        assert built == [scene.__dict__["category_matcher"]]
+        assert "component_labels" not in scene.occupancy.__dict__
 
 
 class TestDefaultStartPose:

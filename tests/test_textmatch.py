@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from sceneplan.textmatch import (
+    CategoryMatcher,
     find_category_spans,
     mentioned_categories,
     resolve_noun_phrase,
@@ -10,6 +14,7 @@ from sceneplan.textmatch import (
     words_of,
 )
 from tests.conftest import run_python
+from tests.oracles import oracle_find_category_spans, oracle_resolve_noun_phrase
 
 KITCHEN_CATEGORIES = {
     "kitchen counter",
@@ -99,3 +104,78 @@ class TestNounPhraseResolution:
 
     def test_plural_head_noun(self):
         assert resolve_noun_phrase("the counters", KITCHEN_CATEGORIES) == "kitchen counter"
+
+
+class TestPunctuatedCategories:
+    def test_category_words_split_like_text_words(self):
+        categories = {"t-shirt", "shirt", "mug"}
+        assert find_category_spans("Fold the T-shirts and the shirt.", categories) == [
+            (2, "t-shirt"), (6, "shirt"),
+        ]
+        assert resolve_noun_phrase("the t shirt", categories) == "t-shirt"
+
+    def test_category_with_no_ascii_word_matches_nowhere(self):
+        assert find_category_spans("the \u00e9 caf\u00e9", {"\u00e9", "--"}) == []
+        assert resolve_noun_phrase("\u00e9", {"\u00e9"}) is None
+
+
+# Words that are plural forms of one another ("box"/"boxes", "e"/"es"/"s")
+# or prefixes of one another, so random texts hit the plural rules, shared
+# first and last words and overlapping multi-word categories often.
+WORDS = ("a", "ab", "abs", "b", "bs", "box", "boxes", "e", "es", "s", "ses", "mug", "mugs", "0")
+_word = st.one_of(st.sampled_from(WORDS), st.text("abes01", min_size=1, max_size=4))
+# A category is one to three [a-z0-9] words joined by whitespace, or has no
+# word at all; both scans must skip the latter.
+_category = st.one_of(
+    st.lists(_word, min_size=1, max_size=3).map(" ".join),
+    st.sampled_from(("", " ", "\t", "a  b", " mug ")),
+)
+
+
+@st.composite
+def _categories_and_text(draw):
+    categories = draw(st.sets(_category, max_size=8))
+    words = sorted(w for c in categories for w in c.split())
+    # Text words come from the categories, plus "s"/"es", or from the pool.
+    text_word = _word
+    if words:
+        plural = st.sampled_from(("", "s", "es"))
+        text_word |= st.builds(str.__add__, st.sampled_from(words), plural)
+    separator = st.sampled_from((" ", ", ", ". ", " and ", "-"))
+    pieces = draw(st.lists(st.tuples(text_word, separator), max_size=10))
+    text = "".join(word + sep for word, sep in pieces)
+    return categories, draw(st.sampled_from((text, text.upper(), text.title())))
+
+
+class TestMatcherAgainstOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(case=_categories_and_text())
+    def test_spans_and_noun_phrases_match_the_per_call_scan(self, case):
+        categories, text = case
+        matcher = CategoryMatcher(categories)
+        spans = oracle_find_category_spans(text, categories)
+        assert find_category_spans(text, matcher) == spans
+        assert find_category_spans(text, categories) == spans
+        assert mentioned_categories(text, matcher) == {c for _, c in spans}
+        assert resolve_noun_phrase(text, matcher) == oracle_resolve_noun_phrase(text, categories)
+
+    def test_categories_keyed_on_different_forms_of_one_token_compete(self):
+        # "boxes" looks up the buckets "boxes", "boxe" and "box"; the longest
+        # match wins whichever bucket holds it, then the first name.
+        for categories, text, expected in (
+            ({"box", "boxes lid"}, "the boxes lid", [(1, "boxes lid")]),
+            ({"box lid", "boxes"}, "the boxes lid", [(1, "box lid")]),
+            ({"box", "boxe", "boxes"}, "boxes", [(0, "box")]),
+        ):
+            assert oracle_find_category_spans(text, categories) == expected
+            assert find_category_spans(text, CategoryMatcher(categories)) == expected
+
+    def test_head_noun_fallback_and_ties(self):
+        categories = {"kitchen counter", "bar counter", "counter top", "box", "es"}
+        matcher = CategoryMatcher(categories)
+        for phrase in ("counters", "the counter", "boxes", "the es", "tops", "top counter x"):
+            assert resolve_noun_phrase(phrase, matcher) == oracle_resolve_noun_phrase(
+                phrase, categories
+            ), phrase
+        assert resolve_noun_phrase("counters", matcher) == "bar counter"
+        assert resolve_noun_phrase("boxes", matcher) == "box"

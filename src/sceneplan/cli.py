@@ -7,6 +7,8 @@ go to stderr, so stdout of a successful run is always machine-parseable.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import math
 import sys
@@ -50,8 +52,95 @@ from .scene import (
 PROMPT_SEPARATOR = "\n=== PROMPT {i} ===\n"
 
 
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_DICT = frozenset((dict,))
+# A control character is always escaped inside a JSON string, so in the C
+# encoder's output it appears only where it was put as the item separator.
+_MARK = "\x00"
+
+
+@functools.lru_cache(maxsize=None)
+def _c_encode(item_separator: str):
+    """The C encoder (sorted keys, no NaN) with ``item_separator`` between items."""
+    return json.JSONEncoder(
+        sort_keys=True, allow_nan=False, separators=(item_separator, ": ")
+    ).encode
+
+
+def _is_leaf(value) -> bool:
+    """A plain dict, list or tuple whose every value is a plain scalar."""
+    if type(value) is dict:
+        value = value.values()
+    elif type(value) not in (list, tuple):
+        return False
+    return _SCALARS.issuperset(map(type, value))
+
+
+def _is_table(value) -> bool:
+    """A plain list or tuple of nonempty leaf dicts (each check a loop in C)."""
+    return (
+        type(value) in (list, tuple)
+        and _DICT.issuperset(map(type, value))
+        and all(value)
+        and _SCALARS.issuperset(map(type, itertools.chain.from_iterable(map(dict.values, value))))
+    )
+
+
+def _key(key) -> str:
+    if isinstance(key, str):
+        return _c_encode(",")(key)
+    if isinstance(key, (int, float)) or key is None:
+        return '"' + _c_encode(",")(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _dumps(value, depth: int) -> str:
+    """``value`` as ``json.dumps(indent=2, sort_keys=True)`` renders it at ``depth``.
+
+    A leaf container is one C call, its indentation folded into the item
+    separator.  A table (a list of nonempty leaf dicts) is one C call with ``_MARK``
+    between items, replaced afterwards by the indentation of the list (after
+    a ``}``) or of the dicts (anywhere else: a leaf dict's values cannot end
+    in ``}``).  Only the other containers are walked here.
+    """
+    if not isinstance(value, (dict, list, tuple)):
+        return _c_encode(",")(value)
+    is_dict = isinstance(value, dict)
+    opening, closing = "{}" if is_dict else "[]"
+    if not value:
+        return opening + closing
+    outer = "\n" + "  " * depth
+    inner = outer + "  "
+    if _is_leaf(value):
+        body = _c_encode("," + inner)(value)[1:-1]
+    elif is_dict:
+        body = ("," + inner).join(
+            _key(key) + ": " + _dumps(item, depth + 1) for key, item in sorted(value.items())
+        )
+    elif _is_table(value):
+        deeper = inner + "  "
+        body = _c_encode(_MARK)(value)[2:-2]
+        body = body.replace("}" + _MARK + "{", inner + "}," + inner + "{" + deeper)
+        body = "{" + deeper + body.replace(_MARK, "," + deeper) + inner + "}"
+    else:
+        body = ("," + inner).join(_dumps(item, depth + 1) for item in value)
+    return opening + inner + body + outer + closing
+
+
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
+    """Print ``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)``.
+
+    The standard library's encoder gives up its C accelerator when asked to
+    indent; :func:`_dumps` prints the same bytes with the C encoder doing
+    the bulk.  On failure the standard library runs again, so the exception
+    (for a non-finite float, one that names the value) is exactly its own.
+    """
+    try:
+        text = _dumps(payload, 0)
+    except (TypeError, ValueError):
+        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        raise
+    print(text)
 
 
 def _start_pose(args: argparse.Namespace, scene) -> AgentPose:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .scene import ObjectInstance, SceneModel, ring_cells
 
@@ -46,6 +47,28 @@ class SceneGraph:
     nodes: dict[int, GraphNode]
     edges: dict[int, dict[int, GraphEdge]]
     k: int
+
+    @cached_property
+    def prompt_text(self) -> dict[int, tuple[str, str]]:
+        """Per node, its prompt label and its out-edge lines, built on first use.
+
+        Each edge line is "\\n<cat>#<i> <kind> <cat>#<j>"; a node's lines are
+        one string in ascending neighbor id order.  Neither depends on the
+        weights, the only part of a graph that changes after
+        :func:`build_graph`.  Kept in the instance ``__dict__``, outside the
+        dataclass fields, so equality still sees only the graph.
+        """
+        labels = {node_id: f"{node.object.category}#{node_id}" for node_id, node in self.nodes.items()}
+        return {
+            node_id: (
+                label,
+                "".join(
+                    f"\n{label} {edge.relation.kind} {labels[dst]}"
+                    for dst, edge in self.edges[node_id].items()
+                ),
+            )
+            for node_id, label in labels.items()
+        }
 
 
 @dataclass(frozen=True)
@@ -201,21 +224,14 @@ def serialize_for_prompt(graph: SceneGraph) -> str:
     "<category>#<id> (w=<weight>)".  Edge lines follow in the same node
     order, each node's out-edges by ascending neighbor id, as "<cat>#<i>
     <kind> <cat>#<j>".  Pure function of the weights: identical inputs
-    give byte-identical output.
+    give byte-identical output.  The labels and edge lines come from
+    :attr:`SceneGraph.prompt_text`; only the node lines are built per call.
     """
-    ranked = sorted(graph.nodes, key=lambda node_id: (-graph.nodes[node_id].weight, node_id))
-
-    def label(node_id: int) -> str:
-        return f"{graph.nodes[node_id].object.category}#{node_id}"
-
-    lines = [
-        f"{label(node_id)} (w={format(graph.nodes[node_id].weight, 'g')})"
-        for node_id in ranked
-    ]
-    for node_id in ranked:
-        for dst, edge in graph.edges[node_id].items():
-            lines.append(f"{label(node_id)} {edge.relation.kind} {label(dst)}")
-    return "\n".join(lines)
+    nodes, text = graph.nodes, graph.prompt_text
+    ranked = sorted(nodes, key=lambda node_id: (-nodes[node_id].weight, node_id))
+    return "\n".join(
+        f"{text[node_id][0]} (w={format(nodes[node_id].weight, 'g')})" for node_id in ranked
+    ) + "".join(text[node_id][1] for node_id in ranked)
 
 
 def graph_to_dict(graph: SceneGraph) -> dict:

@@ -12,6 +12,7 @@ All operations here are pure functions of their inputs.
 from __future__ import annotations
 
 import math
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 
@@ -272,6 +273,19 @@ def adjacent_free_cells(grid: OccupancyGrid, box: Aabb) -> set[tuple[int, int]]:
     return adjacent
 
 
+def goal_cells(scene: SceneModel, target: ObjectInstance) -> frozenset[tuple[int, int]]:
+    """:func:`adjacent_free_cells` of a scene object on the scene's grid, memoized per scene.
+
+    The cells depend only on the grid and the object, so each object's
+    footprint is scanned once per scene, not on every clause that targets it.
+    """
+    memo = scene.goal_cell_memo
+    cells = memo.get(target.id)
+    if cells is None:
+        cells = memo[target.id] = frozenset(adjacent_free_cells(scene.occupancy, target.aabb))
+    return cells
+
+
 def _landing_point(
     pose: AgentPose, clause: RouteClause, target: ObjectInstance, scene: SceneModel
 ) -> tuple[float, float]:
@@ -290,7 +304,7 @@ def _landing_point(
         point = _nearest_clearance_point(pose.position, rect)
     grid = scene.occupancy
     if grid is not None and not grid.is_free(*grid.cell_of(*point)):
-        candidates = adjacent_free_cells(grid, target.aabb)
+        candidates = goal_cells(scene, target)
         if candidates:
             best = min(
                 candidates,
@@ -337,7 +351,7 @@ def _within_cone(pose: AgentPose, target: ObjectInstance) -> bool:
 def shortest_cell_path(
     grid: OccupancyGrid,
     start: tuple[int, int],
-    goals: set[tuple[int, int]],
+    goals: AbstractSet[tuple[int, int]],
 ) -> list[tuple[int, int]] | None:
     """A* over free cells, 4-connected, Manhattan heuristic, ties by (row, col).
 
@@ -478,7 +492,7 @@ def plan_route(
     start_cell = grid.cell_of(*start.position)
     if not grid.is_free(*start_cell):
         raise RouteError(f"start cell {start_cell} is blocked")
-    goals = adjacent_free_cells(grid, target.aabb)
+    goals = goal_cells(scene, target)
     if start_cell in goals:
         return []
     path = shortest_cell_path(grid, start_cell, goals)
@@ -547,7 +561,7 @@ def verify_route(
                     # checks, so the simulated pose can sit inside furniture;
                     # route reachability is judged from the nearest free cell.
                     start_cell = nearest_free_cell(grid, pose.position)
-                goals = adjacent_free_cells(grid, target.aabb)
+                goals = goal_cells(scene, target)
                 if start_cell is None or not any(
                     grid.component_of(*goal) == grid.component_of(*start_cell) for goal in goals
                 ):

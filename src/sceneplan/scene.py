@@ -242,6 +242,14 @@ class SceneModel:
         """
         return CategoryMatcher(self.categories())
 
+    @cached_property
+    def goal_cell_memo(self) -> dict[int, frozenset[tuple[int, int]]]:
+        """``route.goal_cells`` by object id, filled on use.
+
+        Kept in the instance ``__dict__`` like :attr:`category_matcher`.
+        """
+        return {}
+
     def instances_of(self, category: str) -> list[ObjectInstance]:
         return [o for o in self.objects if o.category == category]
 

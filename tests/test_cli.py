@@ -6,6 +6,8 @@ import contextlib
 import functools
 import io
 import json
+import math
+import string
 import tempfile
 from pathlib import Path
 
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sceneplan.cli import main
+from sceneplan.cli import _emit, main
 from sceneplan.route import default_start_pose
 from sceneplan.scene import load_scene
 from tests.conftest import FIXTURES
@@ -261,6 +263,25 @@ class TestRouteCheckCommand:
 GOLDEN = FIXTURES / "cli_golden"
 
 
+@pytest.fixture(scope="module")
+def golden_corpus_files(tmp_path_factory):
+    """The metrics golden corpus as prediction and reference JSONL files."""
+    root = tmp_path_factory.mktemp("cli-corpus")
+    pairs = json.loads((FIXTURES / "golden_corpus.json").read_text(encoding="utf-8"))["pairs"]
+    for name, field, pick in [("predictions", "text", "candidate"), ("references", "texts", "references")]:
+        (root / f"{name}.jsonl").write_text(
+            "".join(
+                json.dumps({"scene_id": "g", "sample_id": i, field: pair[pick]}) + "\n"
+                for i, pair in enumerate(pairs)
+            ),
+            encoding="utf-8",
+        )
+    return root
+
+
+COFFEE_PLAN = ["plan", "--scene", KITCHEN, "--instruction", "I am tired and want coffee"]
+
+
 @pytest.mark.parametrize(
     "name, argv, code",
     [
@@ -273,11 +294,17 @@ GOLDEN = FIXTURES / "cli_golden"
         ("route_check_faulty_kitchen_02",
          ["route-check", "--scene", "{root}/scenes/kitchen-02.json",
           "--triplets", "{root}/triplets/val.jsonl"], 1),
+        ("validate_faulty_dataset", ["validate", "{root}"], 1),
+        ("plan_dump_graph_kitchen_k2", COFFEE_PLAN + ["--k", "2", "--dump-graph"], 0),
+        ("plan_dump_graph_kitchen_k4", COFFEE_PLAN + ["--k", "4", "--dump-graph"], 0),
+        ("evaluate_golden_corpus", ["evaluate", "--predictions", "{corpus}/predictions.jsonl",
+                                    "--references", "{corpus}/references.jsonl"], 0),
+        ("gen_prompts_kitchen", ["gen-prompts", "--scene", KITCHEN, "--n", "3", "--seed", "5"], 0),
     ],
 )
-def test_stdout_matches_golden_bytes(capsys, faulty_dir, name, argv, code):
+def test_stdout_matches_golden_bytes(capsys, faulty_dir, golden_corpus_files, name, argv, code):
     root, _ = faulty_dir
-    assert main([arg.format(root=root) for arg in argv]) == code
+    assert main([arg.format(root=root, corpus=golden_corpus_files) for arg in argv]) == code
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
 
 
@@ -297,6 +324,132 @@ def test_start_heading_alone_turns_the_default_pose(capsys, argv):
     assert heading_only == capsys.readouterr().out
     main(argv)
     assert heading_only != capsys.readouterr().out
+
+
+# Pieces that the emitter's separators or escapes could be confused with.
+_AWKWARD = st.sampled_from(
+    ["}", "{", "]", ",\n", ",", ": ", '"', "\\", "\x00", "\x01", "\x1f", "\n", "\t",
+     "\x7f", "é", "日本", "\u2028", "\U0001f600", "\ud800", "\udfff"]
+)
+_STRINGS = st.lists(
+    _AWKWARD
+    | st.text(string.printable, max_size=4)
+    | st.text(st.characters(blacklist_categories=()), max_size=4),
+    max_size=4,
+).map("".join)
+_SCALAR_VALUES = (
+    _STRINGS
+    | st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.integers()
+    | st.integers(-(10**60), 10**60)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 0.0, 1e16, 5e-324, -1.7976931348623157e308])
+)
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+# One key type per dict: keys of different types may not be comparable.
+_KEYS = st.sampled_from([
+    _STRINGS,
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    st.none(),
+    st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.booleans(),
+])
+
+
+def _dicts(values, **kwargs):
+    return _KEYS.flatmap(lambda keys: st.dictionaries(keys, values, max_size=4, **kwargs))
+
+
+def _payloads(scalars):
+    flat_dicts = _dicts(scalars, min_size=1)
+    return st.recursive(
+        scalars,
+        lambda children: (
+            st.lists(children, max_size=4)
+            | st.lists(children, max_size=4).map(tuple)
+            | _dicts(children)
+            | st.lists(flat_dicts | st.just({}) | _dicts(children), max_size=4)
+        ),
+        max_leaves=24,
+    )
+
+
+def _outcome(encode):
+    try:
+        return encode()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _emitted(payload) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(payload)
+    return out.getvalue()
+
+
+def _assert_emits_like_json_dumps(payload):
+    assert _outcome(lambda: _emitted(payload)) == _outcome(
+        lambda: json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    )
+
+
+class TestEmitter:
+    """``_emit`` prints what ``json.dumps(indent=2, sort_keys=True, allow_nan=False)`` does."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(payload=_payloads(_SCALAR_VALUES))
+    def test_bytes_match_json_dumps(self, payload):
+        _assert_emits_like_json_dumps(payload)
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=st.lists(_dicts(_STRINGS | _SCALAR_VALUES, min_size=1), min_size=1, max_size=6),
+           depth=st.integers(0, 3))
+    def test_tables_match_json_dumps(self, table, depth):
+        payload = table
+        for _ in range(depth):
+            payload = {"t": payload, "n": [1]}
+        _assert_emits_like_json_dumps(payload)
+
+    @settings(max_examples=200, deadline=None)
+    @given(payload=_payloads(_SCALAR_VALUES | _NON_FINITE))
+    def test_non_finite_numbers_fail_like_json_dumps(self, payload):
+        _assert_emits_like_json_dumps(payload)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"w": math.inf},
+            {"nodes": [{"id": 1, "weight": -math.inf}]},
+            {"steps": [{"ids": [1, 2]}, {"weight": math.nan}]},
+            {math.inf: 1},
+            [1, {"a": {"b": [math.nan]}}],
+        ],
+    )
+    def test_non_finite_number_is_named(self, payload):
+        with pytest.raises(ValueError) as raised:
+            _emitted(payload)
+        bad = next(v for v in ("nan", "-inf", "inf") if v in repr(payload))
+        assert str(raised.value) == f"Out of range float values are not JSON compliant: {bad}"
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {},
+            [],
+            {"a": {}, "b": [], "c": [{}, []], "d": [[[]]], "e": [{"x": {}}]},
+            [{"a": 1}, {}, {"b": {"c": 2}}, {"d": "}\u0000{"}],
+            [{"a": "},\n{"}, {"b": "\x00"}],
+            {"t": (1, (2, 3), ()), "b": [True, 1, False, 0], "z": -0.0, "h": 10**40},
+            {2: "int", 2.5: "float", True: "bool"},
+            {None: [None]},
+        ],
+    )
+    def test_edge_cases_match_json_dumps(self, payload):
+        _assert_emits_like_json_dumps(payload)
 
 
 class TestEvaluateCommand:

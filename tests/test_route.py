@@ -28,6 +28,7 @@ from sceneplan.route import (
     clauses_to_text,
     default_start_pose,
     footprint_cells,
+    goal_cells,
     nearest_free_cell,
     nearest_instance,
     parse_fragments,
@@ -49,6 +50,7 @@ from sceneplan.scene import (
 )
 from sceneplan.textmatch import CategoryMatcher
 from tests.conftest import make_random_grid_scene
+from tests.dataset_builder import build_faulty_dataset
 from tests.oracles import (
     oracle_bfs_length,
     oracle_component_labels,
@@ -278,6 +280,17 @@ class TestFootprints:
             assert any(
                 max(abs(cell[0] - f[0]), abs(cell[1] - f[1])) == 1 for f in footprint
             )
+
+    def test_goal_cells_are_memoized_adjacent_free_cells(self, tmp_path):
+        build_faulty_dataset(tmp_path)
+        scenes = [load_scene(path) for path in sorted((tmp_path / "scenes").glob("*.json"))]
+        scenes += filter(None, map(make_random_grid_scene, range(20)))
+        for scene in scenes:
+            for obj in scene.objects:
+                cells = goal_cells(scene, obj)
+                assert cells == adjacent_free_cells(scene.occupancy, obj.aabb)
+                assert goal_cells(scene, obj) is cells
+        assert len(scenes) > 2
 
 
 class TestShortestPath:

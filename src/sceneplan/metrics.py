@@ -13,6 +13,11 @@ Variant choices, stated because they change absolute scores:
 
 Everything here is a pure function; scoring the same pairs twice is
 bit-identical.
+
+Each corpus counts its n-grams once, for BLEU and CIDEr together, into an
+``NgramTable`` keyed by integers.  ``evaluate_pairs`` scores a ``Corpus``,
+which keeps its table only until scoring returns; ``bleu`` and ``cider``
+given a plain list build the table for that one call.
 """
 
 from __future__ import annotations
@@ -20,8 +25,11 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter, deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress, count, repeat
+from operator import add, mul
 
 from .porter import stem
 
@@ -32,8 +40,8 @@ CIDER_SCALE = 10.0
 CIDER_MAX_N = 4
 
 _NON_TOKEN = re.compile(r"[^a-z0-9\s]")
-# N-gram orders counted once per pair: BLEU-1..4 and CIDEr's n = 1..CIDER_MAX_N.
-_ORDERS = range(1, max(4, CIDER_MAX_N) + 1)
+# N-gram orders counted once per corpus: BLEU-1..4 and CIDEr's n = 1..CIDER_MAX_N.
+_MAX_ORDER = max(4, CIDER_MAX_N)
 
 
 def tokenize(text: str) -> list[str]:
@@ -50,37 +58,63 @@ class TokenizedPair:
         if not self.references:
             raise ValueError("a pair needs at least one reference")
 
-    @cached_property
-    def ngram_counts(self) -> tuple[NgramCounts, ...]:
-        """The counts of each n-gram order, built on first use and kept with the pair.
 
-        The cache lives in the instance ``__dict__``, outside the dataclass
-        fields, so equality and hashing still see only the tokens.
-        """
-        orders = []
-        for n in _ORDERS:
-            candidate = _ngrams(self.candidate, n)
-            references = tuple(_ngrams(ref, n) for ref in self.references)
-            reference_max = _max_counts(references)
-            orders.append(NgramCounts(
-                candidate=candidate,
-                references=references,
-                clipped=sum(
-                    min(count, reference_max.get(gram, 0)) for gram, count in candidate.items()
-                ),
-                total=sum(candidate.values()),
+class NgramTable:
+    """Every n-gram count that BLEU and CIDEr read, for one corpus of pairs.
+
+    Each distinct token of the corpus gets a dense id from 1 to V, and an
+    order-n gram's key is its ids read as base-(V + 1) digits, so the
+    Counters hash small ints instead of tuples of strings.  Grams enter each
+    Counter in position order; CIDEr's float sums follow it.
+    """
+
+    def __init__(self, pairs: Sequence[TokenizedPair]) -> None:
+        texts = [text for pair in pairs for text in (pair.candidate, *pair.references)]
+        ids = dict(zip(dict.fromkeys(chain.from_iterable(texts)), count(1)))
+        base = len(ids) + 1
+        # Per order, summed over the corpus: candidate grams, each capped at
+        # its largest count in one reference, and all candidate grams.
+        self.clipped = [0] * _MAX_ORDER
+        self.total = [0] * _MAX_ORDER
+        # Per order: how many pairs hold each gram in any of their references.
+        self.document_frequency = [Counter() for _ in range(_MAX_ORDER)]
+        # Per pair, per order: the candidate's Counter and its references'.
+        self.term_frequency: list[list[tuple[Counter, tuple[Counter, ...]]]] = []
+        for pair in pairs:
+            candidate = _gram_counts(pair.candidate, ids, base)
+            by_order = list(zip(
+                candidate, zip(*(_gram_counts(ref, ids, base) for ref in pair.references))
             ))
-        return tuple(orders)
+            for order, (grams, references) in enumerate(by_order):
+                in_references = set().union(*references)
+                self.document_frequency[order].update(in_references)
+                # A gram the candidate holds once clips to 1 if any reference
+                # holds it; a repeated one clips to its largest count in a
+                # single reference.
+                clipped = len(in_references.intersection(grams))
+                for gram in compress(grams, map((1).__lt__, grams.values())):
+                    most = max(ref.get(gram, 0) for ref in references)
+                    if most > 1:
+                        clipped += min(grams[gram], most) - 1
+                self.clipped[order] += clipped
+                self.total[order] += max(0, len(pair.candidate) - order)
+            self.term_frequency.append(by_order)
 
 
-@dataclass(frozen=True)
-class NgramCounts:
-    """One n-gram order of a pair: every count BLEU and CIDEr read."""
+class Corpus(tuple):
+    """The pairs of one scoring run, with their ``NgramTable`` built on first use.
 
-    candidate: Counter
-    references: tuple[Counter, ...]
-    clipped: int  # candidate grams, each capped at its largest count in one reference
-    total: int  # candidate grams
+    ``evaluate_pairs`` hands one to every metric, so BLEU and CIDEr read one
+    table, and the table goes when the corpus does.
+    """
+
+    @cached_property
+    def ngram_table(self) -> NgramTable:
+        return NgramTable(self)
+
+
+def _ngram_table(pairs: Sequence[TokenizedPair]) -> NgramTable:
+    return pairs.ngram_table if isinstance(pairs, Corpus) else NgramTable(pairs)
 
 
 def pair_from_text(candidate: str, references: list[str] | tuple[str, ...]) -> TokenizedPair:
@@ -114,31 +148,29 @@ class MetricReport:
         }
 
 
-def _ngrams(tokens: tuple[str, ...], n: int) -> Counter:
-    # Grams enter the Counter in position order; CIDEr's float sums follow it.
-    return Counter(zip(*(tokens[k:] for k in range(n))))
+def _gram_counts(tokens: tuple[str, ...], ids: dict[str, int], base: int) -> list[Counter]:
+    """The Counter of each order's gram keys in ``tokens``, orders 1.._MAX_ORDER."""
+    digits = list(map(ids.__getitem__, tokens))
+    keys = digits
+    counts = [Counter(keys)]
+    for k in range(1, _MAX_ORDER):
+        # The gram of order k + 1 at i extends the order-k gram at i by one digit.
+        keys = list(map(add, map(mul, keys, repeat(base)), digits[k:]))
+        counts.append(Counter(keys))
+    return counts
 
 
-def _max_counts(counters: tuple[Counter, ...]) -> dict[tuple, int]:
-    """Each gram's largest count in any one of ``counters``."""
-    merged = dict(counters[0])
-    for counts in counters[1:]:
-        for gram, count in counts.items():
-            if count > merged.get(gram, 0):
-                merged[gram] = count
-    return merged
-
-
-def bleu(pairs: list[TokenizedPair], max_n: int) -> float:
+def bleu(pairs: Sequence[TokenizedPair], max_n: int) -> float:
     """Corpus BLEU with clipped modified precision and brevity penalty."""
     if not pairs:
         raise ValueError("bleu requires at least one pair")
     if not 1 <= max_n <= 4:
         raise ValueError("max_n must be in 1..4")
+    table = _ngram_table(pairs)
     log_precision_sum = 0.0
     for order in range(max_n):
-        clipped = sum(pair.ngram_counts[order].clipped for pair in pairs)
-        total = sum(pair.ngram_counts[order].total for pair in pairs)
+        clipped = table.clipped[order]
+        total = table.total[order]
         if clipped == 0 or total == 0:
             return 0.0
         log_precision_sum += math.log(clipped / total)
@@ -189,7 +221,7 @@ def _rouge_pair(candidate: tuple[str, ...], reference: tuple[str, ...]) -> float
     return (1 + beta_sq) * recall * precision / denominator
 
 
-def rouge_l(pairs: list[TokenizedPair]) -> float:
+def rouge_l(pairs: Sequence[TokenizedPair]) -> float:
     if not pairs:
         raise ValueError("rouge_l requires at least one pair")
     return sum(
@@ -274,7 +306,7 @@ def _meteor_pair(candidate: tuple[str, ...], reference: tuple[str, ...]) -> floa
     return f_mean * (1 - penalty)
 
 
-def meteor(pairs: list[TokenizedPair]) -> float:
+def meteor(pairs: Sequence[TokenizedPair]) -> float:
     if not pairs:
         raise ValueError("meteor requires at least one pair")
     return sum(
@@ -282,55 +314,57 @@ def meteor(pairs: list[TokenizedPair]) -> float:
     ) / len(pairs)
 
 
-def _tfidf_vector(counts: Counter, idf: dict[tuple, float]) -> dict:
-    return {gram: count * idf.get(gram, 0.0) for gram, count in counts.items()}
-
-
-def _cosine(u: dict, v: dict) -> float:
-    norm_u = math.sqrt(sum(x * x for x in u.values()))
-    norm_v = math.sqrt(sum(x * x for x in v.values()))
-    if norm_u == 0 or norm_v == 0:
-        return 0.0
-    dot = sum(x * v[g] for g, x in u.items() if g in v)
-    return dot / (norm_u * norm_v)
-
-
-def cider(pairs: list[TokenizedPair]) -> float:
+def cider(pairs: Sequence[TokenizedPair]) -> float:
     """TF-IDF n-gram cosine consensus, scaled by 10 and averaged over n = 1..4."""
     if len(pairs) < 2:
         raise ValueError("cider requires at least 2 pairs (idf needs a corpus)")
+    table = _ngram_table(pairs)
     n_pairs = len(pairs)
-    idf_by_n: list[dict[tuple, float]] = []
-    for order in range(CIDER_MAX_N):
-        document_frequency: Counter = Counter()
-        for pair in pairs:
-            document_frequency.update(set().union(*pair.ngram_counts[order].references))
-        idf_by_n.append(
-            {g: math.log(n_pairs / (1 + df)) for g, df in document_frequency.items()}
-        )
+    # A gram's idf depends only on its document frequency: one log per value.
+    idf_of_df = [math.log(n_pairs / (1 + df)) for df in range(n_pairs + 1)]
+    idf_by_n = [
+        dict(zip(df, map(idf_of_df.__getitem__, df.values())))
+        for df in table.document_frequency[:CIDER_MAX_N]
+    ]
+    # Float sums stay as they are (builtin sum() in gram order, += across
+    # orders and pairs): sum() is compensated on Python >= 3.12, so another
+    # form would move the last bits of the score there.
     total = 0.0
-    for pair in pairs:
+    for by_order in table.term_frequency:
         per_n = 0.0
-        for order in range(CIDER_MAX_N):
-            idf = idf_by_n[order]
-            counts = pair.ngram_counts[order]
-            cand_vec = _tfidf_vector(counts.candidate, idf)
-            similarity = sum(
-                _cosine(cand_vec, _tfidf_vector(ref, idf)) for ref in counts.references
-            ) / len(pair.references)
-            per_n += CIDER_SCALE * similarity
+        for idf, (candidate, references) in zip(idf_by_n, by_order):
+            weights = list(map(mul, candidate.values(), map(idf.get, candidate, repeat(0.0))))
+            norm = math.sqrt(sum(map(mul, weights, weights)))
+            cosines = []
+            for reference in references:
+                # Every reference gram has a document frequency, hence an idf.
+                ref_weights = list(map(mul, reference.values(), map(idf.__getitem__, reference)))
+                ref_norm = math.sqrt(sum(map(mul, ref_weights, ref_weights)))
+                if norm == 0 or ref_norm == 0:
+                    cosines.append(0.0)
+                    continue
+                hits = list(map(reference.__contains__, candidate))
+                shared = list(compress(candidate, hits))
+                dot = sum(map(
+                    mul,
+                    compress(weights, hits),
+                    map(mul, map(reference.__getitem__, shared), map(idf.__getitem__, shared)),
+                ))
+                cosines.append(dot / (norm * ref_norm))
+            per_n += CIDER_SCALE * (sum(cosines) / len(references))
         total += per_n / CIDER_MAX_N
     return total / n_pairs
 
 
-def evaluate_pairs(pairs: list[TokenizedPair]) -> MetricReport:
+def evaluate_pairs(pairs: Sequence[TokenizedPair]) -> MetricReport:
     """Score all metric families over one corpus of pairs."""
     if not pairs:
         raise ValueError("evaluate_pairs requires at least one pair")
+    corpus = Corpus(pairs)
     return MetricReport(
-        bleu=tuple(bleu(pairs, n) for n in range(1, 5)),
-        rouge_l=rouge_l(pairs),
-        meteor=meteor(pairs),
-        cider=cider(pairs),
-        pair_count=len(pairs),
+        bleu=tuple(bleu(corpus, n) for n in range(1, 5)),
+        rouge_l=rouge_l(corpus),
+        meteor=meteor(corpus),
+        cider=cider(corpus),
+        pair_count=len(corpus),
     )

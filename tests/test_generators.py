@@ -105,7 +105,11 @@ class StubEndpoint:
                 pass
 
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        # shutdown() waits for serve_forever's next poll; the default 0.5 s
+        # poll would make every test using the stub wait up to that long.
+        self.thread = threading.Thread(
+            target=self.server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
 
     @property
     def base_url(self) -> str:

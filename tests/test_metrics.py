@@ -5,11 +5,13 @@ from __future__ import annotations
 import json
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sceneplan import metrics
 from sceneplan.metrics import (
     MetricReport,
     TokenizedPair,
@@ -164,17 +166,26 @@ class TestOracleAgreement:
         assert report.meteor == pytest.approx(EXPECTED["meteor"], abs=1e-9)
         assert report.cider == pytest.approx(EXPECTED["cider"], abs=1e-9)
 
-    def test_golden_corpus_is_bit_identical(self):
+    def test_golden_corpus_is_bit_identical(self, monkeypatch):
         pairs = [pair_from_text(e["candidate"], e["references"]) for e in GOLDEN["pairs"]]
+        tables = []
+
+        def cider_keeping_a_weakref(corpus):
+            tables.append(weakref.ref(corpus.ngram_table))
+            return cider(corpus)
+
+        monkeypatch.setattr(metrics, "cider", cider_keeping_a_weakref)
         report = evaluate_pairs(pairs)
         assert list(report.bleu) == EXPECTED["bleu"]
         assert report.rouge_l == EXPECTED["rouge_l"]
         assert report.meteor == EXPECTED["meteor"]
         assert report.cider == EXPECTED["cider"]
-        # Scoring caches n-gram counts on each pair; equality and hashing
-        # must still see only the tokens.
+        # The corpus's n-gram table is freed when scoring returns, and
+        # nothing is left on the pairs, which still equal and hash like
+        # fresh ones.
+        assert len(tables) == 1 and tables[0]() is None
         for pair, entry in zip(pairs, GOLDEN["pairs"]):
-            assert "ngram_counts" in vars(pair)
+            assert set(vars(pair)) == {"candidate", "references"}
             fresh = pair_from_text(entry["candidate"], entry["references"])
             assert pair == fresh
             assert hash(pair) == hash(fresh)
@@ -218,6 +229,55 @@ class TestOracleAgreement:
             assert align_unigrams(tuple(cand), tuple(ref)) == oracle_greedy_alignment(
                 cand, ref, stem
             )
+
+    # BLEU and CIDEr count grams under integer keys: the ids of a gram's
+    # tokens read as base-(V + 1) digits.  A colliding key would merge two
+    # grams and move both scores off the oracles.  Every token stems to
+    # itself and to no other token's stem, so renaming cannot change what
+    # METEOR's stem stage matches.
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        vocab_size=st.integers(1, 6),
+        # About one case in ten: each costs about 1 s.
+        large_vocabulary=st.integers(0, 9).map(lambda k: k == 9),
+    )
+    def test_integer_gram_keys_match_oracles_and_ignore_token_names(
+        self, data, vocab_size, large_vocabulary
+    ):
+        words = [f"w{i}" for i in range(vocab_size)]
+
+        def text() -> tuple[str, ...]:
+            n = data.draw(st.integers(0, 10))
+            return tuple(data.draw(st.lists(st.sampled_from(words), min_size=n, max_size=n)))
+
+        pairs = [
+            TokenizedPair(text(), tuple(text() for _ in range(data.draw(st.integers(1, 4)))))
+            for _ in range(data.draw(st.integers(2, 5)))
+        ]
+        renaming = dict(zip(words, (f"v{i}" for i in data.draw(st.permutations(range(vocab_size))))))
+        if large_vocabulary:
+            # 2**15 + 1 filler words take the first ids, so the other words'
+            # ids pass 2**15 and their 4-gram keys pass 2**60.  The candidate
+            # is empty and the short reference sets BLEU's reference length.
+            filler = tuple(f"f{i}" for i in range(2**15 + 1))
+            pairs.insert(0, TokenizedPair((), (filler, pairs[0].references[0])))
+            renaming.update((word, "g" + word[1:]) for word in filler)
+
+        renamed = [
+            TokenizedPair(
+                tuple(renaming[t] for t in p.candidate),
+                tuple(tuple(renaming[t] for t in ref) for ref in p.references),
+            )
+            for p in pairs
+        ]
+        report = evaluate_pairs(pairs)
+        assert evaluate_pairs(renamed) == report
+        cands = [list(p.candidate) for p in pairs]
+        refs = [[list(r) for r in p.references] for p in pairs]
+        for n in range(1, 5):
+            assert report.bleu[n - 1] == pytest.approx(oracle_bleu(cands, refs, n), abs=1e-9)
+        assert report.cider == pytest.approx(oracle_cider(cands, refs), abs=1e-9)
 
     def test_random_corpora_match_oracles(self):
         for seed in range(8):

@@ -306,11 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate.add_argument("--strict", action="store_true",
                             help="nonzero exit on any finding, including implicitness violations")
     p_validate.add_argument("--out", default=None, help="also write findings as JSONL to this file")
-    p_validate.set_defaults(func=cmd_validate)
 
     p_stats = sub.add_parser("stats", help="corpus composition statistics")
     p_stats.add_argument("dataset_dir")
-    p_stats.set_defaults(func=cmd_stats)
 
     p_plan = sub.add_parser("plan", help="run one planning episode on a scene")
     p_plan.add_argument("--scene", required=True, help="scene JSON file")
@@ -326,36 +324,44 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--endpoint", default=None, help="LLM service base URL")
     p_plan.add_argument("--model", default=None, help="LLM model name")
     _add_start_flags(p_plan)
-    p_plan.set_defaults(func=cmd_plan)
 
     p_route = sub.add_parser("route-check", help="verify triplet routes against a scene")
     p_route.add_argument("--scene", required=True)
     p_route.add_argument("--triplets", required=True, help="triplet JSONL file")
     _add_start_flags(p_route)
-    p_route.set_defaults(func=cmd_route_check)
 
     p_eval = sub.add_parser("evaluate", help="score predictions against references")
     p_eval.add_argument("--predictions", required=True, help="JSONL with scene_id, sample_id, text")
     p_eval.add_argument("--references", required=True, help="JSONL with scene_id, sample_id, text or texts")
-    p_eval.set_defaults(func=cmd_evaluate)
 
     p_gen = sub.add_parser("gen-prompts", help="emit dataset generation prompts for a scene")
     p_gen.add_argument("--scene", required=True)
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", default=None, help="also write prompts as text to this file")
-    p_gen.set_defaults(func=cmd_gen_prompts)
     return parser
+
+
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every :func:`main` call in this process, built on the first.
+
+    Parsing leaves the parser as it was: each call gets a new namespace
+    filled from the defaults.
+    """
+    return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on a usage error; the contract is 0 or 1.
         return 1 if exc.code else 0
+    # Looked up by name at each call, so a rebound ``cmd_*`` is the one that runs.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (
         SceneFormatError,
         SceneInvariantError,

@@ -49,26 +49,26 @@ class SceneGraph:
     k: int
 
     @cached_property
-    def prompt_text(self) -> dict[int, tuple[str, str]]:
-        """Per node, its prompt label and its out-edge lines, built on first use.
+    def prompt_text(self) -> tuple[dict[int, str], dict[int, str]]:
+        """Per node, its node-line prefix and its out-edge lines, built on first use.
 
-        Each edge line is "\\n<cat>#<i> <kind> <cat>#<j>"; a node's lines are
-        one string in ascending neighbor id order.  Neither depends on the
-        weights, the only part of a graph that changes after
-        :func:`build_graph`.  Kept in the instance ``__dict__``, outside the
-        dataclass fields, so equality still sees only the graph.
+        The prefix is "<cat>#<id> (w=".  Each edge line is
+        "\\n<cat>#<i> <kind> <cat>#<j>"; a node's lines are one string in
+        ascending neighbor id order.  Neither depends on the weights, the only
+        part of a graph that changes after :func:`build_graph`.  Kept in the
+        instance ``__dict__``, outside the dataclass fields, so equality still
+        sees only the graph.
         """
         labels = {node_id: f"{node.object.category}#{node_id}" for node_id, node in self.nodes.items()}
-        return {
-            node_id: (
-                label,
-                "".join(
-                    f"\n{label} {edge.relation.kind} {labels[dst]}"
-                    for dst, edge in self.edges[node_id].items()
-                ),
+        prefixes = {node_id: label + " (w=" for node_id, label in labels.items()}
+        edge_lines = {
+            node_id: "".join(
+                f"\n{label} {edge.relation.kind} {labels[dst]}"
+                for dst, edge in self.edges[node_id].items()
             )
             for node_id, label in labels.items()
         }
+        return prefixes, edge_lines
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,7 @@ def build_graph(scene: SceneModel, k: int = DEFAULT_K) -> SceneGraph:
         raise ValueError(f"k must be positive, got {k}")
     if not scene.objects:
         raise ValueError("scene has no objects")
-    by_id = scene.by_id()
+    by_id = scene.objects_by_id
     nodes = {obj.id: GraphNode(object=obj) for obj in scene.objects}
     edges = {
         src: {dst: GraphEdge(classify_relation(by_id[src], by_id[dst])) for dst in sorted(dsts)}
@@ -224,14 +224,20 @@ def serialize_for_prompt(graph: SceneGraph) -> str:
     "<category>#<id> (w=<weight>)".  Edge lines follow in the same node
     order, each node's out-edges by ascending neighbor id, as "<cat>#<i>
     <kind> <cat>#<j>".  Pure function of the weights: identical inputs
-    give byte-identical output.  The labels and edge lines come from
-    :attr:`SceneGraph.prompt_text`; only the node lines are built per call.
+    give byte-identical output.  The node-line prefixes and the edge lines
+    come from :attr:`SceneGraph.prompt_text`; per call, each distinct weight
+    is formatted once.  Both rely on the weights being positive and finite,
+    as :func:`modulate` keeps them: no NaN upsets the sort, and no -0.0
+    shares a format with 0.0.
     """
-    nodes, text = graph.nodes, graph.prompt_text
-    ranked = sorted(nodes, key=lambda node_id: (-nodes[node_id].weight, node_id))
+    prefixes, edge_lines = graph.prompt_text
+    weights = {node_id: node.weight for node_id, node in graph.nodes.items()}
+    # Ascending ids, then a stable sort by descending weight: ties stay in id order.
+    ranked = sorted(sorted(weights), key=weights.__getitem__, reverse=True)
+    suffixes = {weight: format(weight, "g") + ")" for weight in set(weights.values())}
     return "\n".join(
-        f"{text[node_id][0]} (w={format(nodes[node_id].weight, 'g')})" for node_id in ranked
-    ) + "".join(text[node_id][1] for node_id in ranked)
+        [prefixes[node_id] + suffixes[weights[node_id]] for node_id in ranked]
+    ) + "".join(map(edge_lines.__getitem__, ranked))
 
 
 def graph_to_dict(graph: SceneGraph) -> dict:

@@ -161,7 +161,12 @@ def _gram_counts(tokens: tuple[str, ...], ids: dict[str, int], base: int) -> lis
 
 
 def bleu(pairs: Sequence[TokenizedPair], max_n: int) -> float:
-    """Corpus BLEU with clipped modified precision and brevity penalty."""
+    """Corpus BLEU with clipped modified precision and brevity penalty.
+
+    Given a plain sequence of pairs, every call counts the n-grams of the
+    whole corpus into a new :class:`NgramTable`.  Pass ``Corpus(pairs)`` to
+    count them once for every BLEU order and :func:`cider`.
+    """
     if not pairs:
         raise ValueError("bleu requires at least one pair")
     if not 1 <= max_n <= 4:
@@ -315,7 +320,12 @@ def meteor(pairs: Sequence[TokenizedPair]) -> float:
 
 
 def cider(pairs: Sequence[TokenizedPair]) -> float:
-    """TF-IDF n-gram cosine consensus, scaled by 10 and averaged over n = 1..4."""
+    """TF-IDF n-gram cosine consensus, scaled by 10 and averaged over n = 1..4.
+
+    Given a plain sequence of pairs, every call counts the n-grams of the
+    whole corpus into a new :class:`NgramTable`.  Pass ``Corpus(pairs)`` to
+    count them once for :func:`bleu` and CIDEr.
+    """
     if len(pairs) < 2:
         raise ValueError("cider requires at least 2 pairs (idf needs a corpus)")
     table = _ngram_table(pairs)

@@ -486,7 +486,7 @@ def plan_route(
     grid = scene.occupancy
     if grid is None:
         raise MissingGridError(f"scene {scene.scene_id} has no occupancy grid")
-    target = scene.by_id().get(target_object_id)
+    target = scene.objects_by_id.get(target_object_id)
     if target is None:
         raise UnknownObjectError(f"object id {target_object_id}")
     start_cell = grid.cell_of(*start.position)

@@ -11,12 +11,15 @@ across workers.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 
 from .textmatch import CategoryMatcher
 
@@ -70,10 +73,10 @@ class ObjectInstance:
             raise SceneInvariantError(
                 f"object {self.id}: category {self.category!r} is not lowercase"
             )
-        lo, hi = self.aabb.min_corner, self.aabb.max_corner
-        if any(lo[i] > hi[i] for i in range(3)):
+        lo, hi, c = self.aabb.min_corner, self.aabb.max_corner, self.centroid
+        if lo[0] > hi[0] or lo[1] > hi[1] or lo[2] > hi[2]:
             raise SceneInvariantError(f"object {self.id}: aabb min exceeds max")
-        if not point_in_aabb(self.centroid, self.aabb):
+        if not (lo[0] <= c[0] <= hi[0] and lo[1] <= c[1] <= hi[1] and lo[2] <= c[2] <= hi[2]):
             raise SceneInvariantError(f"object {self.id}: centroid outside aabb")
 
 
@@ -227,8 +230,13 @@ class SceneModel:
                         f"object {obj.id}: centroid projects outside occupancy grid"
                     )
 
-    def by_id(self) -> dict[int, ObjectInstance]:
-        return {o.id: o for o in self.objects}
+    @cached_property
+    def objects_by_id(self) -> Mapping[int, ObjectInstance]:
+        """The objects by id, read-only, built on first use.
+
+        Kept in the instance ``__dict__`` like :attr:`category_matcher`.
+        """
+        return MappingProxyType({o.id: o for o in self.objects})
 
     def categories(self) -> set[str]:
         return {o.category for o in self.objects}
@@ -298,9 +306,22 @@ def _number(raw: object, where: str) -> float:
     return value
 
 
-def _vec3(raw: object, where: str) -> Vec3:
+def _vec3(raw: object, index: int, field: str) -> Vec3:
+    """``raw`` as three finite floats, for field ``field`` of ``objects[index]``.
+
+    The locus is formatted only to raise.
+    """
     if not isinstance(raw, (list, tuple)) or len(raw) != 3:
-        raise SceneFormatError(f"{where}: expected 3 numbers")
+        raise SceneFormatError(f"objects[{index}]{field}: expected 3 numbers")
+    try:
+        x, y, z = map(float, raw)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    else:
+        if math.isfinite(x) and math.isfinite(y) and math.isfinite(z):
+            return (x, y, z)
+    # Some number is bad: check each in turn, so that the first is reported.
+    where = f"objects[{index}]{field}"
     return (_number(raw[0], where), _number(raw[1], where), _number(raw[2], where))
 
 
@@ -310,26 +331,38 @@ def _require(record: dict, key: str, where: str) -> object:
     return record[key]
 
 
-def _parse_object(raw: object, where: str) -> ObjectInstance:
+def _object_error(index: int, field: str, problem: str) -> SceneFormatError:
+    return SceneFormatError(f"objects[{index}]{field}: {problem}")
+
+
+def _object_field(record: dict, key: str, index: int, field: str = "") -> object:
+    """``record[key]``, where ``record`` is field ``field`` of ``objects[index]``."""
+    if key not in record:
+        raise _object_error(index, field, f"missing field {key!r}")
+    return record[key]
+
+
+def _parse_object(raw: object, index: int) -> ObjectInstance:
+    """``objects[index]`` of a scene file; its locus is formatted only to raise."""
     if not isinstance(raw, dict):
-        raise SceneFormatError(f"{where}: expected object")
-    oid = _require(raw, "id", where)
+        raise _object_error(index, "", "expected object")
+    oid = _object_field(raw, "id", index)
     if not isinstance(oid, int) or isinstance(oid, bool):
-        raise SceneFormatError(f"{where}.id: expected integer")
-    category = _require(raw, "category", where)
+        raise _object_error(index, ".id", "expected integer")
+    category = _object_field(raw, "category", index)
     if not isinstance(category, str):
-        raise SceneFormatError(f"{where}.category: expected string")
-    centroid = _vec3(_require(raw, "centroid", where), f"{where}.centroid")
-    aabb_raw = _require(raw, "aabb", where)
+        raise _object_error(index, ".category", "expected string")
+    centroid = _vec3(_object_field(raw, "centroid", index), index, ".centroid")
+    aabb_raw = _object_field(raw, "aabb", index)
     if not isinstance(aabb_raw, dict):
-        raise SceneFormatError(f"{where}.aabb: expected object with min/max")
+        raise _object_error(index, ".aabb", "expected object with min/max")
     box = Aabb(
-        _vec3(_require(aabb_raw, "min", f"{where}.aabb"), f"{where}.aabb.min"),
-        _vec3(_require(aabb_raw, "max", f"{where}.aabb"), f"{where}.aabb.max"),
+        _vec3(_object_field(aabb_raw, "min", index, ".aabb"), index, ".aabb.min"),
+        _vec3(_object_field(aabb_raw, "max", index, ".aabb"), index, ".aabb.max"),
     )
     mask_ref = raw.get("mask_ref")
     if mask_ref is not None and not isinstance(mask_ref, str):
-        raise SceneFormatError(f"{where}.mask_ref: expected string")
+        raise _object_error(index, ".mask_ref", "expected string")
     return ObjectInstance(oid, category, centroid, box, mask_ref)
 
 
@@ -356,7 +389,7 @@ def _parse_occupancy(raw: object) -> OccupancyGrid:
         origin=origin,  # type: ignore[arg-type]
         rows=rows,
         cols=cols,
-        blocked=tuple(bool(v) for v in blocked_raw),
+        blocked=tuple(map(bool, blocked_raw)),
     )
 
 
@@ -396,9 +429,7 @@ def load_scene(path: str | Path) -> SceneModel:
     objects_raw = _require(data, "objects", "scene")
     if not isinstance(objects_raw, list):
         raise SceneFormatError("objects: expected array")
-    objects = tuple(
-        _parse_object(raw, f"objects[{i}]") for i, raw in enumerate(objects_raw)
-    )
+    objects = tuple(map(_parse_object, objects_raw, itertools.count()))
     occupancy = None
     if data.get("occupancy") is not None:
         occupancy = _parse_occupancy(data["occupancy"])
@@ -512,7 +543,7 @@ def triplet_warnings(
                 )
                 break
     if scene is not None:
-        known = {o.id for o in scene.objects}
+        known = scene.objects_by_id
         for step in triplet.steps:
             for oid in step.object_ids:
                 if oid not in known:

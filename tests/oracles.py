@@ -12,6 +12,7 @@ from collections import deque
 from functools import lru_cache
 
 from sceneplan.graph import classify_relation
+from sceneplan.scene import Aabb, ObjectInstance, SceneFormatError, SceneInvariantError
 from sceneplan.textmatch import token_matches, words_of
 
 
@@ -201,6 +202,83 @@ def oracle_resolve_noun_phrase(noun_phrase: str, categories: set[str]) -> str | 
     head = tokens[-1]
     matches = sorted(c for c in categories if c.split() and token_matches(head, c.split()[-1]))
     return matches[0] if matches else None
+
+
+# ----------------------------------------------------------- scene parsing
+# The object parser and checks written the plain way, each locus formatted
+# up front and each number converted on its own: the reference for every
+# error type and message, and for which fault of a file is reported first.
+
+
+def oracle_number(raw: object, where: str) -> float:
+    try:
+        value = float(raw)  # type: ignore[arg-type]
+    except (TypeError, ValueError, OverflowError):
+        raise SceneFormatError(f"{where}: expected a number") from None
+    if not math.isfinite(value):
+        raise SceneFormatError(f"{where}: expected a finite number")
+    return value
+
+
+def oracle_vec3(raw: object, where: str):
+    if not isinstance(raw, (list, tuple)) or len(raw) != 3:
+        raise SceneFormatError(f"{where}: expected 3 numbers")
+    return (oracle_number(raw[0], where), oracle_number(raw[1], where), oracle_number(raw[2], where))
+
+
+def _oracle_require(record: dict, key: str, where: str) -> object:
+    if key not in record:
+        raise SceneFormatError(f"{where}: missing field {key!r}")
+    return record[key]
+
+
+def oracle_parse_object(raw: object, where: str) -> ObjectInstance:
+    if not isinstance(raw, dict):
+        raise SceneFormatError(f"{where}: expected object")
+    oid = _oracle_require(raw, "id", where)
+    if not isinstance(oid, int) or isinstance(oid, bool):
+        raise SceneFormatError(f"{where}.id: expected integer")
+    category = _oracle_require(raw, "category", where)
+    if not isinstance(category, str):
+        raise SceneFormatError(f"{where}.category: expected string")
+    centroid = oracle_vec3(_oracle_require(raw, "centroid", where), f"{where}.centroid")
+    aabb_raw = _oracle_require(raw, "aabb", where)
+    if not isinstance(aabb_raw, dict):
+        raise SceneFormatError(f"{where}.aabb: expected object with min/max")
+    box = Aabb(
+        oracle_vec3(_oracle_require(aabb_raw, "min", f"{where}.aabb"), f"{where}.aabb.min"),
+        oracle_vec3(_oracle_require(aabb_raw, "max", f"{where}.aabb"), f"{where}.aabb.max"),
+    )
+    mask_ref = raw.get("mask_ref")
+    if mask_ref is not None and not isinstance(mask_ref, str):
+        raise SceneFormatError(f"{where}.mask_ref: expected string")
+    return ObjectInstance(oid, category, centroid, box, mask_ref)
+
+
+def oracle_validate_object(obj: ObjectInstance) -> None:
+    if obj.id < 0:
+        raise SceneInvariantError(f"object {obj.id}: id must be non-negative")
+    if not obj.category.split():
+        raise SceneInvariantError(f"object {obj.id}: empty category")
+    if obj.category != obj.category.lower():
+        raise SceneInvariantError(f"object {obj.id}: category {obj.category!r} is not lowercase")
+    lo, hi = obj.aabb.min_corner, obj.aabb.max_corner
+    if any(lo[i] > hi[i] for i in range(3)):
+        raise SceneInvariantError(f"object {obj.id}: aabb min exceeds max")
+    if not oracle_point_in_box(obj.centroid, lo, hi):
+        raise SceneInvariantError(f"object {obj.id}: centroid outside aabb")
+
+
+def oracle_load_objects(records: list) -> tuple[ObjectInstance, ...]:
+    """The objects of a gridless scene file: every format error before any invariant error."""
+    objects = tuple(oracle_parse_object(raw, f"objects[{i}]") for i, raw in enumerate(records))
+    seen: set[int] = set()
+    for obj in objects:
+        oracle_validate_object(obj)
+        if obj.id in seen:
+            raise SceneInvariantError(f"duplicate object id {obj.id}")
+        seen.add(obj.id)
+    return objects
 
 
 # ------------------------------------------------------------ text metrics

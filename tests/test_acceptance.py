@@ -196,7 +196,7 @@ def test_routes_round_trip_on_random_grid_worlds(announce):
             scene = make_random_grid_scene(seed)
             seed += 1
             grid = scene.occupancy
-            crate = scene.by_id()[0]
+            crate = scene.objects_by_id[0]
             try:
                 start = default_start_pose(scene)
                 clauses = plan_route(start, 0, scene)

@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sceneplan.cli import _emit, main
+from sceneplan import cli
+from sceneplan.cli import _emit, build_parser, main
 from sceneplan.route import default_start_pose
 from sceneplan.scene import load_scene
-from tests.conftest import FIXTURES
+from tests.conftest import FIXTURES, run_python
 from tests.dataset_builder import build_clean_dataset, build_faulty_dataset
 
 KITCHEN = str(FIXTURES / "kitchen.json")
@@ -716,6 +717,87 @@ class TestUsageErrors:
     def test_help_exits_0(self, capsys):
         assert main(["plan", "--help"]) == 0
         assert capsys.readouterr().out.startswith("usage: ")
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process and reuses it for every call."""
+
+    def test_calls_in_one_process_match_fresh_calls(self, capsys, monkeypatch, golden_corpus_files):
+        route_check = ["route-check", "--scene", KITCHEN, "--triplets",
+                       str(FIXTURES / "triplets_valid.jsonl")]
+        evaluate = ["evaluate", "--predictions", f"{golden_corpus_files}/predictions.jsonl",
+                    "--references", f"{golden_corpus_files}/references.jsonl"]
+        calls = [
+            (COFFEE_PLAN + ["--dump-graph", "--k", "4"], "plan_dump_graph_kitchen_k4"),
+            (["plan", "--instruction", "make tea", "--k", "abc"], None),
+            (["--help"], None),
+            (COFFEE_PLAN, None),
+            (route_check, "route_check_kitchen"),
+            (evaluate, "evaluate_golden_corpus"),
+        ]
+
+        def run(argv):
+            code = main(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        fresh = []
+        for argv, _ in calls:
+            cli._parser.cache_clear()
+            fresh.append(run(argv))
+        built = []
+
+        def counting_build_parser():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._parser.cache_clear()
+        for (argv, golden), expected in zip(calls, fresh):
+            got = run(argv)
+            assert got == expected, argv
+            if golden is not None:
+                assert got[1] == (GOLDEN / f"{golden}.json").read_text(encoding="utf-8")
+        assert len(built) == 1
+        # Sanity of the sequence: the usage error and --help really were
+        # those, and a flag of the first call did not carry into the plain plan.
+        assert [code for code, _, _ in fresh] == [0, 1, 0, 0, 0, 0]
+        assert fresh[1][2].startswith("usage: ") and fresh[2][1].startswith("usage: ")
+        plain = json.loads(fresh[3][1])
+        assert "graph_snapshots" not in plain
+        assert vars(cli._parser().parse_args(COFFEE_PLAN)) == vars(build_parser().parse_args(COFFEE_PLAN))
+
+    def test_a_rebound_command_runs(self, capsys, monkeypatch):
+        main(["--help"])  # the parser exists before the command is rebound
+        capsys.readouterr()
+        seen = []
+
+        def traced_cmd_plan(args):
+            seen.append(args.k)
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_plan", traced_cmd_plan)
+        assert main(COFFEE_PLAN + ["--k", "3"]) == 0
+        assert seen == [3]
+        assert capsys.readouterr().out == ""
+
+    def test_import_builds_no_parser(self):
+        done = run_python(
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting_init(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting_init\n"
+            "import sceneplan.cli as cli\n"
+            "print(len(built))\n"
+            "cli._parser()\n"
+            "print(len(built))\n"
+        )
+        at_import, after_first_use = map(int, done.stdout.split())
+        assert at_import == 0
+        assert after_first_use > 0  # the counter sees the parser when it is built
 
 
 _JUNK = st.recursive(

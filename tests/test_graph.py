@@ -297,7 +297,7 @@ class TestOracleAgreement:
     @given(data=st.data(), k=st.integers(1, 4))
     def test_outputs_match_oracles_through_random_modulation(self, data, k):
         scene = data.draw(_lattice_scenes())
-        by_id = scene.by_id()
+        by_id = {obj.id: obj for obj in scene.objects}
         ids = sorted(by_id)
         knn = oracle_knn({i: obj.centroid for i, obj in by_id.items()}, k)
         node_weights = dict.fromkeys(ids, 1.0)

@@ -190,6 +190,25 @@ class TestOracleAgreement:
             assert pair == fresh
             assert hash(pair) == hash(fresh)
 
+    def test_corpus_counts_once_for_every_bleu_order_and_cider(self, monkeypatch):
+        plain = [bleu(GOLDEN_PAIRS, n) for n in range(1, 5)] + [cider(GOLDEN_PAIRS)]
+        built = []
+
+        class CountingTable(metrics.NgramTable):
+            def __init__(self, pairs):
+                built.append(len(pairs))
+                super().__init__(pairs)
+
+        monkeypatch.setattr(metrics, "NgramTable", CountingTable)
+        corpus = metrics.Corpus(GOLDEN_PAIRS)
+        shared = [bleu(corpus, n) for n in range(1, 5)] + [cider(corpus)]
+        assert shared == plain
+        assert built == [len(GOLDEN_PAIRS)]
+        # A plain list pays for a table on every call.
+        bleu(GOLDEN_PAIRS, 1)
+        cider(GOLDEN_PAIRS)
+        assert len(built) == 3
+
     def test_lcs_matches_recursive_oracle(self):
         rng = random.Random(11)
         vocab = ["a", "b", "c", "d"]

@@ -244,7 +244,7 @@ class TestApplyClause:
         out = apply_clause(_pose(0.0, 1.75, 0), clause, kitchen)
         assert out.position == pytest.approx(grid.cell_center(5, 5))
         assert grid.is_free(*grid.cell_of(*out.position))
-        mug = kitchen.by_id()[2]
+        mug = kitchen.objects_by_id[2]
         assert grid.cell_of(*out.position) in adjacent_free_cells(grid, mug.aabb)
 
     def test_unknown_target_raises(self, kitchen):
@@ -262,7 +262,7 @@ class TestApplyClause:
 class TestFootprints:
     def test_counter_footprint_cells(self, kitchen):
         grid = kitchen.occupancy
-        counter = kitchen.by_id()[0]
+        counter = kitchen.objects_by_id[0]
         cells = footprint_cells(grid, counter.aabb)
         assert cells == {(r, c) for r in (6, 7) for c in (4, 5, 6, 7)}
         for cell in cells:
@@ -270,7 +270,7 @@ class TestFootprints:
 
     def test_adjacent_free_cells_exclude_footprint_and_blocked(self, kitchen):
         grid = kitchen.occupancy
-        counter = kitchen.by_id()[0]
+        counter = kitchen.objects_by_id[0]
         footprint = footprint_cells(grid, counter.aabb)
         adjacent = adjacent_free_cells(grid, counter.aabb)
         assert adjacent
@@ -406,7 +406,7 @@ class TestPlanRoute:
     def test_planned_route_ends_adjacent_to_target(self, kitchen):
         start = default_start_pose(kitchen)
         grid = kitchen.occupancy
-        kettle = kitchen.by_id()[4]
+        kettle = kitchen.objects_by_id[4]
         pose = start
         for clause in plan_route(start, 4, kitchen):
             pose = apply_clause(pose, clause, kitchen)

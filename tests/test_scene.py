@@ -5,8 +5,12 @@ from __future__ import annotations
 import json
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sceneplan.scene import (
     Aabb,
@@ -27,7 +31,7 @@ from sceneplan.scene import (
     triplet_warnings,
 )
 from tests.conftest import FIXTURES
-from tests.oracles import oracle_point_in_box
+from tests.oracles import oracle_load_objects, oracle_point_in_box
 
 
 def _box(lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)) -> Aabb:
@@ -136,6 +140,14 @@ class TestSceneIo:
         assert scene_to_dict(again) == scene_to_dict(kitchen)
         assert again == kitchen
 
+    def test_id_map_is_cached_read_only_and_outside_equality(self, kitchen, kitchen_path):
+        by_id = kitchen.objects_by_id
+        assert by_id is kitchen.objects_by_id
+        assert dict(by_id) == {o.id: o for o in kitchen.objects}
+        with pytest.raises(TypeError):
+            by_id[99] = kitchen.objects[0]  # type: ignore[index]
+        assert kitchen == load_scene(kitchen_path)
+
     def test_missing_field_reports_locus(self, tmp_path):
         out = tmp_path / "bad.json"
         out.write_text(
@@ -195,6 +207,122 @@ class TestSceneIo:
             encoding="utf-8",
         )
         assert load_scene(out).category_vocab_size == 1
+
+
+# Values that are not a finite number to ``float()``, and some that are.
+_ODD_NUMBERS = st.sampled_from(
+    ["abc", "", "1.5", " 2 ", "nan", "inf", "-Infinity", math.nan, math.inf, -math.inf,
+     10**400, True, None, [1.0], {"x": 1}]
+)
+_VECTORS = ("centroid", "aabb.min", "aabb.max")
+# Three groups drawn equally often, so that each odd number turns up.
+_FORMAT_FAULTS = st.one_of(
+    st.sampled_from([f"odd number in {vector}" for vector in _VECTORS]),
+    st.sampled_from(
+        [f"missing {field}" for field in ("id", "category", "centroid", "aabb", "aabb.min", "aabb.max")]
+        + [f"{length} numbers in {vector}" for length in (2, 4) for vector in _VECTORS]
+    ),
+    st.sampled_from(["bool id", "float id", "string id", "non-string category",
+                     "non-dict aabb", "non-string mask_ref", "non-dict record"]),
+)
+_INVARIANT_FAULTS = ("negative id", "duplicate id", "blank category", "uppercase category",
+                     "inverted aabb", "centroid outside aabb")
+
+
+def _slot(record: dict, field: str) -> tuple[dict | None, str]:
+    """The dict that holds ``field`` ("id", "aabb.min", ...) and its key; None if gone."""
+    *path, key = field.split(".")
+    owner = record.get("aabb") if path else record
+    return (owner if isinstance(owner, dict) else None), key
+
+
+@st.composite
+def _object_records(draw, format_faults: bool = True):
+    """A scene file's object record, with up to two invariant and two format faults."""
+    center = [draw(st.floats(-5, 5)) for _ in range(3)]
+    half = [draw(st.floats(0, 1)) for _ in range(3)]
+    record: dict = {
+        "id": draw(st.integers(0, 10**6)),
+        "category": draw(st.sampled_from(["mug", "kitchen counter", "t-shirt"])),
+        "centroid": center,
+        "aabb": {"min": [c - h for c, h in zip(center, half)],
+                 "max": [c + h for c, h in zip(center, half)]},
+    }
+    if draw(st.booleans()):
+        record["mask_ref"] = "masks/0.png"
+    axis = draw(st.integers(0, 2))
+    for fault in draw(st.lists(st.sampled_from(_INVARIANT_FAULTS), max_size=2)):
+        if fault == "negative id":
+            record["id"] = draw(st.integers(-3, -1))
+        elif fault == "duplicate id":
+            record["id"] = 7
+        elif fault == "blank category":
+            record["category"] = draw(st.sampled_from(["", " ", "\t\n"]))
+        elif fault == "uppercase category":
+            record["category"] = "Mug"
+        elif fault == "inverted aabb":
+            aabb = record["aabb"]
+            aabb["min"][axis], aabb["max"][axis] = aabb["max"][axis] + 1, aabb["min"][axis]
+        else:
+            record["centroid"][axis] = record["aabb"]["max"][axis] + 0.5
+    if not format_faults:
+        return record
+    for _ in range(draw(st.sampled_from((0, 0, 1, 1, 2)))):
+        fault = draw(_FORMAT_FAULTS)
+        if fault == "non-dict record":
+            return draw(st.sampled_from([[], "mug", 3, None]))
+        owner, key = _slot(record, fault.rsplit(" ", 1)[-1])
+        if owner is None:
+            continue
+        if fault.startswith("missing "):
+            owner.pop(key, None)
+        elif fault.startswith("odd number"):
+            if isinstance(owner.get(key), list) and len(owner[key]) == 3:
+                owner[key] = list(owner[key])
+                for i in draw(st.sets(st.integers(0, 2), min_size=1)):
+                    owner[key][i] = draw(_ODD_NUMBERS)
+        elif " numbers in " in fault:
+            owner[key] = [0.0] * int(fault.split(" ", 1)[0])
+        elif fault == "bool id":
+            record["id"] = draw(st.booleans())
+        elif fault == "float id":
+            record["id"] = 1.0
+        elif fault == "string id":
+            record["id"] = "1"
+        elif fault == "non-string category":
+            record["category"] = draw(st.sampled_from([None, 3, ["mug"]]))
+        elif fault == "non-dict aabb":
+            record["aabb"] = draw(st.sampled_from([[0, 0, 0], "box", None, 1.5]))
+        else:
+            record["mask_ref"] = draw(st.sampled_from([1, ["a"], {"path": "a"}, False]))
+    return record
+
+
+def _outcome(load):
+    try:
+        return "loaded", load()
+    except (SceneFormatError, SceneInvariantError) as exc:
+        return type(exc), str(exc)
+
+
+class TestObjectParsingAgainstOracle:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(
+        invariant_faulty=st.lists(_object_records(format_faults=False), max_size=2),
+        records=st.lists(_object_records(), min_size=1, max_size=3),
+    )
+    def test_load_scene_raises_what_the_old_parser_raised(self, invariant_faulty, records):
+        """Same error type and message as the oracle parser, or an equal scene.
+
+        Records with only invariant faults come first, so a format fault in a
+        later record must still win over them.
+        """
+        records = invariant_faulty + records
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "scene.json"
+            path.write_text(json.dumps({"scene_id": "s", "objects": records}), encoding="utf-8")
+            got = _outcome(lambda: load_scene(path).objects)
+        assert got == _outcome(lambda: oracle_load_objects(records))
 
 
 def _triplet(steps) -> InstructionPlanTriplet:

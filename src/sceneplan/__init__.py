@@ -4,174 +4,7 @@ Builds KNN scene graphs over 3D object layouts, runs history-conditioned
 progressive plan generation with dynamic graph modulation, parses and
 verifies inter-step routes against scene geometry, scores plans with
 standard text metrics, and validates instruction-plan datasets.
+
+Import names from the submodules (``sceneplan.scene``, ``sceneplan.graph``
+and so on); importing ``sceneplan`` alone loads none of them.
 """
-
-from .dataset import (
-    DatasetError,
-    DatasetSample,
-    DatasetStats,
-    ValidationFinding,
-    compute_stats,
-    dataset_stats,
-    generation_prompts,
-    load_dataset,
-    validate_dataset,
-)
-from .engine import (
-    EpisodeConfig,
-    EpisodeError,
-    GeneratorReply,
-    GeneratorRequest,
-    PlanEpisode,
-    detect_mentions,
-    episode_to_dict,
-    parse_activity_header,
-    render_history_prompt,
-    reply_from_raw,
-    run_episode,
-)
-from .generators import (
-    ActivityRule,
-    AuthError,
-    LlmClient,
-    LlmEndpointConfig,
-    LlmError,
-    MalformedReplyError,
-    MissingCategoryError,
-    RuleBasedGenerator,
-    TransportError,
-    select_rule,
-)
-from .graph import (
-    GraphEdge,
-    GraphNode,
-    ModulationRecord,
-    SceneGraph,
-    SpatialRelation,
-    build_graph,
-    classify_relation,
-    graph_to_dict,
-    knn_ids,
-    modulate,
-    serialize_for_prompt,
-)
-from .metrics import (
-    MetricReport,
-    TokenizedPair,
-    bleu,
-    cider,
-    evaluate_pairs,
-    meteor,
-    pair_from_text,
-    rouge_l,
-    tokenize,
-)
-from .route import (
-    AgentPose,
-    MissingGridError,
-    RouteClause,
-    RouteCheckReport,
-    RouteError,
-    UnknownObjectError,
-    UnreachableTargetError,
-    apply_clause,
-    default_start_pose,
-    parse_route,
-    plan_route,
-    shortest_cell_path,
-    verify_route,
-)
-from .scene import (
-    Aabb,
-    InstructionPlanTriplet,
-    ObjectInstance,
-    OccupancyGrid,
-    PlanStep,
-    SceneFormatError,
-    SceneInvariantError,
-    SceneModel,
-    TripletWarning,
-    load_scene,
-    load_triplets,
-    serialize_scene,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Aabb",
-    "ActivityRule",
-    "AgentPose",
-    "AuthError",
-    "DatasetError",
-    "DatasetSample",
-    "DatasetStats",
-    "EpisodeConfig",
-    "EpisodeError",
-    "GeneratorReply",
-    "GeneratorRequest",
-    "GraphEdge",
-    "GraphNode",
-    "InstructionPlanTriplet",
-    "LlmClient",
-    "LlmEndpointConfig",
-    "LlmError",
-    "MalformedReplyError",
-    "MetricReport",
-    "MissingCategoryError",
-    "MissingGridError",
-    "ModulationRecord",
-    "ObjectInstance",
-    "OccupancyGrid",
-    "PlanEpisode",
-    "PlanStep",
-    "RouteCheckReport",
-    "RouteClause",
-    "RouteError",
-    "RuleBasedGenerator",
-    "SceneFormatError",
-    "SceneGraph",
-    "SceneInvariantError",
-    "SceneModel",
-    "SpatialRelation",
-    "TokenizedPair",
-    "TransportError",
-    "TripletWarning",
-    "UnknownObjectError",
-    "UnreachableTargetError",
-    "ValidationFinding",
-    "apply_clause",
-    "bleu",
-    "build_graph",
-    "cider",
-    "classify_relation",
-    "compute_stats",
-    "dataset_stats",
-    "default_start_pose",
-    "detect_mentions",
-    "episode_to_dict",
-    "evaluate_pairs",
-    "generation_prompts",
-    "graph_to_dict",
-    "knn_ids",
-    "load_dataset",
-    "load_scene",
-    "load_triplets",
-    "meteor",
-    "modulate",
-    "pair_from_text",
-    "parse_activity_header",
-    "parse_route",
-    "plan_route",
-    "render_history_prompt",
-    "reply_from_raw",
-    "rouge_l",
-    "run_episode",
-    "select_rule",
-    "serialize_for_prompt",
-    "serialize_scene",
-    "shortest_cell_path",
-    "tokenize",
-    "validate_dataset",
-    "verify_route",
-]

@@ -45,11 +45,6 @@ class Aabb:
     max_corner: Vec3
 
 
-def point_in_aabb(p: Vec3, box: Aabb) -> bool:
-    """True iff ``p`` lies inside ``box`` (closed: boundary counts as inside)."""
-    return all(box.min_corner[i] <= p[i] <= box.max_corner[i] for i in range(3))
-
-
 @dataclass(frozen=True)
 class ObjectInstance:
     """One labelled object in a scene.
@@ -485,19 +480,17 @@ def _parse_step(raw: object, where: str) -> PlanStep:
         raise SceneFormatError(f"{where}: expected object")
     index = _require(raw, "index", where)
     text = _require(raw, "text", where)
-    if not isinstance(index, int) or not isinstance(text, str):
+    if not isinstance(index, int) or isinstance(index, bool) or not isinstance(text, str):
         raise SceneFormatError(f"{where}: bad index/text types")
     ids_raw = raw.get("object_ids", [])
     if not isinstance(ids_raw, list) or any(
         not isinstance(v, int) or isinstance(v, bool) for v in ids_raw
     ):
         raise SceneFormatError(f"{where}.object_ids: expected integer array")
-    return PlanStep(
-        index=index,
-        text=text,
-        object_ids=tuple(ids_raw),
-        is_final=bool(raw.get("is_final", False)),
-    )
+    is_final = raw.get("is_final", False)
+    if not isinstance(is_final, bool):
+        raise SceneFormatError(f"{where}.is_final: expected true or false")
+    return PlanStep(index=index, text=text, object_ids=tuple(ids_raw), is_final=is_final)
 
 
 def parse_triplet_record(data: dict, where: str = "record") -> InstructionPlanTriplet:

@@ -60,22 +60,14 @@ class CategoryMatcher:
         self.by_last = by_last
 
 
-def _compiled(categories: CategoryMatcher | Iterable[str]) -> CategoryMatcher:
-    return categories if isinstance(categories, CategoryMatcher) else CategoryMatcher(categories)
-
-
-def find_category_spans(
-    text: str, categories: CategoryMatcher | Iterable[str]
-) -> list[tuple[int, str]]:
+def find_category_spans(text: str, matcher: CategoryMatcher) -> list[tuple[int, str]]:
     """All category occurrences in ``text`` as (start-token-position, category).
 
     Longer (more-word) categories win at a given position; the same position
     never yields two overlapping matches.  Result is ordered by position.
-    A category with no tokens matches nowhere.  A plain collection of
-    categories is indexed for this one call; pass a :class:`CategoryMatcher`
-    to reuse the index.
+    A category with no tokens matches nowhere.
     """
-    by_first = _compiled(categories).by_first
+    by_first = matcher.by_first
     forms = [_singularize(token) for token in words_of(text)]
     count = len(forms)
     spans: list[tuple[int, str]] = []
@@ -100,19 +92,16 @@ def find_category_spans(
     return spans
 
 
-def mentioned_categories(text: str, categories: CategoryMatcher | Iterable[str]) -> set[str]:
-    return {category for _, category in find_category_spans(text, categories)}
+def mentioned_categories(text: str, matcher: CategoryMatcher) -> set[str]:
+    return {category for _, category in find_category_spans(text, matcher)}
 
 
-def resolve_noun_phrase(
-    noun_phrase: str, categories: CategoryMatcher | Iterable[str]
-) -> str | None:
+def resolve_noun_phrase(noun_phrase: str, matcher: CategoryMatcher) -> str | None:
     """Best category named by a noun phrase.
 
     "the water kettle" resolves to "kettle", and a bare head noun reaches a
     multi-word category: "counter" resolves to "kitchen counter".
     """
-    matcher = _compiled(categories)
     spans = find_category_spans(noun_phrase, matcher)
     if spans:
         # Prefer the longest match anywhere in the phrase, then the latest

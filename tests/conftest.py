@@ -116,8 +116,12 @@ def scripted_generator(replies: list[str]) -> Callable[[GeneratorRequest], Gener
     return generate
 
 
-def run_python(script: str, timeout: float = 30.0) -> subprocess.CompletedProcess:
+def run_python(
+    script: str, timeout: float = 30.0, cwd: Path | None = None
+) -> subprocess.CompletedProcess:
     """Run ``script`` in a fresh interpreter that imports this ``sceneplan``.
+
+    The interpreter starts in ``cwd``, or in this process's directory.
 
     Raises ``subprocess.TimeoutExpired`` when it runs longer than ``timeout``
     seconds, and ``CalledProcessError`` when it exits non-zero.
@@ -129,6 +133,7 @@ def run_python(script: str, timeout: float = 30.0) -> subprocess.CompletedProces
         capture_output=True,
         text=True,
         env=env,
+        cwd=cwd,
         check=True,
         timeout=timeout,
     )

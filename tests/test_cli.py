@@ -233,6 +233,29 @@ class TestRouteCheckCommand:
         assert payload["all_ok"] is False
         assert payload["routes"][0]["reports"][0]["verdict"] == "unparsed"
 
+    @pytest.mark.parametrize(
+        "field,value,locus",
+        [("index", True, "steps[0]"), ("is_final", "false", "steps[0].is_final")],
+    )
+    def test_record_with_mistyped_step_is_dropped(
+        self, capsys, tmp_path, field, value, locus
+    ):
+        record = {
+            "scene_id": "kitchen-01",
+            "instruction": "clean",
+            "activity": "clean the room",
+            "steps": [{"index": 1, "text": "Walk to the sink.", "is_final": True}],
+        }
+        record["steps"][0][field] = value
+        path = tmp_path / "typed.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        code, payload, err = _run(
+            capsys, ["route-check", "--scene", KITCHEN, "--triplets", str(path)]
+        )
+        assert (code, payload["routes"]) == (0, [])
+        assert err.startswith(f"line 1: syntax: record.{locus}")
+        assert err.count("\n") == 1
+
     def test_category_with_punctuation_is_matched(self, capsys, tmp_path):
         # Categories split into words the way text does, so "t-shirt" in a
         # step names the category "t-shirt" (it used to be unknown-object).
@@ -625,6 +648,15 @@ def _blank_category_dataset(tmp_path, command: str) -> list[str]:
     return [command, str(tmp_path)]
 
 
+def _dataset_with_first_step(tmp_path, **fields) -> list[str]:
+    """A clean dataset whose first record's first step has ``fields`` overwritten."""
+    records = build_clean_dataset(tmp_path)
+    records[0]["steps"][0].update(fields)
+    with open(tmp_path / "triplets" / "train.jsonl", "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(record) + "\n" for record in records)
+    return ["validate", str(tmp_path)]
+
+
 ROUTE_CHECK = ["route-check", "--triplets", str(FIXTURES / "triplets_valid.jsonl")]
 
 # Inputs that once crashed a command or printed invalid JSON.
@@ -669,6 +701,8 @@ HOSTILE_INPUTS = {
     + ["--scene", _blank_category_kitchen(tmp / "scene.json")],
     "validate-whitespace-category": lambda tmp: _blank_category_dataset(tmp, "validate"),
     "stats-whitespace-category": lambda tmp: _blank_category_dataset(tmp, "stats"),
+    "validate-step-index-bool": lambda tmp: _dataset_with_first_step(tmp, index=True),
+    "validate-is-final-string": lambda tmp: _dataset_with_first_step(tmp, is_final="false"),
 }
 
 

@@ -24,14 +24,13 @@ from sceneplan.scene import (
     load_scene,
     load_triplets,
     parse_triplet_record,
-    point_in_aabb,
     scene_to_dict,
     serialize_scene,
     triplet_to_dict,
     triplet_warnings,
 )
 from tests.conftest import FIXTURES
-from tests.oracles import oracle_load_objects, oracle_point_in_box
+from tests.oracles import oracle_load_objects
 
 
 def _box(lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)) -> Aabb:
@@ -40,24 +39,6 @@ def _box(lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)) -> Aabb:
 
 def _obj(oid=0, category="table", centroid=(0.5, 0.5, 0.5), box=None) -> ObjectInstance:
     return ObjectInstance(oid, category, centroid, box or _box())
-
-
-class TestGeometryPrimitives:
-    def test_point_in_aabb_matches_oracle_on_lattice(self):
-        box = _box((-1.0, 0.0, 0.5), (1.0, 2.0, 1.5))
-        for x in (-1.5, -1.0, 0.0, 1.0, 1.5):
-            for y in (-0.5, 0.0, 1.0, 2.0, 2.5):
-                for z in (0.0, 0.5, 1.0, 1.5, 2.0):
-                    p = (x, y, z)
-                    assert point_in_aabb(p, box) == oracle_point_in_box(
-                        p, box.min_corner, box.max_corner
-                    )
-
-    def test_boundary_counts_as_inside(self):
-        box = _box()
-        assert point_in_aabb((0.0, 0.0, 0.0), box)
-        assert point_in_aabb((1.0, 1.0, 1.0), box)
-        assert not point_in_aabb((1.0 + 1e-12, 1.0, 1.0), box)
 
 
 class TestOccupancyGrid:
@@ -396,3 +377,22 @@ class TestTripletIo:
     def test_record_round_trip(self):
         t = _triplet([PlanStep(1, "walk to the sink", (3,), True)])
         assert parse_triplet_record(triplet_to_dict(t)) == t
+
+    def test_bool_step_index_is_rejected(self):
+        record = triplet_to_dict(_triplet([PlanStep(1, "walk", is_final=True)]))
+        record["steps"][0]["index"] = True
+        with pytest.raises(SceneFormatError, match=re.escape("record.steps[0]: bad index/text")):
+            parse_triplet_record(record)
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None, [], {}])
+    def test_non_bool_is_final_is_rejected(self, value):
+        # bool() would read "false" and 1 as a final step, and None as not final.
+        record = triplet_to_dict(_triplet([PlanStep(1, "walk"), PlanStep(2, "stop")]))
+        record["steps"][1]["is_final"] = value
+        with pytest.raises(SceneFormatError, match=re.escape("record.steps[1].is_final")):
+            parse_triplet_record(record)
+
+    def test_missing_is_final_means_not_final(self):
+        record = triplet_to_dict(_triplet([PlanStep(1, "walk")]))
+        del record["steps"][0]["is_final"]
+        assert parse_triplet_record(record).steps[0].is_final is False

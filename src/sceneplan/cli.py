@@ -23,7 +23,7 @@ from .dataset import (
     sample_key,
     validate_dataset,
 )
-from .engine import DEFAULT_MAX_STEPS, EpisodeConfig, EpisodeError, episode_to_dict, run_episode
+from .engine import DEFAULT_MAX_STEPS, EpisodeError, episode_to_dict, run_episode
 from .generators import (
     DEFAULT_RULES,
     LlmClient,
@@ -41,13 +41,7 @@ from .route import (
     report_to_dict,
     verify_route,
 )
-from .scene import (
-    SceneFormatError,
-    SceneInvariantError,
-    load_scene,
-    load_triplets,
-    read_jsonl,
-)
+from .scene import SceneFormatError, load_scene, load_triplets, read_jsonl
 
 PROMPT_SEPARATOR = "\n=== PROMPT {i} ===\n"
 
@@ -210,11 +204,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         return generator(request)
 
     episode = run_episode(
-        scene,
-        graph,
-        args.instruction,
-        observe,
-        EpisodeConfig(max_steps=args.max_steps, w_l=args.w_l),
+        scene, graph, args.instruction, observe, max_steps=args.max_steps, w_l=args.w_l
     )
     payload = episode_to_dict(episode)
     if args.dump_graph:
@@ -363,8 +353,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return command(args)
     except (
-        SceneFormatError,
-        SceneInvariantError,
         DatasetError,
         RouteError,
         LlmError,

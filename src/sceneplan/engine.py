@@ -3,7 +3,7 @@
 Each episode iterates generate -> detect mentioned objects -> modulate the
 scene graph, so the serialized graph context sent with the next step
 reflects what the plan has already touched.  The loop stops when the
-generator emits the "[END]" stop token or the step cap is hit.
+generator emits the ``END_TOKEN`` stop token or the step cap is hit.
 """
 
 from __future__ import annotations
@@ -53,31 +53,8 @@ class GeneratorRequest:
     step_index: int
 
 
-@dataclass(frozen=True)
-class GeneratorReply:
-    text: str
-    saw_end: bool
-
-
-Generator = Callable[[GeneratorRequest], GeneratorReply]
-
-
-def reply_from_raw(raw: str) -> GeneratorReply:
-    """Wrap raw generator output, detecting and stripping the stop token."""
-    saw_end = END_TOKEN in raw
-    return GeneratorReply(text=raw.replace(END_TOKEN, "").strip(), saw_end=saw_end)
-
-
-@dataclass(frozen=True)
-class EpisodeConfig:
-    max_steps: int = DEFAULT_MAX_STEPS
-    w_l: float = DEFAULT_MODULATION_WEIGHT
-
-    def __post_init__(self) -> None:
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-        if not (math.isfinite(self.w_l) and self.w_l > 0):
-            raise ValueError("w_l must be positive and finite")
+# A generator answers a request with the raw reply text, stop token and all.
+Generator = Callable[[GeneratorRequest], str]
 
 
 @dataclass(frozen=True)
@@ -86,7 +63,6 @@ class PlanEpisode:
     activity: str
     steps: tuple[PlanStep, ...]
     modulations: tuple[ModulationRecord, ...]
-    max_steps: int
     terminated_by: str  # "end-token" or "step-cap"
 
 
@@ -135,14 +111,21 @@ def run_episode(
     graph: SceneGraph,
     instruction: str,
     generator: Generator,
-    config: EpisodeConfig = EpisodeConfig(),
+    *,
+    max_steps: int = DEFAULT_MAX_STEPS,
+    w_l: float = DEFAULT_MODULATION_WEIGHT,
 ) -> PlanEpisode:
     """Run one progressive generation episode over the scene graph.
 
-    The graph is modulated in place once per generated step (empty mention
-    sets still produce a record), so build a fresh graph per episode, as
-    ``cmd_plan`` does.
+    A reply containing ``END_TOKEN`` ends the episode; every copy of the
+    token is stripped from the step text.  The graph is modulated in place
+    once per generated step (empty mention sets still produce a record), so
+    build a fresh graph per episode, as ``cmd_plan`` does.
     """
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
+    if not (math.isfinite(w_l) and w_l > 0):
+        raise ValueError("w_l must be positive and finite")
     steps: list[PlanStep] = []
     modulations: list[ModulationRecord] = []
     activity = ""
@@ -154,11 +137,10 @@ def run_episode(
             activity=activity,
             steps=tuple(steps),
             modulations=tuple(modulations),
-            max_steps=config.max_steps,
             terminated_by=terminated_by,
         )
 
-    for step_index in range(1, config.max_steps + 1):
+    for step_index in range(1, max_steps + 1):
         system_context = SYSTEM_PREAMBLE + "\n" + serialize_for_prompt(graph)
         if step_index == 1:
             user_prompt = instruction
@@ -170,29 +152,27 @@ def run_episode(
             step_index=step_index,
         )
         try:
-            reply = generator(request)
+            raw = generator(request)
         except Exception as exc:
             raise EpisodeError(
                 f"generator failed at step {step_index}: {exc}", partial()
             ) from exc
+        saw_end = END_TOKEN in raw
+        reply = raw.replace(END_TOKEN, "").strip()
         if step_index == 1:
-            activity, remainder = parse_activity_header(reply.text)
-            text = strip_step_label(remainder)
-        else:
-            text = strip_step_label(reply.text)
+            activity, reply = parse_activity_header(reply)
+        text = strip_step_label(reply)
         mentioned = detect_mentions(text, scene)
         steps.append(
             PlanStep(
                 index=step_index,
                 text=text,
                 object_ids=tuple(mentioned),
-                is_final=reply.saw_end,
+                is_final=saw_end,
             )
         )
-        modulations.append(
-            modulate(graph, mentioned, w_l=config.w_l, step_index=step_index)
-        )
-        if reply.saw_end:
+        modulations.append(modulate(graph, mentioned, w_l=w_l, step_index=step_index))
+        if saw_end:
             terminated_by = "end-token"
             break
     return partial()

@@ -18,7 +18,7 @@ import urllib.parse
 from dataclasses import dataclass
 from typing import Callable
 
-from .engine import GeneratorReply, GeneratorRequest, reply_from_raw
+from .engine import END_TOKEN, GeneratorRequest
 from .route import (
     AgentPose,
     RouteClause,
@@ -107,7 +107,7 @@ class LlmClient:
         self._sleep = sleep
         self._rng = rng if rng is not None else random.Random()
 
-    def __call__(self, request: GeneratorRequest) -> GeneratorReply:
+    def __call__(self, request: GeneratorRequest) -> str:
         import http.client
         import urllib.request
 
@@ -166,7 +166,7 @@ class LlmClient:
                 raise LlmError(
                     f"unexpected status {status}: {raw.decode('utf-8', 'replace')[:200]}"
                 )
-            return reply_from_raw(self._extract_text(raw))
+            return self._extract_text(raw)
         raise TransportError(f"{last_failure} after {attempts} attempts")
 
     def _open(self, post):
@@ -315,7 +315,7 @@ class RuleBasedGenerator:
         self._pose = self._start_pose
         self._rule: ActivityRule | None = None
 
-    def __call__(self, request: GeneratorRequest) -> GeneratorReply:
+    def __call__(self, request: GeneratorRequest) -> str:
         step = request.step_index
         if step == 1:
             self._rule = select_rule(request.user_prompt, self.rules)
@@ -327,19 +327,13 @@ class RuleBasedGenerator:
             raise RuntimeError(
                 f"rule {rule.activity_phrase!r} has no template for step {step}"
             )
-        sentence = self._fill_template(rule, step)
+        raw = f"Step {step}: {self._fill_template(rule, step)}"
         if step == 1:
-            raw = (
-                "To help you, the robot assistant will "
-                + rule.activity_phrase
-                + ", with the following steps: Step 1: "
-                + sentence
-            )
-        else:
-            raw = f"Step {step}: {sentence}"
+            raw = ("To help you, the robot assistant will " + rule.activity_phrase
+                   + ", with the following steps: " + raw)
         if step == len(rule.step_templates):
-            raw += " [END]"
-        return reply_from_raw(raw)
+            raw += " " + END_TOKEN
+        return raw
 
     def _fill_template(self, rule: ActivityRule, step: int) -> str:
         template = rule.step_templates[step - 1]

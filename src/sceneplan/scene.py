@@ -291,10 +291,16 @@ class TripletWarning:
     detail: str
 
 
+# JSON numbers load as exactly these types; a string or a boolean is not a number.
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def _number(raw: object, where: str) -> float:
+    if type(raw) not in _NUMBER_TYPES:
+        raise SceneFormatError(f"{where}: expected a number")
     try:
         value = float(raw)  # type: ignore[arg-type]
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:
         raise SceneFormatError(f"{where}: expected a number") from None
     if not math.isfinite(value):
         raise SceneFormatError(f"{where}: expected a finite number")
@@ -313,7 +319,10 @@ def _vec3(raw: object, index: int, field: str) -> Vec3:
     except (TypeError, ValueError, OverflowError):
         pass
     else:
-        if math.isfinite(x) and math.isfinite(y) and math.isfinite(z):
+        if (
+            _NUMBER_TYPES.issuperset(map(type, raw))
+            and math.isfinite(x) and math.isfinite(y) and math.isfinite(z)
+        ):
             return (x, y, z)
     # Some number is bad: check each in turn, so that the first is reported.
     where = f"objects[{index}]{field}"
@@ -374,11 +383,20 @@ def _parse_occupancy(raw: object) -> OccupancyGrid:
     origin = tuple(_number(v, f"{where}.origin") for v in origin_raw)
     rows = _require(raw, "rows", where)
     cols = _require(raw, "cols", where)
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows <= 0 or cols <= 0:
+    if type(rows) is not int or type(cols) is not int or rows <= 0 or cols <= 0:
         raise SceneFormatError(f"{where}.rows/cols: expected positive integers")
     blocked_raw = _require(raw, "blocked", where)
     if not isinstance(blocked_raw, list) or len(blocked_raw) != rows * cols:
         raise SceneFormatError(f"{where}.blocked: expected {rows * cols} flags")
+    try:
+        # bytes() takes ints in 0..255, booleans among them, and nothing else.
+        flags_ok = not bytes(blocked_raw).translate(None, b"\x00\x01")
+    except (TypeError, ValueError):
+        flags_ok = False
+    if not flags_ok:
+        bad = next(i for i, flag in enumerate(blocked_raw)
+                   if type(flag) not in (int, bool) or flag not in (0, 1))
+        raise SceneFormatError(f"{where}.blocked[{bad}]: expected 0, 1, true or false")
     return OccupancyGrid(
         cell_size=cell_size,
         origin=origin,  # type: ignore[arg-type]
@@ -400,10 +418,12 @@ def load_scene(path: str | Path) -> SceneModel:
                        "cols": int, "blocked": [row-major 0/1]}?,
          "category_vocab_size": int?}
 
-    ``category_vocab_size`` defaults to the number of distinct categories
-    present.  Raises :class:`SceneFormatError` with a line/field locus on
-    syntax problems and :class:`SceneInvariantError` naming the offending
-    object id on semantic ones.
+    Numbers are JSON numbers, never strings or booleans; ``rows``, ``cols``
+    and ``category_vocab_size`` are integers, and each ``blocked`` flag is
+    0, 1, true or false.  ``category_vocab_size`` defaults to the number of
+    distinct categories present.  Raises :class:`SceneFormatError` with a
+    line/field locus on syntax problems and :class:`SceneInvariantError`
+    naming the offending object id on semantic ones.
     """
     path = Path(path)
     try:
@@ -431,7 +451,7 @@ def load_scene(path: str | Path) -> SceneModel:
     vocab = data.get("category_vocab_size")
     if vocab is None:
         vocab = len({o.category for o in objects})
-    elif not isinstance(vocab, int):
+    elif type(vocab) is not int:
         raise SceneFormatError("category_vocab_size: expected integer")
     scene = SceneModel(
         scene_id=scene_id,

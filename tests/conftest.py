@@ -12,7 +12,7 @@ from typing import Callable
 import pytest
 
 import sceneplan
-from sceneplan.engine import GeneratorReply, GeneratorRequest, reply_from_raw
+from sceneplan.engine import GeneratorRequest
 from sceneplan.scene import Aabb, ObjectInstance, OccupancyGrid, SceneModel, load_scene
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -106,12 +106,12 @@ def make_random_grid_scene(seed: int) -> SceneModel | None:
     return scene
 
 
-def scripted_generator(replies: list[str]) -> Callable[[GeneratorRequest], GeneratorReply]:
+def scripted_generator(replies: list[str]) -> Callable[[GeneratorRequest], str]:
     """Generator that plays back canned raw replies by step index."""
-    def generate(request: GeneratorRequest) -> GeneratorReply:
+    def generate(request: GeneratorRequest) -> str:
         if request.step_index > len(replies):
             raise IndexError(f"no scripted reply for step {request.step_index}")
-        return reply_from_raw(replies[request.step_index - 1])
+        return replies[request.step_index - 1]
 
     return generate
 

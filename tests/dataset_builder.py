@@ -12,7 +12,7 @@ import json
 import shutil
 from pathlib import Path
 
-from sceneplan.engine import EpisodeConfig, run_episode
+from sceneplan.engine import run_episode
 from sceneplan.generators import DEFAULT_RULES, RuleBasedGenerator, select_rule
 from sceneplan.graph import build_graph
 from sceneplan.scene import load_scene
@@ -36,9 +36,7 @@ SUFFIXES = (
 
 def _steps_for(scene, instruction: str) -> list[dict]:
     graph = build_graph(scene, k=2)
-    episode = run_episode(
-        scene, graph, instruction, RuleBasedGenerator(scene), EpisodeConfig()
-    )
+    episode = run_episode(scene, graph, instruction, RuleBasedGenerator(scene))
     assert episode.terminated_by == "end-token"
     return [
         {

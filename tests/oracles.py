@@ -211,9 +211,11 @@ def oracle_resolve_noun_phrase(noun_phrase: str, categories: set[str]) -> str | 
 
 
 def oracle_number(raw: object, where: str) -> float:
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise SceneFormatError(f"{where}: expected a number")
     try:
-        value = float(raw)  # type: ignore[arg-type]
-    except (TypeError, ValueError, OverflowError):
+        value = float(raw)
+    except OverflowError:
         raise SceneFormatError(f"{where}: expected a number") from None
     if not math.isfinite(value):
         raise SceneFormatError(f"{where}: expected a finite number")

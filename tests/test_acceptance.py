@@ -20,7 +20,7 @@ import pytest
 
 from sceneplan.cli import main
 from sceneplan.dataset import compute_stats, load_dataset
-from sceneplan.engine import EpisodeConfig, GeneratorRequest, render_history_prompt, run_episode
+from sceneplan.engine import END_TOKEN, GeneratorRequest, render_history_prompt, run_episode
 from sceneplan.generators import (
     AuthError,
     LlmClient,
@@ -168,7 +168,7 @@ def test_progressive_prompting_contract(announce, kitchen):
 
             graph = build_graph(kitchen)
             instruction = f"scripted request {episode_index}"
-            episode = run_episode(kitchen, graph, instruction, generator, EpisodeConfig())
+            episode = run_episode(kitchen, graph, instruction, generator)
 
             expected_steps = min(planned, 8)
             assert len(episode.steps) == expected_steps
@@ -350,8 +350,8 @@ def test_llm_client_survives_a_flaky_endpoint(announce, monkeypatch):
             ]
         ) as stub:
             reply = client_for(stub)(request)
-            assert reply.saw_end
-            assert reply.text == "Step 1: done."
+            assert END_TOKEN in reply
+            assert reply == "Step 1: done. " + END_TOKEN
             assert len(stub.requests) == 3
 
         with StubEndpoint([{"status": 401, "text": "denied"}]) as stub:

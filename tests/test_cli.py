@@ -602,6 +602,17 @@ def _kitchen_with(tmp_path, **occupancy) -> str:
     return str(path)
 
 
+def _lenient_scene(tmp_path) -> str:
+    """The kitchen with strings and booleans where the schema says numbers."""
+    data = json.loads(Path(KITCHEN).read_text(encoding="utf-8"))
+    data["objects"][0]["centroid"] = ["0.5", True, " 0.5 "]
+    data["occupancy"].update(cell_size="2", rows=True, blocked=[0, "no"])
+    data["category_vocab_size"] = True
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
 def _evaluate_argv(tmp_path, keys) -> list[str]:
     """Predictions and references with the same records, one per key."""
     path = tmp_path / "records.jsonl"
@@ -666,6 +677,11 @@ HOSTILE_INPUTS = {
     "occupancy-cell-size-huge-int": lambda tmp: PLAN
     + ["--scene", _kitchen_with(tmp, cell_size=10**400)],
     "scene-nested-too-deeply": lambda tmp: PLAN + ["--scene", _deep_json(tmp, "deep.json")],
+    "occupancy-cell-size-string": lambda tmp: PLAN + ["--scene", _kitchen_with(tmp, cell_size="2")],
+    "occupancy-rows-bool": lambda tmp: PLAN + ["--scene", _kitchen_with(tmp, rows=True)],
+    "occupancy-flag-string": lambda tmp: PLAN
+    + ["--scene", _kitchen_with(tmp, blocked=["no"] * 144)],
+    "scene-numbers-as-strings-and-booleans": lambda tmp: PLAN + ["--scene", _lenient_scene(tmp)],
     "w-l-nan": lambda tmp: PLAN + ["--scene", KITCHEN, "--w-l", "nan", "--dump-graph"],
     "w-l-inf": lambda tmp: PLAN + ["--scene", KITCHEN, "--w-l", "inf", "--dump-graph"],
     "w-l-overflows-weights": lambda tmp: PLAN + ["--scene", KITCHEN, "--w-l", "1e300"],

@@ -8,14 +8,12 @@ import pytest
 
 from sceneplan.engine import (
     END_TOKEN,
-    EpisodeConfig,
     EpisodeError,
     GeneratorRequest,
     detect_mentions,
     episode_to_dict,
     parse_activity_header,
     render_history_prompt,
-    reply_from_raw,
     run_episode,
     strip_step_label,
 )
@@ -34,18 +32,35 @@ def _recording(generator):
     return wrapped, requests
 
 
-class TestReplyParsing:
-    def test_reply_from_raw_strips_all_end_tokens(self):
-        reply = reply_from_raw(f"Step 2: Turn left. {END_TOKEN}")
-        assert reply.saw_end
-        assert reply.text == "Step 2: Turn left."
-        noisy = reply_from_raw(f"{END_TOKEN} done {END_TOKEN}")
-        assert noisy.saw_end and noisy.text == "done"
+def _second_step(kitchen, raw: str, max_steps: int = 8):
+    """The episode whose generator answers a plain step 1, then ``raw``."""
+    script = ["Plan. Step 1: Walk to the sink.", raw]
+    return run_episode(
+        kitchen, build_graph(kitchen), "help", scripted_generator(script), max_steps=max_steps
+    )
 
-    def test_reply_without_token(self):
-        reply = reply_from_raw("  Step 3: walk.  ")
-        assert not reply.saw_end
-        assert reply.text == "Step 3: walk."
+
+class TestReplyParsing:
+    def test_run_episode_strips_all_end_tokens(self, kitchen):
+        episode = _second_step(kitchen, f"Step 2: Turn left. {END_TOKEN}")
+        assert episode.terminated_by == "end-token" and episode.steps[-1].is_final
+        assert episode.steps[-1].text == "Turn left."
+        noisy = _second_step(kitchen, f"{END_TOKEN} done {END_TOKEN}")
+        assert noisy.terminated_by == "end-token" and noisy.steps[-1].is_final
+        assert noisy.steps[-1].text == "done"
+
+    def test_reply_without_token(self, kitchen):
+        episode = _second_step(kitchen, "  Step 3: walk.  ", max_steps=2)
+        assert episode.terminated_by == "step-cap" and not episode.steps[-1].is_final
+        assert episode.steps[-1].text == "walk."
+
+    def test_end_token_mid_text_ends_the_episode(self, kitchen):
+        episode = _second_step(kitchen, f"Step 2: Walk to the mug {END_TOKEN} and rinse it.")
+        assert episode.terminated_by == "end-token"
+        assert len(episode.steps) == 2 and episode.steps[-1].is_final
+        # Only the token goes; the spaces on either side of it stay.
+        assert episode.steps[-1].text == "Walk to the mug  and rinse it."
+        assert episode.steps[-1].object_ids == (2, 7)
 
     def test_strip_step_label_variants(self):
         assert strip_step_label("Step 3: walk to the sink") == "walk to the sink"
@@ -132,11 +147,9 @@ class TestRunEpisode:
 
     def test_step_cap_bounds_runaway_generators(self, kitchen):
         def runaway(request: GeneratorRequest):
-            return reply_from_raw(f"Step {request.step_index}: keep going forever")
+            return f"Step {request.step_index}: keep going forever"
 
-        episode = run_episode(
-            kitchen, build_graph(kitchen), "help", runaway, EpisodeConfig(max_steps=8)
-        )
+        episode = run_episode(kitchen, build_graph(kitchen), "help", runaway, max_steps=8)
         assert episode.terminated_by == "step-cap"
         assert len(episode.steps) == 8
         assert [s.index for s in episode.steps] == list(range(1, 9))
@@ -195,7 +208,7 @@ class TestRunEpisode:
         def flaky(request: GeneratorRequest):
             if request.step_index == 2:
                 raise RuntimeError("boom")
-            return reply_from_raw("Plan. Step 1: Walk to the sink.")
+            return "Plan. Step 1: Walk to the sink."
 
         with pytest.raises(EpisodeError, match="step 2") as err:
             run_episode(kitchen, build_graph(kitchen), "help", flaky)
@@ -203,12 +216,17 @@ class TestRunEpisode:
         assert len(partial.steps) == 1
         assert partial.steps[0].text == "Walk to the sink."
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="max_steps"):
-            EpisodeConfig(max_steps=0)
-        for w_l in (0.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="w_l"):
-                EpisodeConfig(w_l=w_l)
+    def test_config_validation(self, kitchen):
+        """Bad settings raise before the generator is first called."""
+        generator, requests = _recording(scripted_generator([f"Step 1: go. {END_TOKEN}"]))
+        graph = build_graph(kitchen)
+        with pytest.raises(ValueError, match="max_steps must be >= 1"):
+            run_episode(kitchen, graph, "help", generator, max_steps=0)
+        for w_l in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="w_l must be positive and finite"):
+                run_episode(kitchen, graph, "help", generator, w_l=w_l)
+        assert requests == []
+        assert all(n.weight == 1.0 for n in graph.nodes.values())
 
     def test_episode_to_dict_shape(self, kitchen):
         script = [f"Plan. Step 1: Walk to the mug. {END_TOKEN}"]

@@ -10,7 +10,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from sceneplan.engine import EpisodeError, GeneratorRequest, run_episode
+from sceneplan.engine import END_TOKEN, EpisodeError, GeneratorRequest, run_episode
 from sceneplan.generators import (
     BACKOFF_BASE_SECONDS,
     DEFAULT_RULES,
@@ -152,11 +152,12 @@ REQUEST = GeneratorRequest(system_context="scene", user_prompt="I am tired", ste
 
 
 class TestLlmClient:
-    def test_success_parses_content_and_detects_end(self, api_key):
+    def test_success_returns_content_verbatim(self, api_key):
+        # The stop token stays in: run_episode detects and strips it.
         with StubEndpoint([{"text": "Step 2: Turn left. [END]"}]) as stub:
             reply = _client(stub)(REQUEST)
-        assert reply.text == "Step 2: Turn left."
-        assert reply.saw_end
+        assert type(reply) is str
+        assert reply == "Step 2: Turn left. " + END_TOKEN
         sent = stub.requests[0]
         assert sent["path"] == "/v1/chat/completions"
         assert sent["auth"] == "Bearer test-key-123"
@@ -172,7 +173,7 @@ class TestLlmClient:
         with StubEndpoint(script) as stub:
             client = _client(stub, max_retries=3)
             reply = client(REQUEST)
-        assert reply.text == "Step 1: ok."
+        assert reply == "Step 1: ok."
         assert len(stub.requests) == 3
         sleeps = client.recorded_sleeps
         assert len(sleeps) == 2
@@ -460,6 +461,14 @@ class TestRuleBasedGenerator:
         generator = RuleBasedGenerator(kitchen)
         with pytest.raises(RuntimeError, match="step 1"):
             generator(GeneratorRequest("", "coffee", 2))
+
+    def test_rules_reply_is_text_ending_in_the_stop_token(self, kitchen):
+        generator = RuleBasedGenerator(kitchen)
+        replies = [generator(GeneratorRequest("", "make tea", step)) for step in (1, 2)]
+        assert [type(reply) for reply in replies] == [str, str]
+        assert replies[0].startswith("To help you, the robot assistant will make a cup of tea")
+        assert END_TOKEN not in replies[0]
+        assert replies[1].startswith("Step 2: ") and replies[1].endswith(" " + END_TOKEN)
 
     def test_scripted_generator_exhaustion(self):
         generator = scripted_generator(["Step 1: only one"])

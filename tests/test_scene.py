@@ -106,6 +106,18 @@ class TestSceneValidation:
             _obj(category=category).validate()
 
 
+def _kitchen_with_field(kitchen_path: Path, tmp_path: Path, field: tuple, value) -> Path:
+    """A copy of the kitchen scene whose value at the key path ``field`` is ``value``."""
+    data = json.loads(kitchen_path.read_text(encoding="utf-8"))
+    target = data
+    for key in field[:-1]:
+        target = target[key]
+    target[field[-1]] = value
+    out = tmp_path / "scene.json"
+    out.write_text(json.dumps(data), encoding="utf-8")
+    return out
+
+
 class TestSceneIo:
     def test_kitchen_fixture_loads(self, kitchen):
         assert kitchen.scene_id == "kitchen-01"
@@ -154,20 +166,44 @@ class TestSceneIo:
             (("occupancy", "origin"), [None, 0], "occupancy.origin"),
             (("occupancy", "origin"), [0, math.inf], "occupancy.origin"),
             (("objects", 0, "centroid"), [0, -math.inf, 0], "objects[0].centroid"),
+            (("objects", 0, "centroid"), ["0.5", 0.5, 0.5], "objects[0].centroid"),
+            (("objects", 0, "aabb", "max"), [9, True, 9], "objects[0].aabb.max"),
+            (("occupancy", "cell_size"), "2", "occupancy.cell_size"),
+            (("occupancy", "cell_size"), True, "occupancy.cell_size"),
+            (("occupancy", "origin"), [False, 0], "occupancy.origin"),
         ],
     )
     def test_numbers_must_be_finite_with_field_locus(
         self, kitchen_path, tmp_path, field, value, locus
     ):
-        data = json.loads(kitchen_path.read_text(encoding="utf-8"))
-        target = data
-        for key in field[:-1]:
-            target = target[key]
-        target[field[-1]] = value
-        out = tmp_path / "scene.json"
-        out.write_text(json.dumps(data), encoding="utf-8")
+        out = _kitchen_with_field(kitchen_path, tmp_path, field, value)
         with pytest.raises(SceneFormatError, match=re.escape(locus)):
             load_scene(out)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            (("occupancy", "rows"), True, "occupancy.rows/cols: expected positive integers"),
+            (("occupancy", "cols"), 12.0, "occupancy.rows/cols: expected positive integers"),
+            (("category_vocab_size",), True, "category_vocab_size: expected integer"),
+            (("occupancy", "blocked", 1), "no", "occupancy.blocked[1]: expected 0, 1, true or false"),
+            (("occupancy", "blocked", 2), 2, "occupancy.blocked[2]: expected 0, 1, true or false"),
+            (("occupancy", "blocked", 3), 1.0, "occupancy.blocked[3]: expected 0, 1, true or false"),
+            (("occupancy", "blocked", 4), None, "occupancy.blocked[4]: expected 0, 1, true or false"),
+            (("occupancy", "blocked", 5), [1], "occupancy.blocked[5]: expected 0, 1, true or false"),
+            (("occupancy", "blocked", 6), 256, "occupancy.blocked[6]: expected 0, 1, true or false"),
+        ],
+    )
+    def test_counts_and_flags_are_exact(self, kitchen_path, tmp_path, field, value, message):
+        out = _kitchen_with_field(kitchen_path, tmp_path, field, value)
+        with pytest.raises(SceneFormatError, match=re.escape(message) + "$"):
+            load_scene(out)
+
+    def test_boolean_flags_load_as_0_and_1(self, kitchen, kitchen_path, tmp_path):
+        flags = json.loads(kitchen_path.read_text(encoding="utf-8"))["occupancy"]["blocked"]
+        booleans = [flag == 1 for flag in flags]
+        out = _kitchen_with_field(kitchen_path, tmp_path, ("occupancy", "blocked"), booleans)
+        assert load_scene(out) == kitchen
 
     def test_vocab_defaults_to_distinct_count(self, tmp_path):
         out = tmp_path / "scene.json"
@@ -190,7 +226,7 @@ class TestSceneIo:
         assert load_scene(out).category_vocab_size == 1
 
 
-# Values that are not a finite number to ``float()``, and some that are.
+# Values that are not a finite JSON number, and some that ``float()`` would take.
 _ODD_NUMBERS = st.sampled_from(
     ["abc", "", "1.5", " 2 ", "nan", "inf", "-Infinity", math.nan, math.inf, -math.inf,
      10**400, True, None, [1.0], {"x": 1}]

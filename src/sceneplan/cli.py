@@ -27,9 +27,7 @@ from .engine import DEFAULT_MAX_STEPS, EpisodeError, episode_to_dict, run_episod
 from .generators import (
     DEFAULT_RULES,
     LlmClient,
-    LlmEndpointConfig,
     LlmError,
-    MissingCategoryError,
     RuleBasedGenerator,
 )
 from .graph import DEFAULT_K, DEFAULT_MODULATION_WEIGHT, build_graph, graph_to_dict
@@ -179,7 +177,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    _emit(dataset_stats(args.dataset_dir).to_dict())
+    _emit(dataset_stats(args.dataset_dir))
     return 0
 
 
@@ -194,8 +192,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     else:
         if not args.endpoint or not args.model:
             raise LlmError("--backend llm requires --endpoint and --model")
-        config = LlmEndpointConfig(base_url=args.endpoint, model_name=args.model)
-        generator = LlmClient(config)
+        generator = LlmClient(base_url=args.endpoint, model_name=args.model)
     snapshots: list[dict] = []
 
     def observe(request):
@@ -268,7 +265,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         pair_from_text(predictions[key][0], references[key])
         for key in sorted(predictions)
     ]
-    _emit(evaluate_pairs(pairs).to_dict())
+    _emit(evaluate_pairs(pairs))
     return 0
 
 
@@ -356,7 +353,6 @@ def main(argv: list[str] | None = None) -> int:
         DatasetError,
         RouteError,
         LlmError,
-        MissingCategoryError,
         EpisodeError,
         ValueError,
         OSError,

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .route import default_start_pose, parse_fragments, verify_route
+from .route import AgentPose, default_start_pose, parse_fragments, verify_route
 from .scene import (
     InstructionPlanTriplet,
     SceneFormatError,
@@ -77,33 +77,6 @@ class DatasetSample:
     triplet: InstructionPlanTriplet
 
 
-@dataclass(frozen=True)
-class DatasetStats:
-    scene_count: int
-    sample_count: int
-    instructions_per_scene: float
-    mean_steps: float
-    mean_words: float
-    step_histogram: dict[int, float]
-    verb_histogram: dict[str, int]
-    action_object_histogram: dict[tuple[str, str], int]
-
-    def to_dict(self) -> dict:
-        return {
-            "scene_count": self.scene_count,
-            "sample_count": self.sample_count,
-            "instructions_per_scene": self.instructions_per_scene,
-            "mean_steps": self.mean_steps,
-            "mean_words": self.mean_words,
-            "step_histogram": {str(k): v for k, v in sorted(self.step_histogram.items())},
-            "verb_histogram": dict(sorted(self.verb_histogram.items())),
-            "action_object_histogram": [
-                {"action": action, "object": obj, "count": count}
-                for (action, obj), count in sorted(self.action_object_histogram.items())
-            ],
-        }
-
-
 def sample_key(
     record: dict, where: str, default_sample_id: int | None = None
 ) -> tuple[str, int]:
@@ -123,9 +96,10 @@ def load_dataset(
     """Read every split file and the scenes they reference.
 
     Sample ids come from the optional ``sample_id`` record field, defaulting
-    to the record's line number within its split file.  Malformed records or
-    missing scene files are fatal with a path locus; semantic problems are
-    left for :func:`validate_dataset`.
+    to the record's line number within its split file; a key may occur once
+    across both files.  Malformed records, duplicate keys or missing scene
+    files are fatal with a path locus; semantic problems are left for
+    :func:`validate_dataset`.
     """
     root = Path(dataset_dir)
     triplet_dir = root / "triplets"
@@ -135,6 +109,7 @@ def load_dataset(
         raise DatasetError(f"{triplet_dir}: no train.jsonl or val.jsonl found")
     scenes: dict[str, SceneModel] = {}
     samples: list[DatasetSample] = []
+    loci: dict[tuple[str, int], str] = {}
     for split, path in split_files:
         try:
             entries = read_jsonl(path)
@@ -151,6 +126,10 @@ def load_dataset(
             scene_id, sample_id = sample_key(data, where, default_sample_id=lineno)
             if scene_id in ("", ".", "..") or set(scene_id) & set("/\\\0"):
                 raise DatasetError(f"{where}: scene_id {scene_id!r} is not a plain file name")
+            key = (scene_id, sample_id)
+            if key in loci:
+                raise DatasetError(f"{where}: duplicate key {key}, first at {loci[key]}")
+            loci[key] = where
             if scene_id not in scenes:
                 scene_path = root / "scenes" / f"{scene_id}.json"
                 if not scene_path.exists():
@@ -158,7 +137,7 @@ def load_dataset(
                 scenes[scene_id] = load_scene(scene_path)
             samples.append(
                 DatasetSample(
-                    key=(scene_id, sample_id),
+                    key=key,
                     split=split,
                     line=lineno,
                     triplet=triplet,
@@ -168,14 +147,14 @@ def load_dataset(
 
 
 def validate_sample(
-    sample: DatasetSample, scene: SceneModel
+    sample: DatasetSample, scene: SceneModel, start: AgentPose
 ) -> list[ValidationFinding]:
-    """All findings for one sample: structure, object ids, implicitness, routes."""
+    """All findings for one sample: structure, object ids, implicitness, routes from ``start``."""
     findings = [
         ValidationFinding(sample.key, warning.kind, warning.detail)
         for warning in triplet_warnings(sample.triplet, scene, sample.line)
     ]
-    reports = verify_route(sample.triplet.steps, scene, default_start_pose(scene))
+    reports = verify_route(sample.triplet.steps, scene, start)
     for report in reports:
         if report.verdict == "ok":
             continue
@@ -190,11 +169,20 @@ def validate_sample(
 
 
 def validate_dataset(dataset_dir: str | Path) -> list[ValidationFinding]:
-    """Validate every sample; findings come back ordered by sample key."""
+    """Validate every sample; findings come back ordered by sample key.
+
+    Routes start from each scene's default start pose, found once per scene,
+    at its first sample.
+    """
     samples, scenes = load_dataset(dataset_dir)
+    starts: dict[str, AgentPose] = {}
     findings: list[ValidationFinding] = []
     for sample in sorted(samples, key=lambda s: s.key):
-        findings.extend(validate_sample(sample, scenes[sample.triplet.scene_id]))
+        scene_id = sample.triplet.scene_id
+        scene = scenes[scene_id]
+        if scene_id not in starts:
+            starts[scene_id] = default_start_pose(scene)
+        findings.extend(validate_sample(sample, scene, starts[scene_id]))
     return findings
 
 
@@ -204,8 +192,11 @@ def _sample_word_count(triplet: InstructionPlanTriplet) -> int:
 
 def compute_stats(
     samples: list[DatasetSample], scenes: dict[str, SceneModel]
-) -> DatasetStats:
-    """Corpus composition over loaded samples.
+) -> dict:
+    """Dataset composition over loaded samples, as the ``stats`` command prints it.
+
+    Step-histogram keys are step counts as strings; every histogram is
+    in ascending key order.
 
     Verbs count route-clause heads; actions pair the first token of each
     non-route fragment with the first scene category it names.
@@ -234,19 +225,22 @@ def compute_stats(
                 if tokens and spans:
                     action_object[(tokens[0], spans[0][1])] += 1
     n = len(samples)
-    return DatasetStats(
-        scene_count=len(scene_ids),
-        sample_count=n,
-        instructions_per_scene=n / len(scene_ids),
-        mean_steps=total_steps / n,
-        mean_words=total_words / n,
-        step_histogram={count: c / n for count, c in step_counts.items()},
-        verb_histogram=dict(verb_histogram),
-        action_object_histogram=dict(action_object),
-    )
+    return {
+        "scene_count": len(scene_ids),
+        "sample_count": n,
+        "instructions_per_scene": n / len(scene_ids),
+        "mean_steps": total_steps / n,
+        "mean_words": total_words / n,
+        "step_histogram": {str(k): c / n for k, c in sorted(step_counts.items())},
+        "verb_histogram": dict(sorted(verb_histogram.items())),
+        "action_object_histogram": [
+            {"action": action, "object": obj, "count": count}
+            for (action, obj), count in sorted(action_object.items())
+        ],
+    }
 
 
-def dataset_stats(dataset_dir: str | Path) -> DatasetStats:
+def dataset_stats(dataset_dir: str | Path) -> dict:
     samples, scenes = load_dataset(dataset_dir)
     return compute_stats(samples, scenes)
 

@@ -153,6 +153,8 @@ def run_episode(
         )
         try:
             raw = generator(request)
+            if not isinstance(raw, str):
+                raise TypeError(f"reply is {type(raw).__name__}, not str")
         except Exception as exc:
             raise EpisodeError(
                 f"generator failed at step {step_index}: {exc}", partial()

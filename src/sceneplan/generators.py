@@ -57,21 +57,6 @@ class MalformedReplyError(LlmError):
     """The endpoint answered 200 with a body the client cannot read."""
 
 
-@dataclass(frozen=True)
-class LlmEndpointConfig:
-    base_url: str
-    model_name: str
-    api_key_env: str = DEFAULT_API_KEY_ENV
-    timeout: float = 30.0
-    max_retries: int = 3
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.timeout) and self.timeout > 0):
-            raise ValueError("timeout must be positive and finite")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-
-
 class LlmClient:
     """Chat-completions client usable as a step generator.
 
@@ -83,14 +68,27 @@ class LlmClient:
 
     def __init__(
         self,
-        config: LlmEndpointConfig,
+        *,
+        base_url: str,
+        model_name: str,
+        api_key_env: str = DEFAULT_API_KEY_ENV,
+        timeout: float = 30.0,
+        max_retries: int = 3,
         max_in_flight: int = DEFAULT_IN_FLIGHT_LIMIT,
         sleep: Callable[[float], None] = time.sleep,
         rng: random.Random | None = None,
     ):
+        if not (math.isfinite(timeout) and timeout > 0):
+            raise ValueError("timeout must be positive and finite")
+        if max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
-        self.config = config
+        self.base_url = base_url
+        self.model_name = model_name
+        self.api_key_env = api_key_env
+        self.timeout = timeout
+        self.max_retries = max_retries
         # The HTTP stack (urllib.request, http.client, ssl, email) takes
         # tens of milliseconds to import, so only a client loads it.
         import urllib.request
@@ -111,25 +109,25 @@ class LlmClient:
         import http.client
         import urllib.request
 
-        api_key = os.environ.get(self.config.api_key_env)
+        api_key = os.environ.get(self.api_key_env)
         if not api_key:
             raise AuthError(
-                f"environment variable {self.config.api_key_env} is not set"
+                f"environment variable {self.api_key_env} is not set"
             )
         if any(c in "\r\n" or ord(c) > 0xFF for c in api_key):
             raise AuthError(
-                f"environment variable {self.config.api_key_env} holds a key"
+                f"environment variable {self.api_key_env} holds a key"
                 " that cannot be sent in an HTTP header"
             )
-        url = self.config.base_url.rstrip("/") + "/chat/completions"
+        url = self.base_url.rstrip("/") + "/chat/completions"
         try:
             scheme = urllib.parse.urlsplit(url).scheme
         except ValueError as exc:
-            raise LlmError(f"endpoint is not a valid URL: {self.config.base_url!r}") from exc
+            raise LlmError(f"endpoint is not a valid URL: {self.base_url!r}") from exc
         if scheme not in ("http", "https"):
-            raise LlmError(f"endpoint must be an http or https URL: {self.config.base_url!r}")
+            raise LlmError(f"endpoint must be an http or https URL: {self.base_url!r}")
         body = {
-            "model": self.config.model_name,
+            "model": self.model_name,
             "temperature": TEMPERATURE,
             "messages": [
                 {"role": "system", "content": request.system_context},
@@ -142,7 +140,7 @@ class LlmClient:
             headers={"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"},
             method="POST",
         )
-        attempts = self.config.max_retries + 1
+        attempts = self.max_retries + 1
         last_failure = ""
         for attempt in range(attempts):
             if attempt > 0:
@@ -175,7 +173,7 @@ class LlmClient:
         import urllib.error
 
         try:
-            return self._opener.open(post, timeout=self.config.timeout)
+            return self._opener.open(post, timeout=self.timeout)
         except urllib.error.HTTPError as error:
             return error
 

@@ -20,14 +20,6 @@ DEFAULT_K = 2
 DEFAULT_MODULATION_WEIGHT = 2.0
 NEAR_DISTANCE = 0.15  # meters; closer than this overrides axis-based kinds
 
-@dataclass(frozen=True)
-class SpatialRelation:
-    """Relation kind plus exact Euclidean centroid distance in meters."""
-
-    kind: str
-    distance: float
-
-
 @dataclass
 class GraphNode:
     object: ObjectInstance
@@ -36,7 +28,10 @@ class GraphNode:
 
 @dataclass
 class GraphEdge:
-    relation: SpatialRelation
+    """Relation kind of dst relative to src, exact centroid distance in meters, weight."""
+
+    kind: str
+    distance: float
     weight: float = 1.0
 
 
@@ -63,7 +58,7 @@ class SceneGraph:
         prefixes = {node_id: label + " (w=" for node_id, label in labels.items()}
         edge_lines = {
             node_id: "".join(
-                f"\n{label} {edge.relation.kind} {labels[dst]}"
+                f"\n{label} {edge.kind} {labels[dst]}"
                 for dst, edge in self.edges[node_id].items()
             )
             for node_id, label in labels.items()
@@ -81,10 +76,11 @@ class ModulationRecord:
     touched_edges: frozenset[tuple[int, int]]
 
 
-def classify_relation(a: ObjectInstance, b: ObjectInstance) -> SpatialRelation:
-    """Where ``b`` sits relative to ``a``, by dominant centroid-difference axis.
+def classify_relation(a: ObjectInstance, b: ObjectInstance) -> tuple[str, float]:
+    """(kind, distance) of ``b`` relative to ``a``: the dominant centroid-difference axis.
 
-    Scene coordinates: +x right, +y front, +z up.  Anything closer than
+    The distance is the exact Euclidean centroid distance in meters.  Scene
+    coordinates: +x right, +y front, +z up.  Anything closer than
     ``NEAR_DISTANCE`` is "near" regardless of direction; identical centroids
     are "near" at distance 0.
     """
@@ -93,7 +89,7 @@ def classify_relation(a: ObjectInstance, b: ObjectInstance) -> SpatialRelation:
     dz = b.centroid[2] - a.centroid[2]
     distance = math.sqrt(dx * dx + dy * dy + dz * dz)
     if distance < NEAR_DISTANCE:
-        return SpatialRelation("near", distance)
+        return "near", distance
     ax, ay, az = abs(dx), abs(dy), abs(dz)
     if ax >= ay and ax >= az:
         kind = "right-of" if dx > 0 else "left-of"
@@ -101,7 +97,7 @@ def classify_relation(a: ObjectInstance, b: ObjectInstance) -> SpatialRelation:
         kind = "in-front-of" if dy > 0 else "behind"
     else:
         kind = "above" if dz > 0 else "below"
-    return SpatialRelation(kind, distance)
+    return kind, distance
 
 
 def knn_ids(scene: SceneModel, k: int) -> dict[int, list[int]]:
@@ -171,7 +167,7 @@ def build_graph(scene: SceneModel, k: int = DEFAULT_K) -> SceneGraph:
     by_id = scene.objects_by_id
     nodes = {obj.id: GraphNode(object=obj) for obj in scene.objects}
     edges = {
-        src: {dst: GraphEdge(classify_relation(by_id[src], by_id[dst])) for dst in sorted(dsts)}
+        src: {dst: GraphEdge(*classify_relation(by_id[src], by_id[dst])) for dst in sorted(dsts)}
         for src, dsts in knn_ids(scene, k).items()
     }
     return SceneGraph(nodes=nodes, edges=edges, k=k)
@@ -252,9 +248,9 @@ def graph_to_dict(graph: SceneGraph) -> dict:
             {
                 "src": src,
                 "dst": dst,
-                "kind": edge.relation.kind,
+                "kind": edge.kind,
                 "weight": edge.weight,
-                "distance": edge.relation.distance,
+                "distance": edge.distance,
             }
             for src, out in sorted(graph.edges.items())
             for dst, edge in out.items()

@@ -15,9 +15,9 @@ Everything here is a pure function; scoring the same pairs twice is
 bit-identical.
 
 Each corpus counts its n-grams once, for BLEU and CIDEr together, into an
-``NgramTable`` keyed by integers.  ``evaluate_pairs`` scores a ``Corpus``,
-which keeps its table only until scoring returns; ``bleu`` and ``cider``
-given a plain list build the table for that one call.
+``NgramTable`` keyed by integers: ``bleu`` and ``cider`` read the table,
+``rouge_l`` and ``meteor`` the pairs.  ``evaluate_pairs`` builds the table
+once per call and keeps it only until scoring returns.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import re
 from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, compress, count, repeat
 from operator import add, mul
 
@@ -60,7 +59,7 @@ class TokenizedPair:
 
 
 class NgramTable:
-    """Every n-gram count that BLEU and CIDEr read, for one corpus of pairs.
+    """Every n-gram count and length that BLEU and CIDEr read, for one corpus of pairs.
 
     Each distinct token of the corpus gets a dense id from 1 to V, and an
     order-n gram's key is its ids read as base-(V + 1) digits, so the
@@ -72,6 +71,11 @@ class NgramTable:
         texts = [text for pair in pairs for text in (pair.candidate, *pair.references)]
         ids = dict(zip(dict.fromkeys(chain.from_iterable(texts)), count(1)))
         base = len(ids) + 1
+        self.pair_count = len(pairs)
+        # Summed over the corpus for BLEU's brevity penalty: candidate lengths,
+        # and each pair's closest reference length, ties to the shorter.
+        self.candidate_length = 0
+        self.reference_length = 0
         # Per order, summed over the corpus: candidate grams, each capped at
         # its largest count in one reference, and all candidate grams.
         self.clipped = [0] * _MAX_ORDER
@@ -81,6 +85,11 @@ class NgramTable:
         # Per pair, per order: the candidate's Counter and its references'.
         self.term_frequency: list[list[tuple[Counter, tuple[Counter, ...]]]] = []
         for pair in pairs:
+            length = len(pair.candidate)
+            self.candidate_length += length
+            self.reference_length += min(
+                (len(r) for r in pair.references), key=lambda r: (abs(r - length), r)
+            )
             candidate = _gram_counts(pair.candidate, ids, base)
             by_order = list(zip(
                 candidate, zip(*(_gram_counts(ref, ids, base) for ref in pair.references))
@@ -97,24 +106,8 @@ class NgramTable:
                     if most > 1:
                         clipped += min(grams[gram], most) - 1
                 self.clipped[order] += clipped
-                self.total[order] += max(0, len(pair.candidate) - order)
+                self.total[order] += max(0, length - order)
             self.term_frequency.append(by_order)
-
-
-class Corpus(tuple):
-    """The pairs of one scoring run, with their ``NgramTable`` built on first use.
-
-    ``evaluate_pairs`` hands one to every metric, so BLEU and CIDEr read one
-    table, and the table goes when the corpus does.
-    """
-
-    @cached_property
-    def ngram_table(self) -> NgramTable:
-        return NgramTable(self)
-
-
-def _ngram_table(pairs: Sequence[TokenizedPair]) -> NgramTable:
-    return pairs.ngram_table if isinstance(pairs, Corpus) else NgramTable(pairs)
 
 
 def pair_from_text(candidate: str, references: list[str] | tuple[str, ...]) -> TokenizedPair:
@@ -122,30 +115,6 @@ def pair_from_text(candidate: str, references: list[str] | tuple[str, ...]) -> T
         candidate=tuple(tokenize(candidate)),
         references=tuple(tuple(tokenize(r)) for r in references),
     )
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    bleu: tuple[float, float, float, float]
-    rouge_l: float
-    meteor: float
-    cider: float
-    pair_count: int
-
-    def to_dict(self) -> dict:
-        return {
-            "bleu": list(self.bleu),
-            "rouge_l": self.rouge_l,
-            "meteor": self.meteor,
-            "cider": self.cider,
-            "pair_count": self.pair_count,
-            "variants": {
-                "bleu": "corpus-level, no smoothing",
-                "rouge_l": f"LCS F-score, beta={ROUGE_BETA}",
-                "meteor": "METEOR-es (exact + Porter stem stages)",
-                "cider": "no length penalty, idf=log(N/(1+df))",
-            },
-        }
 
 
 def _gram_counts(tokens: tuple[str, ...], ids: dict[str, int], base: int) -> list[Counter]:
@@ -160,18 +129,12 @@ def _gram_counts(tokens: tuple[str, ...], ids: dict[str, int], base: int) -> lis
     return counts
 
 
-def bleu(pairs: Sequence[TokenizedPair], max_n: int) -> float:
-    """Corpus BLEU with clipped modified precision and brevity penalty.
-
-    Given a plain sequence of pairs, every call counts the n-grams of the
-    whole corpus into a new :class:`NgramTable`.  Pass ``Corpus(pairs)`` to
-    count them once for every BLEU order and :func:`cider`.
-    """
-    if not pairs:
+def bleu(table: NgramTable, max_n: int) -> float:
+    """BLEU over the table's corpus: clipped modified precision and brevity penalty."""
+    if not table.pair_count:
         raise ValueError("bleu requires at least one pair")
     if not 1 <= max_n <= 4:
         raise ValueError("max_n must be in 1..4")
-    table = _ngram_table(pairs)
     log_precision_sum = 0.0
     for order in range(max_n):
         clipped = table.clipped[order]
@@ -179,17 +142,9 @@ def bleu(pairs: Sequence[TokenizedPair], max_n: int) -> float:
         if clipped == 0 or total == 0:
             return 0.0
         log_precision_sum += math.log(clipped / total)
-    candidate_length = sum(len(p.candidate) for p in pairs)
-    reference_length = 0
-    for pair in pairs:
-        # Closest reference length; ties go to the shorter reference.
-        reference_length += min(
-            (len(r) for r in pair.references),
-            key=lambda length: (abs(length - len(pair.candidate)), length),
-        )
-    if candidate_length == 0:
+    if table.candidate_length == 0:
         return 0.0
-    brevity = math.exp(min(0.0, 1.0 - reference_length / candidate_length))
+    brevity = math.exp(min(0.0, 1.0 - table.reference_length / table.candidate_length))
     return brevity * math.exp(log_precision_sum / max_n)
 
 
@@ -319,17 +274,11 @@ def meteor(pairs: Sequence[TokenizedPair]) -> float:
     ) / len(pairs)
 
 
-def cider(pairs: Sequence[TokenizedPair]) -> float:
-    """TF-IDF n-gram cosine consensus, scaled by 10 and averaged over n = 1..4.
-
-    Given a plain sequence of pairs, every call counts the n-grams of the
-    whole corpus into a new :class:`NgramTable`.  Pass ``Corpus(pairs)`` to
-    count them once for :func:`bleu` and CIDEr.
-    """
-    if len(pairs) < 2:
+def cider(table: NgramTable) -> float:
+    """TF-IDF n-gram cosine consensus, scaled by 10 and averaged over n = 1..4."""
+    n_pairs = table.pair_count
+    if n_pairs < 2:
         raise ValueError("cider requires at least 2 pairs (idf needs a corpus)")
-    table = _ngram_table(pairs)
-    n_pairs = len(pairs)
     # A gram's idf depends only on its document frequency: one log per value.
     idf_of_df = [math.log(n_pairs / (1 + df)) for df in range(n_pairs + 1)]
     idf_by_n = [
@@ -366,15 +315,21 @@ def cider(pairs: Sequence[TokenizedPair]) -> float:
     return total / n_pairs
 
 
-def evaluate_pairs(pairs: Sequence[TokenizedPair]) -> MetricReport:
-    """Score all metric families over one corpus of pairs."""
+def evaluate_pairs(pairs: Sequence[TokenizedPair]) -> dict:
+    """Score all metric families over one corpus of pairs, with the variant names."""
     if not pairs:
         raise ValueError("evaluate_pairs requires at least one pair")
-    corpus = Corpus(pairs)
-    return MetricReport(
-        bleu=tuple(bleu(corpus, n) for n in range(1, 5)),
-        rouge_l=rouge_l(corpus),
-        meteor=meteor(corpus),
-        cider=cider(corpus),
-        pair_count=len(corpus),
-    )
+    table = NgramTable(pairs)
+    return {
+        "bleu": [bleu(table, n) for n in range(1, 5)],
+        "rouge_l": rouge_l(pairs),
+        "meteor": meteor(pairs),
+        "cider": cider(table),
+        "pair_count": len(pairs),
+        "variants": {
+            "bleu": "corpus-level, no smoothing",
+            "rouge_l": f"LCS F-score, beta={ROUGE_BETA}",
+            "meteor": "METEOR-es (exact + Porter stem stages)",
+            "cider": "no length penalty, idf=log(N/(1+df))",
+        },
+    }

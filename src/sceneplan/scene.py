@@ -77,7 +77,7 @@ class ObjectInstance:
 
 @dataclass(frozen=True)
 class OccupancyGrid:
-    """2D ground-plane discretization; ``blocked`` is row-major, True = blocked.
+    """2D ground-plane discretization; ``blocked`` is row-major, 1 = blocked, 0 = free.
 
     Cell (row, col) spans world x in [origin_x + col*cell, origin_x + (col+1)*cell]
     and world y in [origin_y + row*cell, origin_y + (row+1)*cell].
@@ -87,12 +87,12 @@ class OccupancyGrid:
     origin: tuple[float, float]
     rows: int
     cols: int
-    blocked: tuple[bool, ...]
+    blocked: bytes
 
     def in_bounds(self, row: int, col: int) -> bool:
         return 0 <= row < self.rows and 0 <= col < self.cols
 
-    def is_blocked(self, row: int, col: int) -> bool:
+    def is_blocked(self, row: int, col: int) -> int:
         return self.blocked[row * self.cols + col]
 
     def is_free(self, row: int, col: int) -> bool:
@@ -138,7 +138,7 @@ class OccupancyGrid:
         serialization still see only the grid.
         """
         cols = self.cols
-        cells = bytes(self.blocked)  # 0 = free, 1 = blocked
+        cells = self.blocked
         parent: list[int] = []  # union-find forest over runs; a root is its tree's first run
         spans: list[tuple[int, int]] = []  # (start, end) cell indices of each run
         above: list[int] = []  # start col, end col, run, ... of the row above's runs
@@ -390,10 +390,10 @@ def _parse_occupancy(raw: object) -> OccupancyGrid:
         raise SceneFormatError(f"{where}.blocked: expected {rows * cols} flags")
     try:
         # bytes() takes ints in 0..255, booleans among them, and nothing else.
-        flags_ok = not bytes(blocked_raw).translate(None, b"\x00\x01")
+        blocked = bytes(blocked_raw)
     except (TypeError, ValueError):
-        flags_ok = False
-    if not flags_ok:
+        blocked = None
+    if blocked is None or blocked.translate(None, b"\x00\x01"):
         bad = next(i for i, flag in enumerate(blocked_raw)
                    if type(flag) not in (int, bool) or flag not in (0, 1))
         raise SceneFormatError(f"{where}.blocked[{bad}]: expected 0, 1, true or false")
@@ -402,7 +402,7 @@ def _parse_occupancy(raw: object) -> OccupancyGrid:
         origin=origin,  # type: ignore[arg-type]
         rows=rows,
         cols=cols,
-        blocked=tuple(map(bool, blocked_raw)),
+        blocked=blocked,
     )
 
 
@@ -485,7 +485,7 @@ def scene_to_dict(scene: SceneModel) -> dict:
             "origin": list(g.origin),
             "rows": g.rows,
             "cols": g.cols,
-            "blocked": [1 if b else 0 for b in g.blocked],
+            "blocked": list(g.blocked),
         }
     return out
 

@@ -94,7 +94,7 @@ def make_random_grid_scene(seed: int) -> SceneModel | None:
         aabb=Aabb((xmin, ymin, 0.0), (xmax, ymax, 0.8)),
     )
     grid = OccupancyGrid(
-        cell_size=cell, origin=(0.0, 0.0), rows=rows, cols=cols, blocked=tuple(blocked)
+        cell_size=cell, origin=(0.0, 0.0), rows=rows, cols=cols, blocked=bytes(blocked)
     )
     scene = SceneModel(
         scene_id=f"grid-{seed}",

@@ -63,7 +63,7 @@ def oracle_serialize_for_prompt(objects, k: int, weights: dict[int, float]) -> s
     lines = [f"{by_id[i].category}#{i} (w={weights[i]:g})" for i in order]
     for i in order:
         for j in sorted(knn[i]):
-            kind = classify_relation(by_id[i], by_id[j]).kind
+            kind, _ = classify_relation(by_id[i], by_id[j])
             lines.append(f"{by_id[i].category}#{i} {kind} {by_id[j].category}#{j}")
     return "\n".join(lines)
 

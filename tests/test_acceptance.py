@@ -24,7 +24,6 @@ from sceneplan.engine import END_TOKEN, GeneratorRequest, render_history_prompt,
 from sceneplan.generators import (
     AuthError,
     LlmClient,
-    LlmEndpointConfig,
     MalformedReplyError,
 )
 from sceneplan.graph import build_graph, knn_ids, modulate
@@ -84,27 +83,27 @@ def test_metrics_reproduce_the_golden_corpus(announce):
         report = evaluate_pairs(pairs)
         elapsed = time.perf_counter() - started
         expected = golden["expected"]
-        for got, want in zip(report.bleu, expected["bleu"]):
+        for got, want in zip(report["bleu"], expected["bleu"]):
             assert got == pytest.approx(want, abs=TOL)
-        assert report.rouge_l == pytest.approx(expected["rouge_l"], abs=TOL)
-        assert report.meteor == pytest.approx(expected["meteor"], abs=TOL)
-        assert report.cider == pytest.approx(expected["cider"], abs=TOL)
+        assert report["rouge_l"] == pytest.approx(expected["rouge_l"], abs=TOL)
+        assert report["meteor"] == pytest.approx(expected["meteor"], abs=TOL)
+        assert report["cider"] == pytest.approx(expected["cider"], abs=TOL)
         assert elapsed < 1.0
 
         texts = [e["candidate"] for e in golden["pairs"]]
         identity = evaluate_pairs([pair_from_text(t, [t]) for t in texts])
-        assert all(score == 1.0 for score in identity.bleu)
-        assert identity.rouge_l == 1.0
+        assert all(score == 1.0 for score in identity["bleu"])
+        assert identity["rouge_l"] == 1.0
         disjoint = evaluate_pairs(
             [
                 pair_from_text("alpha beta gamma delta", ["one two three four"]),
                 pair_from_text("epsilon zeta eta theta", ["five six seven eight"]),
             ]
         )
-        assert all(score == 0.0 for score in disjoint.bleu)
-        assert disjoint.rouge_l == 0.0
-        assert disjoint.meteor == 0.0
-        assert disjoint.cider == 0.0
+        assert all(score == 0.0 for score in disjoint["bleu"])
+        assert disjoint["rouge_l"] == 0.0
+        assert disjoint["meteor"] == 0.0
+        assert disjoint["cider"] == 0.0
 
 
 def test_modulation_scales_exactly_the_mentioned_neighborhood(announce):
@@ -290,7 +289,7 @@ def test_stats_match_exact_rational_arithmetic(announce, tmp_path):
         n = len(records)
 
         mean_steps = Fraction(sum(len(r["steps"]) for r in records), n)
-        assert abs(stats.mean_steps - mean_steps) <= TOL
+        assert abs(stats["mean_steps"] - mean_steps) <= TOL
 
         def words(record):
             return len(record["activity"].split()) + sum(
@@ -298,18 +297,18 @@ def test_stats_match_exact_rational_arithmetic(announce, tmp_path):
             )
 
         mean_words = Fraction(sum(words(r) for r in records), n)
-        assert abs(stats.mean_words - mean_words) <= TOL
+        assert abs(stats["mean_words"] - mean_words) <= TOL
 
         scene_ids = {r["scene_id"] for r in records}
-        assert abs(stats.instructions_per_scene - Fraction(n, len(scene_ids))) <= TOL
-        assert stats.sample_count == n
-        assert stats.scene_count == len(scene_ids)
+        assert abs(stats["instructions_per_scene"] - Fraction(n, len(scene_ids))) <= TOL
+        assert stats["sample_count"] == n
+        assert stats["scene_count"] == len(scene_ids)
 
-        histogram = Counter(len(r["steps"]) for r in records)
-        assert set(stats.step_histogram) == set(histogram)
-        for count, share in stats.step_histogram.items():
+        histogram = Counter(str(len(r["steps"])) for r in records)
+        assert set(stats["step_histogram"]) == set(histogram)
+        for count, share in stats["step_histogram"].items():
             assert abs(share - Fraction(histogram[count], n)) <= TOL
-        assert sum(stats.verb_histogram.values()) > 0
+        assert sum(stats["verb_histogram"].values()) > 0
 
 
 def test_plan_output_is_byte_reproducible(announce, capsys):
@@ -337,7 +336,8 @@ def test_llm_client_survives_a_flaky_endpoint(announce, monkeypatch):
 
         def client_for(stub):
             return LlmClient(
-                LlmEndpointConfig(base_url=stub.base_url, model_name="stub-model"),
+                base_url=stub.base_url,
+                model_name="stub-model",
                 sleep=lambda _: None,
                 rng=Random(0),
             )

@@ -10,16 +10,18 @@ import math
 import string
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sceneplan import cli
+from sceneplan import cli, route
 from sceneplan.cli import _emit, build_parser, main
-from sceneplan.route import default_start_pose
+from sceneplan.route import adjacent_free_cells, default_start_pose
 from sceneplan.scene import load_scene
 from tests.conftest import FIXTURES, run_python
+from tests.oracles import oracle_bfs_length, oracle_nearest_free_cell
 from tests.dataset_builder import build_clean_dataset, build_faulty_dataset
 
 KITCHEN = str(FIXTURES / "kitchen.json")
@@ -1057,3 +1059,160 @@ class TestFuzzedInputs:
             self._check(
                 *_run_isolated(["evaluate", "--predictions", str(preds), "--references", str(refs)])
             )
+
+
+# Heading 0 faces +y and a left turn adds 90 degrees; "walk forward"
+# advances 1 m along the heading, through furniture and walls alike.
+_FORWARD = {0: (0.0, 1.0), 90: (-1.0, 0.0), 180: (0.0, -1.0), 270: (1.0, 0.0)}
+_TURNS = {"Turn 90 degrees left": 90, "Turn 90 degrees right": -90}
+_STEP_FORMS = (
+    "Walk to the {}.",
+    "Walk forward and walk to the {}.",
+    "Turn 90 degrees left and walk forward and walk to the {}.",
+    "Turn 90 degrees right and walk forward and walk forward and walk to the {}.",
+)
+
+
+@st.composite
+def _route_worlds(draw) -> tuple[dict, list[dict], tuple[float, float, int]]:
+    """A grid scene split by a wall, two or more crates in it, triplets and a start pose.
+
+    Each step names one target, after turns and 1 m moves that can leave the
+    pose inside furniture or across the wall.  Crates on either side of the
+    wall make the nearest crate, and whether it is reachable, change along a
+    route.
+    """
+    rows, cols = draw(st.integers(6, 12)), draw(st.integers(6, 12))
+    cell = 0.5
+    n = rows * cols
+    flags = draw(st.lists(st.sampled_from([0] * 6 + [1]), min_size=n, max_size=n))
+    gap = draw(st.none() | st.integers(0, max(rows, cols) - 1))
+    if draw(st.booleans()):
+        wall = draw(st.integers(1, cols - 2))
+        for row in range(rows):
+            flags[row * cols + wall] = int(row != gap)
+    else:
+        wall = draw(st.integers(1, rows - 2))
+        for col in range(cols):
+            flags[wall * cols + col] = int(col != gap)
+    objects = []
+    for oid in range(draw(st.integers(2, 4))):
+        category = "crate" if oid < 2 else draw(st.sampled_from(["crate", "barrel"]))
+        height, width = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        r0, c0 = draw(st.integers(0, rows - height)), draw(st.integers(0, cols - width))
+        for row in range(r0, r0 + height):
+            for col in range(c0, c0 + width):
+                flags[row * cols + col] = 1
+        low = [c0 * cell + 0.1, r0 * cell + 0.1]
+        high = [(c0 + width) * cell - 0.1, (r0 + height) * cell - 0.1]
+        objects.append({
+            "id": oid,
+            "category": category,
+            "centroid": [(low[0] + high[0]) / 2, (low[1] + high[1]) / 2, 0.4],
+            "aabb": {"min": low + [0.0], "max": high + [0.8]},
+        })
+    scene = {
+        "scene_id": "walled",
+        "objects": objects,
+        "occupancy": {
+            "cell_size": cell, "origin": [0.0, 0.0], "rows": rows, "cols": cols, "blocked": flags,
+        },
+    }
+    categories = sorted({obj["category"] for obj in objects})
+    records = []
+    for _ in range(draw(st.integers(1, 4))):
+        texts = draw(st.lists(
+            st.builds(str.format, st.sampled_from(_STEP_FORMS), st.sampled_from(categories)),
+            min_size=1, max_size=4,
+        ))
+        records.append({
+            "scene_id": "walled",
+            "instruction": "tidy up",
+            "activity": "tidy up the room",
+            "steps": [
+                {"index": i, "text": text, "is_final": i == len(texts)}
+                for i, text in enumerate(texts, 1)
+            ],
+        })
+    x = draw(st.floats(-0.5, cols * cell + 0.5))
+    y = draw(st.floats(-0.5, rows * cell + 0.5))
+    heading = draw(st.sampled_from(sorted(_FORWARD)))
+    return scene, records, (x, y, heading)
+
+
+class TestRouteCheckAgainstOracles:
+    """``route-check`` verdicts and start cells, recomputed from the oracles alone."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(world=_route_worlds())
+    def test_verdicts_and_start_cells_match_the_oracles(self, world):
+        scene_data, records, (x, y, start_heading) = world
+        judged = []
+        real_nearest_free_cell = route.nearest_free_cell
+
+        def recording_nearest_free_cell(grid, position):
+            cell = real_nearest_free_cell(grid, position)
+            judged.append((position, cell))
+            return cell
+
+        with tempfile.TemporaryDirectory() as tmp:
+            scene_path = Path(tmp) / "scene.json"
+            triplets = Path(tmp) / "triplets.jsonl"
+            scene_path.write_text(json.dumps(scene_data), encoding="utf-8")
+            triplets.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+            with mock.patch.object(route, "nearest_free_cell", recording_nearest_free_cell):
+                code, out, _ = _run_isolated(
+                    ["route-check", "--scene", str(scene_path), "--triplets", str(triplets),
+                     f"--start-x={x!r}", f"--start-y={y!r}", f"--start-heading={start_heading}"]
+                )
+            # A scene no command has touched: no memo, no component labels.
+            fresh = load_scene(scene_path)
+        grid = fresh.occupancy
+        free = {
+            (row, col)
+            for row in range(grid.rows)
+            for col in range(grid.cols)
+            if not grid.blocked[row * grid.cols + col]
+        }
+        payload = json.loads(out)
+        expected_judged = []
+        all_ok = True
+        assert len(payload["routes"]) == len(records)
+        for route_out, record in zip(payload["routes"], records):
+            pose, heading = (x, y), start_heading
+            assert len(route_out["reports"]) == len(record["steps"])
+            for report, step in zip(route_out["reports"], record["steps"]):
+                *moves, walk_to = step["text"].rstrip(".").split(" and ")
+                for move in moves:
+                    if move in _TURNS:
+                        heading = (heading + _TURNS[move]) % 360
+                    else:
+                        dx, dy = _FORWARD[heading]
+                        pose = (pose[0] + dx, pose[1] + dy)
+                category = walk_to.split()[-1]  # "crate" or "barrel"
+                target = min(
+                    (obj for obj in fresh.objects if obj.category == category),
+                    key=lambda obj: (math.dist(pose, obj.centroid[:2]), obj.id),
+                )
+                # The pose's cell, clamped to the grid, whose origin is (0, 0).
+                col = int(min(max(pose[0] / grid.cell_size, 0), grid.cols - 1))
+                row = int(min(max(pose[1] / grid.cell_size, 0), grid.rows - 1))
+                start_cell = (row, col)
+                if start_cell not in free:
+                    start_cell = oracle_nearest_free_cell(grid, pose)
+                    expected_judged.append((pose, start_cell))
+                goals = adjacent_free_cells(grid, target.aabb)
+                unreachable = (
+                    start_cell is None or oracle_bfs_length(free, start_cell, goals) is None
+                )
+                assert report["verdict"] == ("unreachable-target" if unreachable else "ok"), (
+                    step["text"], pose, start_cell, target.id
+                )
+                assert report["final_pose"]["heading"] == heading
+                if unreachable:
+                    # The pose stays where the check failed.
+                    assert tuple(report["final_pose"]["position"]) == pose
+                all_ok = all_ok and not unreachable
+                pose = tuple(report["final_pose"]["position"])
+        assert judged == expected_judged
+        assert (code, payload["all_ok"]) == ((0, True) if all_ok else (1, False))

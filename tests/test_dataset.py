@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
+from sceneplan import dataset
 from sceneplan.dataset import (
     DatasetError,
     DatasetSample,
@@ -19,6 +21,7 @@ from sceneplan.dataset import (
     validate_dataset,
     validate_sample,
 )
+from sceneplan.route import default_start_pose
 from sceneplan.scene import InstructionPlanTriplet, PlanStep
 from tests.dataset_builder import build_clean_dataset, build_faulty_dataset
 
@@ -126,6 +129,40 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match=r"train\.jsonl:1: (scene|sample)_id"):
             load_dataset(root)
 
+    @pytest.mark.parametrize(
+        ("train", "val", "drop_ids", "duplicate", "first"),
+        [
+            ([0, 1], [1], False, r"val\.jsonl:1", r"train\.jsonl:2"),
+            ([0, 1, 0], [], False, r"train\.jsonl:3", r"train\.jsonl:1"),
+            # Without sample_id, each file numbers its records from 1.
+            ([0], [1], True, r"val\.jsonl:1", r"train\.jsonl:1"),
+        ],
+        ids=["across-splits", "within-a-split", "default-ids"],
+    )
+    def test_duplicate_key_is_fatal_naming_both_loci(
+        self, tmp_path, clean_dir, train, val, drop_ids, duplicate, first
+    ):
+        clean_root, records = clean_dir
+        if drop_ids:
+            records = [{k: v for k, v in r.items() if k != "sample_id"} for r in records]
+        root = tmp_path / "dupes"
+        (root / "scenes").mkdir(parents=True)
+        (root / "triplets").mkdir()
+        (root / "scenes" / "kitchen-01.json").write_text(
+            (clean_root / "scenes" / "kitchen-01.json").read_text(encoding="utf-8"),
+            encoding="utf-8",
+        )
+        for split, picks in (("train", train), ("val", val)):
+            (root / "triplets" / f"{split}.jsonl").write_text(
+                "".join(json.dumps(records[i]) + "\n" for i in picks), encoding="utf-8"
+            )
+        with pytest.raises(DatasetError) as info:
+            load_dataset(root)
+        assert re.fullmatch(
+            rf".*{duplicate}: duplicate key \('kitchen-01', \d+\), first at .*{first}",
+            str(info.value),
+        )
+
     def test_missing_split_files_fatal(self, tmp_path):
         with pytest.raises(DatasetError, match="no train.jsonl"):
             load_dataset(tmp_path)
@@ -162,7 +199,21 @@ class TestValidation:
         root, _ = clean_dir
         samples, scenes = load_dataset(root)
         sample = samples[0]
-        assert validate_sample(sample, scenes[sample.triplet.scene_id]) == []
+        scene = scenes[sample.triplet.scene_id]
+        assert validate_sample(sample, scene, default_start_pose(scene)) == []
+
+    def test_start_pose_is_found_once_per_scene(self, faulty_dir, monkeypatch):
+        root, _ = faulty_dir
+        expected = validate_dataset(root)
+        calls = []
+
+        def counting_start_pose(scene):
+            calls.append(scene.scene_id)
+            return default_start_pose(scene)
+
+        monkeypatch.setattr(dataset, "default_start_pose", counting_start_pose)
+        assert validate_dataset(root) == expected
+        assert sorted(calls) == ["kitchen-01", "kitchen-02"]
 
     def test_finding_kind_is_constrained(self):
         with pytest.raises(ValueError, match="unknown finding kind"):
@@ -202,18 +253,18 @@ class TestStats:
             _synthetic_sample(4, ["d"] * 5),
         ]
         stats = compute_stats(samples, {"kitchen-01": kitchen})
-        assert stats.step_histogram == {3: 0.5, 4: 0.25, 5: 0.25}
-        assert stats.mean_steps == 3.75
-        assert stats.sample_count == 4
-        assert stats.scene_count == 1
-        assert stats.instructions_per_scene == 4.0
+        assert stats["step_histogram"] == {"3": 0.5, "4": 0.25, "5": 0.25}
+        assert stats["mean_steps"] == 3.75
+        assert stats["sample_count"] == 4
+        assert stats["scene_count"] == 1
+        assert stats["instructions_per_scene"] == 4.0
 
     def test_mean_words_counts_activity_and_steps(self, kitchen):
         sample = _synthetic_sample(
             1, ["walk to the sink", "turn 90 degrees left"], activity="five words are in here"
         )
         stats = compute_stats([sample], {"kitchen-01": kitchen})
-        assert stats.mean_words == 5 + 4 + 4
+        assert stats["mean_words"] == 5 + 4 + 4
 
     def test_verb_histogram_counts_clause_heads(self, kitchen):
         sample = _synthetic_sample(
@@ -224,17 +275,17 @@ class TestStats:
             ],
         )
         stats = compute_stats([sample], {"kitchen-01": kitchen})
-        assert stats.verb_histogram == {"walk": 2, "turn": 1, "go": 1}
+        assert stats["verb_histogram"] == {"walk": 2, "turn": 1, "go": 1}
 
     def test_action_object_pairs_from_non_route_fragments(self, kitchen):
         sample = _synthetic_sample(
             1, ["polish the kitchen counter and grab the mug", "walk to the sink"]
         )
         stats = compute_stats([sample], {"kitchen-01": kitchen})
-        assert stats.action_object_histogram == {
-            ("polish", "kitchen counter"): 1,
-            ("grab", "mug"): 1,
-        }
+        assert stats["action_object_histogram"] == [
+            {"action": "grab", "object": "mug", "count": 1},
+            {"action": "polish", "object": "kitchen counter", "count": 1},
+        ]
 
     def test_stats_match_raw_record_arithmetic(self, faulty_dir):
         root, plan = faulty_dir
@@ -247,17 +298,17 @@ class TestStats:
             + sum(len(s["text"].split()) for s in r["steps"])
             for r in records
         )
-        assert stats.sample_count == n
-        assert stats.scene_count == 2
-        assert stats.mean_steps == pytest.approx(total_steps / n, abs=1e-9)
-        assert stats.mean_words == pytest.approx(total_words / n, abs=1e-9)
+        assert stats["sample_count"] == n
+        assert stats["scene_count"] == 2
+        assert stats["mean_steps"] == pytest.approx(total_steps / n, abs=1e-9)
+        assert stats["mean_words"] == pytest.approx(total_words / n, abs=1e-9)
         counts: dict[int, int] = {}
         for record in records:
             counts[len(record["steps"])] = counts.get(len(record["steps"]), 0) + 1
-        assert stats.step_histogram == pytest.approx(
-            {k: v / n for k, v in counts.items()}, abs=1e-9
+        assert stats["step_histogram"] == pytest.approx(
+            {str(k): v / n for k, v in counts.items()}, abs=1e-9
         )
-        assert sum(stats.step_histogram.values()) == pytest.approx(1.0, abs=1e-12)
+        assert sum(stats["step_histogram"].values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_concatenation_recombines_means(self, kitchen):
         a = [_synthetic_sample(1, ["one two", "three"]), _synthetic_sample(2, ["x"] * 4)]
@@ -266,21 +317,21 @@ class TestStats:
         stats_a = compute_stats(a, scenes)
         stats_b = compute_stats(b, scenes)
         combined = compute_stats(a + b, scenes)
-        n_a, n_b = stats_a.sample_count, stats_b.sample_count
-        assert combined.mean_steps == pytest.approx(
-            (stats_a.mean_steps * n_a + stats_b.mean_steps * n_b) / (n_a + n_b), abs=1e-12
+        n_a, n_b = stats_a["sample_count"], stats_b["sample_count"]
+        assert combined["mean_steps"] == pytest.approx(
+            (stats_a["mean_steps"] * n_a + stats_b["mean_steps"] * n_b) / (n_a + n_b), abs=1e-12
         )
-        assert combined.mean_words == pytest.approx(
-            (stats_a.mean_words * n_a + stats_b.mean_words * n_b) / (n_a + n_b), abs=1e-12
+        assert combined["mean_words"] == pytest.approx(
+            (stats_a["mean_words"] * n_a + stats_b["mean_words"] * n_b) / (n_a + n_b), abs=1e-12
         )
 
     def test_empty_dataset_rejected(self, kitchen):
         with pytest.raises(DatasetError, match="no samples"):
             compute_stats([], {"kitchen-01": kitchen})
 
-    def test_to_dict_is_json_ready(self, faulty_dir):
+    def test_stats_are_json_ready(self, faulty_dir):
         root, _ = faulty_dir
-        out = dataset_stats(root).to_dict()
+        out = dataset_stats(root)
         json.dumps(out)  # must not raise
         assert list(out["step_histogram"]) == sorted(out["step_histogram"])
 

@@ -216,6 +216,18 @@ class TestRunEpisode:
         assert len(partial.steps) == 1
         assert partial.steps[0].text == "Walk to the sink."
 
+    @pytest.mark.parametrize("reply", [None, b"Step 2: Walk to the mug.", 7])
+    def test_non_string_reply_preserves_partial_episode(self, kitchen, reply):
+        def wrong_type(request: GeneratorRequest):
+            return reply if request.step_index == 2 else "Plan. Step 1: Walk to the sink."
+
+        with pytest.raises(EpisodeError, match="step 2: reply is .*, not str") as err:
+            run_episode(kitchen, build_graph(kitchen), "help", wrong_type)
+        partial = err.value.partial
+        assert [step.text for step in partial.steps] == ["Walk to the sink."]
+        assert len(partial.modulations) == 1
+        assert isinstance(err.value.__cause__, TypeError)
+
     def test_config_validation(self, kitchen):
         """Bad settings raise before the generator is first called."""
         generator, requests = _recording(scripted_generator([f"Step 1: go. {END_TOKEN}"]))

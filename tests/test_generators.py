@@ -18,7 +18,6 @@ from sceneplan.generators import (
     ActivityRule,
     AuthError,
     LlmClient,
-    LlmEndpointConfig,
     LlmError,
     MalformedReplyError,
     MissingCategoryError,
@@ -132,14 +131,9 @@ def api_key(monkeypatch):
 
 def _client(stub: StubEndpoint, **kwargs) -> LlmClient:
     sleeps: list[float] = []
-    config = LlmEndpointConfig(
+    client = LlmClient(
         base_url=stub.base_url,
         model_name="stub-model",
-        max_retries=kwargs.pop("max_retries", 3),
-        timeout=kwargs.pop("timeout", 30.0),
-    )
-    client = LlmClient(
-        config,
         sleep=sleeps.append,
         rng=random.Random(0),
         **kwargs,
@@ -221,11 +215,11 @@ class TestLlmClient:
         assert len(stub.requests) == 1
 
     def test_connection_failure_retries_then_raises(self, api_key):
-        config = LlmEndpointConfig(
-            base_url="http://127.0.0.1:9", model_name="stub", max_retries=1, timeout=0.2
-        )
         sleeps: list[float] = []
-        client = LlmClient(config, sleep=sleeps.append, rng=random.Random(0))
+        client = LlmClient(
+            base_url="http://127.0.0.1:9", model_name="stub", max_retries=1, timeout=0.2,
+            sleep=sleeps.append, rng=random.Random(0),
+        )
         with pytest.raises(TransportError, match="transport error"):
             client(REQUEST)
         assert len(sleeps) == 1
@@ -252,9 +246,8 @@ class TestLlmClient:
         reply.parent.mkdir()
         reply.write_text(json.dumps({"choices": [{"message": {"content": "Step 1: ok."}}]}))
         for base_url in (tmp_path.as_uri(), "data:,x", "127.0.0.1:9"):
-            config = LlmEndpointConfig(base_url=base_url, model_name="m")
             sleeps: list[float] = []
-            client = LlmClient(config, sleep=sleeps.append)
+            client = LlmClient(base_url=base_url, model_name="m", sleep=sleeps.append)
             with pytest.raises(LlmError, match="http or https"):
                 client(REQUEST)
             assert sleeps == []
@@ -282,10 +275,9 @@ class TestLlmClient:
 
     @pytest.mark.parametrize("base_url", ["http://[::1", "http://a..b:9", "http://127.0.0.1:9\n"])
     def test_unusable_endpoint_url_fails_without_retry(self, api_key, base_url):
-        config = LlmEndpointConfig(base_url=base_url, model_name="m")
         sleeps: list[float] = []
         with pytest.raises(LlmError, match="valid URL|cannot post") as raised:
-            LlmClient(config, sleep=sleeps.append)(REQUEST)
+            LlmClient(base_url=base_url, model_name="m", sleep=sleeps.append)(REQUEST)
         assert not isinstance(raised.value, TransportError)
         assert sleeps == []
 
@@ -319,19 +311,18 @@ class TestLlmClient:
     def test_config_validation(self):
         for timeout in (0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="timeout"):
-                LlmEndpointConfig(base_url="x", model_name="m", timeout=timeout)
+                LlmClient(base_url="x", model_name="m", timeout=timeout)
         with pytest.raises(ValueError, match="max_retries"):
-            LlmEndpointConfig(base_url="x", model_name="m", max_retries=-1)
-        config = LlmEndpointConfig(base_url="x", model_name="m")
+            LlmClient(base_url="x", model_name="m", max_retries=-1)
         with pytest.raises(ValueError, match="max_in_flight"):
-            LlmClient(config, max_in_flight=0)
+            LlmClient(base_url="x", model_name="m", max_in_flight=0)
 
 
 def test_cli_and_llm_client_import_no_third_party_http_stack():
     script = (
         "import sys, sceneplan.cli\n"
-        "from sceneplan.generators import LlmClient, LlmEndpointConfig\n"
-        "LlmClient(LlmEndpointConfig(base_url='http://127.0.0.1:9', model_name='m'))\n"
+        "from sceneplan.generators import LlmClient\n"
+        "LlmClient(base_url='http://127.0.0.1:9', model_name='m')\n"
         "print(sorted({'requests', 'urllib3'} & set(sys.modules)))\n"
     )
     assert run_python(script).stdout.strip() == "[]"
@@ -344,8 +335,8 @@ def test_cli_import_leaves_the_http_stack_to_the_llm_client():
         "import json, sys, sceneplan.cli\n"
         "stack = {'http.client', 'urllib.request', 'ssl', 'email'}\n"
         "print(json.dumps(sorted(stack & set(sys.modules))))\n"
-        "from sceneplan.generators import LlmClient, LlmEndpointConfig\n"
-        "LlmClient(LlmEndpointConfig(base_url='http://127.0.0.1:9', model_name='m'))\n"
+        "from sceneplan.generators import LlmClient\n"
+        "LlmClient(base_url='http://127.0.0.1:9', model_name='m')\n"
         "print(json.dumps(sorted(stack & set(sys.modules))))\n"
     )
     before, after = map(json.loads, run_python(script).stdout.splitlines())

@@ -77,21 +77,21 @@ class TestRelations:
         ],
     )
     def test_dominant_axis_selects_kind(self, other, kind):
-        assert classify_relation(self.ANCHOR, other).kind == kind
+        assert classify_relation(self.ANCHOR, other)[0] == kind
 
     def test_near_overrides_axis(self):
         other = _at(1, NEAR_DISTANCE * 0.5, 0.0, 0.0)
-        relation = classify_relation(self.ANCHOR, other)
-        assert relation.kind == "near"
-        assert relation.distance == pytest.approx(NEAR_DISTANCE * 0.5)
+        kind, distance = classify_relation(self.ANCHOR, other)
+        assert kind == "near"
+        assert distance == pytest.approx(NEAR_DISTANCE * 0.5)
 
     def test_identical_centroids_are_near(self):
-        assert classify_relation(self.ANCHOR, _at(1, 0.0, 0.0, 0.0)).kind == "near"
+        assert classify_relation(self.ANCHOR, _at(1, 0.0, 0.0, 0.0)) == ("near", 0.0)
 
     def test_opposite_kinds_are_symmetric(self):
         a, b = self.ANCHOR, _at(1, 3.0, 0.0, 0.0)
-        assert classify_relation(a, b).kind == "right-of"
-        assert classify_relation(b, a).kind == "left-of"
+        assert classify_relation(a, b)[0] == "right-of"
+        assert classify_relation(b, a)[0] == "left-of"
 
 
 class TestKnnConstruction:
@@ -146,8 +146,8 @@ class TestKnnConstruction:
             "pair", (_at(0, 0.0, 0.0, 0.0), _at(1, 2.0, 0.0, 0.0)), category_vocab_size=1
         )
         graph = build_graph(scene, k=1)
-        assert graph.edges[0][1].relation.kind == "right-of"
-        assert graph.edges[1][0].relation.kind == "left-of"
+        assert graph.edges[0][1].kind == "right-of"
+        assert graph.edges[1][0].kind == "left-of"
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(scene=_knn_layouts(), k=st.integers(1, 5))
@@ -310,14 +310,14 @@ class TestOracleAgreement:
             )
             edges = []
             for i, j in sorted(edge_weights):
-                relation = classify_relation(by_id[i], by_id[j])
+                kind, distance = classify_relation(by_id[i], by_id[j])
                 edges.append(
                     {
                         "src": i,
                         "dst": j,
-                        "kind": relation.kind,
+                        "kind": kind,
                         "weight": edge_weights[(i, j)],
-                        "distance": relation.distance,
+                        "distance": distance,
                     }
                 )
             nodes = [

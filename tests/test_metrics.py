@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from sceneplan import metrics
 from sceneplan.metrics import (
-    MetricReport,
+    NgramTable,
     TokenizedPair,
     align_unigrams,
     bleu,
@@ -92,7 +92,7 @@ class TestTokenize:
 class TestPinnedExamples:
     def test_bleu1_clipping(self):
         pair = _pair("the the the the", "the cat sat down")
-        assert bleu([pair], 1) == pytest.approx(0.25, abs=1e-12)
+        assert bleu(NgramTable([pair]), 1) == pytest.approx(0.25, abs=1e-12)
 
     def test_rouge_two_thirds(self):
         assert rouge_l([_pair("a b c", "a x c")]) == pytest.approx(2 / 3, abs=1e-12)
@@ -121,35 +121,36 @@ class TestCorpusInvariants:
 
     def test_identity_corpus_maxima(self):
         for n in range(1, 5):
-            assert bleu(self.IDENTITY, n) == 1.0
+            assert bleu(NgramTable(self.IDENTITY), n) == 1.0
         assert rouge_l(self.IDENTITY) == 1.0
-        assert cider(self.IDENTITY) == pytest.approx(10.0, abs=1e-9)
+        assert cider(NgramTable(self.IDENTITY)) == pytest.approx(10.0, abs=1e-9)
 
     def test_disjoint_corpus_scores_zero(self):
         for n in range(1, 5):
-            assert bleu(self.DISJOINT, n) == 0.0
+            assert bleu(NgramTable(self.DISJOINT), n) == 0.0
         assert rouge_l(self.DISJOINT) == 0.0
         assert meteor(self.DISJOINT) == 0.0
-        assert cider(self.DISJOINT) == 0.0
+        assert cider(NgramTable(self.DISJOINT)) == 0.0
 
     def test_pair_order_does_not_change_corpus_scores(self):
         pairs = list(GOLDEN_PAIRS)
         shuffled = list(pairs)
         random.Random(7).shuffle(shuffled)
-        assert bleu(shuffled, 4) == pytest.approx(bleu(pairs, 4), abs=1e-15)
+        table, shuffled_table = NgramTable(pairs), NgramTable(shuffled)
+        assert bleu(shuffled_table, 4) == pytest.approx(bleu(table, 4), abs=1e-15)
         assert rouge_l(shuffled) == pytest.approx(rouge_l(pairs), abs=1e-15)
         assert meteor(shuffled) == pytest.approx(meteor(pairs), abs=1e-15)
-        assert cider(shuffled) == pytest.approx(cider(pairs), abs=1e-15)
+        assert cider(shuffled_table) == pytest.approx(cider(table), abs=1e-15)
 
     def test_brevity_penalty_uses_closest_reference_ties_shorter(self):
         # Candidate of length 2; references of lengths 3 and 5: closest is 3.
         pair = _pair("a b", "a b c", "a b c d e")
         expected = math.exp(1 - 3 / 2) * 1.0  # unigram precision is 1
-        assert bleu([pair], 1) == pytest.approx(expected, abs=1e-12)
+        assert bleu(NgramTable([pair]), 1) == pytest.approx(expected, abs=1e-12)
         # Equidistant references (1 and 3) around length 2: the shorter wins,
         # so no penalty applies.
         tie = _pair("a b", "a", "a b c")
-        assert bleu([tie], 1) == pytest.approx(1.0, abs=1e-12)
+        assert bleu(NgramTable([tie]), 1) == pytest.approx(1.0, abs=1e-12)
 
     def test_multi_reference_takes_best_match(self):
         pair = _pair("walk to the stove", "turn around", "walk to the stove")
@@ -160,26 +161,26 @@ class TestCorpusInvariants:
 class TestOracleAgreement:
     def test_golden_corpus_matches_frozen_values(self):
         report = evaluate_pairs(GOLDEN_PAIRS)
-        for got, want in zip(report.bleu, EXPECTED["bleu"]):
+        for got, want in zip(report["bleu"], EXPECTED["bleu"]):
             assert got == pytest.approx(want, abs=1e-9)
-        assert report.rouge_l == pytest.approx(EXPECTED["rouge_l"], abs=1e-9)
-        assert report.meteor == pytest.approx(EXPECTED["meteor"], abs=1e-9)
-        assert report.cider == pytest.approx(EXPECTED["cider"], abs=1e-9)
+        assert report["rouge_l"] == pytest.approx(EXPECTED["rouge_l"], abs=1e-9)
+        assert report["meteor"] == pytest.approx(EXPECTED["meteor"], abs=1e-9)
+        assert report["cider"] == pytest.approx(EXPECTED["cider"], abs=1e-9)
 
     def test_golden_corpus_is_bit_identical(self, monkeypatch):
         pairs = [pair_from_text(e["candidate"], e["references"]) for e in GOLDEN["pairs"]]
         tables = []
 
-        def cider_keeping_a_weakref(corpus):
-            tables.append(weakref.ref(corpus.ngram_table))
-            return cider(corpus)
+        def cider_keeping_a_weakref(table):
+            tables.append(weakref.ref(table))
+            return cider(table)
 
         monkeypatch.setattr(metrics, "cider", cider_keeping_a_weakref)
         report = evaluate_pairs(pairs)
-        assert list(report.bleu) == EXPECTED["bleu"]
-        assert report.rouge_l == EXPECTED["rouge_l"]
-        assert report.meteor == EXPECTED["meteor"]
-        assert report.cider == EXPECTED["cider"]
+        assert report["bleu"] == EXPECTED["bleu"]
+        assert report["rouge_l"] == EXPECTED["rouge_l"]
+        assert report["meteor"] == EXPECTED["meteor"]
+        assert report["cider"] == EXPECTED["cider"]
         # The corpus's n-gram table is freed when scoring returns, and
         # nothing is left on the pairs, which still equal and hash like
         # fresh ones.
@@ -190,24 +191,32 @@ class TestOracleAgreement:
             assert pair == fresh
             assert hash(pair) == hash(fresh)
 
-    def test_corpus_counts_once_for_every_bleu_order_and_cider(self, monkeypatch):
-        plain = [bleu(GOLDEN_PAIRS, n) for n in range(1, 5)] + [cider(GOLDEN_PAIRS)]
+    def test_evaluate_pairs_builds_one_ngram_table(self, monkeypatch):
         built = []
+        read = []
 
-        class CountingTable(metrics.NgramTable):
+        class CountingTable(NgramTable):
             def __init__(self, pairs):
                 built.append(len(pairs))
                 super().__init__(pairs)
 
+        def bleu_recording_its_table(table, max_n):
+            read.append(table)
+            return bleu(table, max_n)
+
+        def cider_recording_its_table(table):
+            read.append(table)
+            return cider(table)
+
         monkeypatch.setattr(metrics, "NgramTable", CountingTable)
-        corpus = metrics.Corpus(GOLDEN_PAIRS)
-        shared = [bleu(corpus, n) for n in range(1, 5)] + [cider(corpus)]
-        assert shared == plain
+        monkeypatch.setattr(metrics, "bleu", bleu_recording_its_table)
+        monkeypatch.setattr(metrics, "cider", cider_recording_its_table)
+        report = evaluate_pairs(GOLDEN_PAIRS)
+        # One table for the corpus, read by every BLEU order and CIDEr.
         assert built == [len(GOLDEN_PAIRS)]
-        # A plain list pays for a table on every call.
-        bleu(GOLDEN_PAIRS, 1)
-        cider(GOLDEN_PAIRS)
-        assert len(built) == 3
+        assert len(read) == 5 and all(table is read[0] for table in read)
+        assert report["bleu"] == EXPECTED["bleu"]
+        assert report["cider"] == EXPECTED["cider"]
 
     def test_lcs_matches_recursive_oracle(self):
         rng = random.Random(11)
@@ -295,8 +304,8 @@ class TestOracleAgreement:
         cands = [list(p.candidate) for p in pairs]
         refs = [[list(r) for r in p.references] for p in pairs]
         for n in range(1, 5):
-            assert report.bleu[n - 1] == pytest.approx(oracle_bleu(cands, refs, n), abs=1e-9)
-        assert report.cider == pytest.approx(oracle_cider(cands, refs), abs=1e-9)
+            assert report["bleu"][n - 1] == pytest.approx(oracle_bleu(cands, refs, n), abs=1e-9)
+        assert report["cider"] == pytest.approx(oracle_cider(cands, refs), abs=1e-9)
 
     def test_random_corpora_match_oracles(self):
         for seed in range(8):
@@ -304,7 +313,7 @@ class TestOracleAgreement:
             cands = [list(p.candidate) for p in pairs]
             refs = [[list(r) for r in p.references] for p in pairs]
             for n in range(1, 5):
-                assert bleu(pairs, n) == pytest.approx(
+                assert bleu(NgramTable(pairs), n) == pytest.approx(
                     oracle_bleu(cands, refs, n), abs=1e-12
                 )
             assert rouge_l(pairs) == pytest.approx(oracle_rouge_l(cands, refs), abs=1e-12)
@@ -312,7 +321,7 @@ class TestOracleAgreement:
             # every maximal alignment; greedy alignment reaches the same
             # match count, so its score is bounded above by the oracle's.
             assert meteor(pairs) <= oracle_meteor(cands, refs, stem) + 1e-12
-            assert cider(pairs) == pytest.approx(oracle_cider(cands, refs), abs=1e-9)
+            assert cider(NgramTable(pairs)) == pytest.approx(oracle_cider(cands, refs), abs=1e-9)
 
     def test_meteor_matches_oracle_when_alignment_is_unambiguous(self):
         # Stem-distinct vocabulary sampled without replacement: every token
@@ -341,7 +350,7 @@ class TestOracleAgreement:
         # so the geometric-mean extension decides the direction.
         for seed in range(8):
             pairs = _random_corpus(seed)
-            scores = [bleu(pairs, n) for n in range(1, 5)]
+            scores = [bleu(NgramTable(pairs), n) for n in range(1, 5)]
             precisions = []
             for n in range(1, 5):
                 cands = [list(p.candidate) for p in pairs]
@@ -366,7 +375,7 @@ class TestOracleAgreement:
 class TestContracts:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
-            bleu([], 4)
+            bleu(NgramTable([]), 4)
         with pytest.raises(ValueError):
             rouge_l([])
         with pytest.raises(ValueError):
@@ -376,13 +385,13 @@ class TestContracts:
 
     def test_bad_max_n_rejected(self):
         with pytest.raises(ValueError, match="max_n"):
-            bleu(GOLDEN_PAIRS, 5)
+            bleu(NgramTable(GOLDEN_PAIRS), 5)
         with pytest.raises(ValueError, match="max_n"):
-            bleu(GOLDEN_PAIRS, 0)
+            bleu(NgramTable(GOLDEN_PAIRS), 0)
 
     def test_cider_needs_a_corpus(self):
         with pytest.raises(ValueError, match="at least 2"):
-            cider([_pair("a b c d", "a b c d")])
+            cider(NgramTable([_pair("a b c d", "a b c d")]))
 
     def test_pair_requires_references(self):
         with pytest.raises(ValueError, match="reference"):
@@ -390,15 +399,14 @@ class TestContracts:
 
     def test_empty_candidate_is_scoreable(self):
         pair = _pair("", "walk to the sink")
-        assert bleu([pair], 1) == 0.0
+        assert bleu(NgramTable([pair]), 1) == 0.0
         assert rouge_l([pair]) == 0.0
         assert meteor([pair]) == 0.0
 
     def test_report_names_the_variants(self):
-        report = evaluate_pairs(GOLDEN_PAIRS)
-        out = report.to_dict()
+        out = evaluate_pairs(GOLDEN_PAIRS)
         assert out["pair_count"] == len(GOLDEN_PAIRS)
         assert "no smoothing" in out["variants"]["bleu"]
         assert "METEOR-es" in out["variants"]["meteor"]
         assert "beta=1.2" in out["variants"]["rouge_l"]
-        assert isinstance(report, MetricReport)
+        assert set(out) == {"bleu", "rouge_l", "meteor", "cider", "pair_count", "variants"}

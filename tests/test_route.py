@@ -356,7 +356,7 @@ def _sealed_scene() -> SceneModel:
     crate = ObjectInstance(
         0, "crate", (1.25, 1.25, 0.2), Aabb((1.2, 1.2, 0.0), (1.3, 1.3, 0.4))
     )
-    grid = OccupancyGrid(0.5, (0.0, 0.0), 5, 5, tuple(blocked))
+    grid = OccupancyGrid(0.5, (0.0, 0.0), 5, 5, bytes(blocked))
     return SceneModel("sealed", (crate,), occupancy=grid, category_vocab_size=1)
 
 
@@ -554,7 +554,7 @@ class TestNearestFreeCell:
         self, data, rows, cols, size, origin, density, seed
     ):
         rng = random.Random(seed)
-        blocked = tuple(rng.random() < density for _ in range(rows * cols))
+        blocked = bytes(rng.random() < density for _ in range(rows * cols))
         grid = OccupancyGrid(size, origin, rows, cols, blocked)
         point = (
             _coordinate(data, origin[0], size, cols),
@@ -563,7 +563,7 @@ class TestNearestFreeCell:
         assert nearest_free_cell(grid, point) == oracle_nearest_free_cell(grid, point)
 
     def test_fully_blocked_grid_has_none(self):
-        grid = OccupancyGrid(0.5, (0.0, 0.0), 3, 4, (True,) * 12)
+        grid = OccupancyGrid(0.5, (0.0, 0.0), 3, 4, b"\x01" * 12)
         assert nearest_free_cell(grid, (0.7, 0.7)) is None
 
 
@@ -631,7 +631,7 @@ def _label_grids(draw) -> OccupancyGrid:
         density = draw(st.sampled_from([0.1, 0.3, 0.5, 0.7]))
         rng = draw(st.randoms(use_true_random=False))
         flags = [rng.random() < density for _ in range(rows * cols)]
-    return OccupancyGrid(1.0, (0.0, 0.0), rows, cols, tuple(flags))
+    return OccupancyGrid(1.0, (0.0, 0.0), rows, cols, bytes(flags))
 
 
 class TestComponentLabels:
@@ -712,7 +712,7 @@ class TestComponentLabels:
         n = 20_000
         blocked = [False] * n
         blocked[n // 2] = True
-        grid = OccupancyGrid(1.0, (0.0, 0.0), 1, n, tuple(blocked))
+        grid = OccupancyGrid(1.0, (0.0, 0.0), 1, n, bytes(blocked))
         assert grid.component_labels == (0,) * (n // 2) + (-1,) + (1,) * (n - n // 2 - 1)
         assert nearest_free_cell(grid, grid.cell_center(0, n // 2)) == (0, n // 2 - 1)
 
@@ -726,7 +726,7 @@ class TestComponentLabels:
     def test_shapes_that_join_in_a_later_row_are_one_component(self):
         for shape in _SHAPES.values():
             free = shape(9, 11)
-            blocked = tuple((r, c) not in free for r in range(9) for c in range(11))
+            blocked = bytes((r, c) not in free for r in range(9) for c in range(11))
             labels = OccupancyGrid(1.0, (0.0, 0.0), 9, 11, blocked).component_labels
             assert {label for label in labels if label != -1} == {0}, shape.__name__
 
@@ -775,7 +775,7 @@ class TestDefaultStartPose:
 
     def test_fully_blocked_grid_raises(self):
         crate = ObjectInstance(0, "crate", (0.25, 0.25, 0.2), Aabb((0.2, 0.2, 0), (0.3, 0.3, 0.4)))
-        grid = OccupancyGrid(0.5, (0.0, 0.0), 2, 2, (True,) * 4)
+        grid = OccupancyGrid(0.5, (0.0, 0.0), 2, 2, b"\x01" * 4)
         scene = SceneModel("full", (crate,), occupancy=grid, category_vocab_size=1)
         with pytest.raises(RouteError, match="fully blocked"):
             default_start_pose(scene)

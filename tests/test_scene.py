@@ -47,7 +47,7 @@ class TestOccupancyGrid:
         origin=(-1.0, 2.0),
         rows=4,
         cols=6,
-        blocked=tuple([False] * 23 + [True]),
+        blocked=bytes(23) + b"\x01",
     )
 
     def test_cell_of_inverts_cell_center(self):
@@ -91,7 +91,7 @@ class TestSceneValidation:
             SceneModel("s", (bad,), category_vocab_size=1).validate()
 
     def test_centroid_outside_grid_rejected(self):
-        grid = OccupancyGrid(0.5, (10.0, 10.0), 2, 2, (False,) * 4)
+        grid = OccupancyGrid(0.5, (10.0, 10.0), 2, 2, bytes(4))
         scene = SceneModel("s", (_obj(),), occupancy=grid, category_vocab_size=1)
         with pytest.raises(SceneInvariantError, match="outside occupancy grid"):
             scene.validate()
@@ -204,6 +204,12 @@ class TestSceneIo:
         booleans = [flag == 1 for flag in flags]
         out = _kitchen_with_field(kitchen_path, tmp_path, ("occupancy", "blocked"), booleans)
         assert load_scene(out) == kitchen
+
+    def test_flags_are_kept_as_the_bytes_they_were_checked_as(self, kitchen, kitchen_path):
+        flags = json.loads(kitchen_path.read_text(encoding="utf-8"))["occupancy"]["blocked"]
+        assert type(kitchen.occupancy.blocked) is bytes
+        assert kitchen.occupancy.blocked == bytes(flags)
+        assert scene_to_dict(kitchen)["occupancy"]["blocked"] == flags
 
     def test_vocab_defaults_to_distinct_count(self, tmp_path):
         out = tmp_path / "scene.json"

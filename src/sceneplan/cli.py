@@ -42,6 +42,7 @@ from .route import (
 from .scene import SceneFormatError, load_scene, load_triplets, read_jsonl
 
 PROMPT_SEPARATOR = "\n=== PROMPT {i} ===\n"
+_START_FLAGS = ("--start-x", "--start-y")
 
 
 _SCALARS = frozenset((str, int, float, bool, type(None)))
@@ -146,6 +147,27 @@ def _start_pose(args: argparse.Namespace, scene) -> AgentPose:
     return AgentPose(position=(args.start_x, args.start_y), heading=heading)
 
 
+def _join_start_values(argv: list[str]) -> list[str]:
+    """``argv`` with each ``--start-x -1e-3`` written as ``--start-x=-1e-3``.
+
+    argparse takes a separate argument that starts with "-" for an option
+    unless it reads like ``-1`` or ``-.5``, so a negative number written
+    with an exponent would not reach the flag; joined, it is always a value.
+    """
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] in _START_FLAGS and token.startswith("-"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                joined[-1] += "=" + token
+                continue
+        joined.append(token)
+    return joined
+
+
 def _add_start_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--start-x", type=float, default=None,
                         help="start position x in meters (default: free cell nearest grid origin)")
@@ -214,8 +236,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
 def cmd_route_check(args: argparse.Namespace) -> int:
     scene = load_scene(args.scene)
     triplets, warnings = load_triplets(args.triplets, scene)
-    for warning in warnings:
-        print(f"line {warning.line}: {warning.kind}: {warning.detail}", file=sys.stderr)
+    for line, kind, detail in warnings:
+        print(f"line {line}: {kind}: {detail}", file=sys.stderr)
     start = _start_pose(args, scene)
     all_ok = True
     results = []
@@ -341,7 +363,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_join_start_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 2 on a usage error; the contract is 0 or 1.
         return 1 if exc.code else 0

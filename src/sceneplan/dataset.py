@@ -69,14 +69,6 @@ class ValidationFinding:
         }
 
 
-@dataclass(frozen=True)
-class DatasetSample:
-    key: tuple[str, int]
-    split: str
-    line: int
-    triplet: InstructionPlanTriplet
-
-
 def sample_key(
     record: dict, where: str, default_sample_id: int | None = None
 ) -> tuple[str, int]:
@@ -92,25 +84,26 @@ def sample_key(
 
 def load_dataset(
     dataset_dir: str | Path,
-) -> tuple[list[DatasetSample], dict[str, SceneModel]]:
+) -> tuple[dict[tuple[str, int], InstructionPlanTriplet], dict[str, SceneModel]]:
     """Read every split file and the scenes they reference.
 
-    Sample ids come from the optional ``sample_id`` record field, defaulting
-    to the record's line number within its split file; a key may occur once
-    across both files.  Malformed records, duplicate keys or missing scene
-    files are fatal with a path locus; semantic problems are left for
-    :func:`validate_dataset`.
+    Samples come back as ``{(scene_id, sample_id): triplet}`` in file
+    order, train before val; scenes come back by id.  Sample ids come from
+    the optional ``sample_id`` record field, defaulting to the record's line
+    number within its split file; a key may occur once across both files.
+    Malformed records, duplicate keys or missing scene files are fatal with
+    a path locus; semantic problems are left for :func:`validate_dataset`.
     """
     root = Path(dataset_dir)
     triplet_dir = root / "triplets"
-    split_files = [(split, triplet_dir / f"{split}.jsonl") for split in SPLITS]
-    split_files = [(split, path) for split, path in split_files if path.exists()]
+    split_files = [triplet_dir / f"{split}.jsonl" for split in SPLITS]
+    split_files = [path for path in split_files if path.exists()]
     if not split_files:
         raise DatasetError(f"{triplet_dir}: no train.jsonl or val.jsonl found")
     scenes: dict[str, SceneModel] = {}
-    samples: list[DatasetSample] = []
+    samples: dict[tuple[str, int], InstructionPlanTriplet] = {}
     loci: dict[tuple[str, int], str] = {}
-    for split, path in split_files:
+    for path in split_files:
         try:
             entries = read_jsonl(path)
         except OSError as exc:
@@ -135,32 +128,27 @@ def load_dataset(
                 if not scene_path.exists():
                     raise DatasetError(f"{where}: scene file not found: {scene_path}")
                 scenes[scene_id] = load_scene(scene_path)
-            samples.append(
-                DatasetSample(
-                    key=key,
-                    split=split,
-                    line=lineno,
-                    triplet=triplet,
-                )
-            )
+            samples[key] = triplet
     return samples, scenes
 
 
 def validate_sample(
-    sample: DatasetSample, scene: SceneModel, start: AgentPose
+    key: tuple[str, int],
+    triplet: InstructionPlanTriplet,
+    scene: SceneModel,
+    start: AgentPose,
 ) -> list[ValidationFinding]:
-    """All findings for one sample: structure, object ids, implicitness, routes from ``start``."""
+    """All findings for sample ``key``: structure, ids, implicitness, routes from ``start``."""
     findings = [
-        ValidationFinding(sample.key, warning.kind, warning.detail)
-        for warning in triplet_warnings(sample.triplet, scene, sample.line)
+        ValidationFinding(key, kind, detail) for kind, detail in triplet_warnings(triplet, scene)
     ]
-    reports = verify_route(sample.triplet.steps, scene, start)
+    reports = verify_route(triplet.steps, scene, start)
     for report in reports:
         if report.verdict == "ok":
             continue
         findings.append(
             ValidationFinding(
-                sample.key,
+                key,
                 _ROUTE_VERDICT_TO_KIND[report.verdict],
                 f"step {report.step_index}: {report.detail}",
             )
@@ -177,12 +165,12 @@ def validate_dataset(dataset_dir: str | Path) -> list[ValidationFinding]:
     samples, scenes = load_dataset(dataset_dir)
     starts: dict[str, AgentPose] = {}
     findings: list[ValidationFinding] = []
-    for sample in sorted(samples, key=lambda s: s.key):
-        scene_id = sample.triplet.scene_id
+    for key in sorted(samples):
+        scene_id = key[0]
         scene = scenes[scene_id]
         if scene_id not in starts:
             starts[scene_id] = default_start_pose(scene)
-        findings.extend(validate_sample(sample, scene, starts[scene_id]))
+        findings.extend(validate_sample(key, samples[key], scene, starts[scene_id]))
     return findings
 
 
@@ -191,9 +179,9 @@ def _sample_word_count(triplet: InstructionPlanTriplet) -> int:
 
 
 def compute_stats(
-    samples: list[DatasetSample], scenes: dict[str, SceneModel]
+    samples: dict[tuple[str, int], InstructionPlanTriplet], scenes: dict[str, SceneModel]
 ) -> dict:
-    """Dataset composition over loaded samples, as the ``stats`` command prints it.
+    """Composition of the samples :func:`load_dataset` returns, as ``stats`` prints it.
 
     Step-histogram keys are step counts as strings; every histogram is
     in ascending key order.
@@ -203,17 +191,18 @@ def compute_stats(
     """
     if not samples:
         raise DatasetError("dataset has no samples")
-    scene_ids = {s.triplet.scene_id for s in samples}
-    step_counts = Counter(len(s.triplet.steps) for s in samples)
+    triplets = samples.values()
+    scene_ids = {t.scene_id for t in triplets}
+    step_counts = Counter(len(t.steps) for t in triplets)
     verb_histogram: Counter = Counter()
     action_object: Counter = Counter()
     total_steps = 0
     total_words = 0
-    for sample in samples:
-        total_steps += len(sample.triplet.steps)
-        total_words += _sample_word_count(sample.triplet)
-        matcher = scenes[sample.triplet.scene_id].category_matcher
-        for step in sample.triplet.steps:
+    for triplet in triplets:
+        total_steps += len(triplet.steps)
+        total_words += _sample_word_count(triplet)
+        matcher = scenes[triplet.scene_id].category_matcher
+        for step in triplet.steps:
             for fragment in parse_fragments(step.text):
                 if fragment.clause is not None:
                     verb_histogram[fragment.clause.verb] += 1

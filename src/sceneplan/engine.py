@@ -13,13 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable
 
-from .graph import (
-    DEFAULT_MODULATION_WEIGHT,
-    ModulationRecord,
-    SceneGraph,
-    modulate,
-    serialize_for_prompt,
-)
+from .graph import DEFAULT_MODULATION_WEIGHT, SceneGraph, Touched, modulate, serialize_for_prompt
 from .scene import PlanStep, SceneModel
 from .textmatch import mentioned_categories
 
@@ -36,6 +30,9 @@ HISTORY_TEMPLATE = "Q: {instruction}. You should answer based on these historica
 
 _STEP_LABEL = re.compile(r"^\s*step\s+\d+\s*:\s*", re.IGNORECASE)
 _STEP1_MARKER = "Step 1:"
+# A token with whitespace before it takes the whitespace after it along, so
+# "mug [END] and" keeps one space; elsewhere only the token goes.
+_STRIP_END = re.compile(r"(?<=\s)" + re.escape(END_TOKEN) + r"\s*|" + re.escape(END_TOKEN))
 
 
 class EpisodeError(Exception):
@@ -62,7 +59,7 @@ class PlanEpisode:
     instruction: str
     activity: str
     steps: tuple[PlanStep, ...]
-    modulations: tuple[ModulationRecord, ...]
+    modulations: tuple[Touched, ...]  # one per step
     terminated_by: str  # "end-token" or "step-cap"
 
 
@@ -118,16 +115,17 @@ def run_episode(
     """Run one progressive generation episode over the scene graph.
 
     A reply containing ``END_TOKEN`` ends the episode; every copy of the
-    token is stripped from the step text.  The graph is modulated in place
-    once per generated step (empty mention sets still produce a record), so
-    build a fresh graph per episode, as ``cmd_plan`` does.
+    token is stripped from the step text, and a copy between two spaces
+    leaves one.  The graph is modulated in place once per generated step
+    (empty mention sets still produce a record), so build a fresh graph per
+    episode, as ``cmd_plan`` does.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     if not (math.isfinite(w_l) and w_l > 0):
         raise ValueError("w_l must be positive and finite")
     steps: list[PlanStep] = []
-    modulations: list[ModulationRecord] = []
+    modulations: list[Touched] = []
     activity = ""
     terminated_by = "step-cap"
 
@@ -160,7 +158,7 @@ def run_episode(
                 f"generator failed at step {step_index}: {exc}", partial()
             ) from exc
         saw_end = END_TOKEN in raw
-        reply = raw.replace(END_TOKEN, "").strip()
+        reply = _STRIP_END.sub("", raw).strip()
         if step_index == 1:
             activity, reply = parse_activity_header(reply)
         text = strip_step_label(reply)
@@ -191,11 +189,13 @@ def episode_to_dict(episode: PlanEpisode) -> dict:
         "terminated_by": episode.terminated_by,
         "modulations": [
             {
-                "step_index": m.step_index,
-                "mentioned_ids": sorted(m.mentioned_ids),
-                "touched_nodes": sorted(m.touched_nodes),
-                "touched_edges_count": len(m.touched_edges),
+                "step_index": s.index,
+                "mentioned_ids": sorted(s.object_ids),
+                "touched_nodes": sorted(touched_nodes),
+                "touched_edges_count": len(touched_edges),
             }
-            for m in episode.modulations
+            for s, (touched_nodes, touched_edges) in zip(
+                episode.steps, episode.modulations, strict=True
+            )
         ],
     }

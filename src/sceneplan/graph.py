@@ -20,11 +20,8 @@ DEFAULT_K = 2
 DEFAULT_MODULATION_WEIGHT = 2.0
 NEAR_DISTANCE = 0.15  # meters; closer than this overrides axis-based kinds
 
-@dataclass
-class GraphNode:
-    object: ObjectInstance
-    weight: float = 1.0
-
+# What one modulate call scaled: the node ids and the (src, dst) edges.
+Touched = tuple[frozenset[int], frozenset[tuple[int, int]]]
 
 @dataclass
 class GraphEdge:
@@ -37,9 +34,14 @@ class GraphEdge:
 
 @dataclass
 class SceneGraph:
-    """``edges[src][dst]`` is the edge src->dst; each inner dict is in ascending dst order."""
+    """Per object id, its category and node weight; ``edges[src][dst]`` is the edge src->dst.
 
-    nodes: dict[int, GraphNode]
+    ``categories`` and ``weights`` share their keys; each inner ``edges``
+    dict is in ascending dst order.
+    """
+
+    categories: dict[int, str]
+    weights: dict[int, float]
     edges: dict[int, dict[int, GraphEdge]]
     k: int
 
@@ -54,7 +56,7 @@ class SceneGraph:
         instance ``__dict__``, outside the dataclass fields, so equality still
         sees only the graph.
         """
-        labels = {node_id: f"{node.object.category}#{node_id}" for node_id, node in self.nodes.items()}
+        labels = {node_id: f"{category}#{node_id}" for node_id, category in self.categories.items()}
         prefixes = {node_id: label + " (w=" for node_id, label in labels.items()}
         edge_lines = {
             node_id: "".join(
@@ -64,16 +66,6 @@ class SceneGraph:
             for node_id, label in labels.items()
         }
         return prefixes, edge_lines
-
-
-@dataclass(frozen=True)
-class ModulationRecord:
-    """Audit record of one modulation call: which elements were scaled."""
-
-    step_index: int
-    mentioned_ids: tuple[int, ...]
-    touched_nodes: frozenset[int]
-    touched_edges: frozenset[tuple[int, int]]
 
 
 def classify_relation(a: ObjectInstance, b: ObjectInstance) -> tuple[str, float]:
@@ -165,12 +157,12 @@ def build_graph(scene: SceneModel, k: int = DEFAULT_K) -> SceneGraph:
     if not scene.objects:
         raise ValueError("scene has no objects")
     by_id = scene.objects_by_id
-    nodes = {obj.id: GraphNode(object=obj) for obj in scene.objects}
     edges = {
         src: {dst: GraphEdge(*classify_relation(by_id[src], by_id[dst])) for dst in sorted(dsts)}
         for src, dsts in knn_ids(scene, k).items()
     }
-    return SceneGraph(nodes=nodes, edges=edges, k=k)
+    categories = {obj.id: obj.category for obj in scene.objects}
+    return SceneGraph(categories, dict.fromkeys(categories, 1.0), edges, k)
 
 
 def modulate(
@@ -178,23 +170,24 @@ def modulate(
     mentioned_ids: list[int],
     w_l: float = DEFAULT_MODULATION_WEIGHT,
     step_index: int = 0,
-) -> ModulationRecord:
+) -> Touched:
     """Scale mentioned nodes, their KNN neighbors, and the connecting edges by ``w_l``.
 
-    The touched sets are unions over all mentions, and every touched element
-    is multiplied exactly once per call, however many mentions share it.
+    Returns the touched node ids and the touched (src, dst) edges.  The
+    touched sets are unions over all mentions, and every touched element is
+    multiplied exactly once per call, however many mentions share it.
     Raises ``ValueError`` naming the step, and scales nothing, when a scaled
     weight would overflow to infinity or underflow to zero.
     """
     if not (math.isfinite(w_l) and w_l > 0):
         raise ValueError(f"w_l must be positive and finite, got {w_l}")
-    unknown = [i for i in mentioned_ids if i not in graph.nodes]
+    unknown = [i for i in mentioned_ids if i not in graph.weights]
     if unknown:
         raise KeyError(f"unknown object id(s) {unknown}")
     touched_nodes = set(mentioned_ids)
     touched_edges = {(src, dst) for src in touched_nodes for dst in graph.edges[src]}
     touched_nodes.update(dst for _, dst in touched_edges)
-    weights = [graph.nodes[node_id].weight for node_id in touched_nodes]
+    weights = [graph.weights[node_id] for node_id in touched_nodes]
     weights += [graph.edges[src][dst].weight for src, dst in touched_edges]
     if not all(0 < weight * w_l < math.inf for weight in weights):
         raise ValueError(
@@ -202,15 +195,10 @@ def modulate(
             "positive finite range"
         )
     for node_id in touched_nodes:
-        graph.nodes[node_id].weight *= w_l
+        graph.weights[node_id] *= w_l
     for src, dst in touched_edges:
         graph.edges[src][dst].weight *= w_l
-    return ModulationRecord(
-        step_index=step_index,
-        mentioned_ids=tuple(mentioned_ids),
-        touched_nodes=frozenset(touched_nodes),
-        touched_edges=frozenset(touched_edges),
-    )
+    return frozenset(touched_nodes), frozenset(touched_edges)
 
 
 def serialize_for_prompt(graph: SceneGraph) -> str:
@@ -227,7 +215,7 @@ def serialize_for_prompt(graph: SceneGraph) -> str:
     shares a format with 0.0.
     """
     prefixes, edge_lines = graph.prompt_text
-    weights = {node_id: node.weight for node_id, node in graph.nodes.items()}
+    weights = graph.weights
     # Ascending ids, then a stable sort by descending weight: ties stay in id order.
     ranked = sorted(sorted(weights), key=weights.__getitem__, reverse=True)
     suffixes = {weight: format(weight, "g") + ")" for weight in set(weights.values())}
@@ -241,8 +229,8 @@ def graph_to_dict(graph: SceneGraph) -> dict:
     return {
         "k": graph.k,
         "nodes": [
-            {"id": node_id, "category": node.object.category, "weight": node.weight}
-            for node_id, node in sorted(graph.nodes.items())
+            {"id": node_id, "category": graph.categories[node_id], "weight": weight}
+            for node_id, weight in sorted(graph.weights.items())
         ],
         "edges": [
             {

@@ -27,6 +27,7 @@ import re
 from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, compress, count, repeat
 from operator import add, mul
 
@@ -184,8 +185,8 @@ def _rouge_pair(candidate: tuple[str, ...], reference: tuple[str, ...]) -> float
 def rouge_l(pairs: Sequence[TokenizedPair]) -> float:
     if not pairs:
         raise ValueError("rouge_l requires at least one pair")
-    return sum(
-        max(_rouge_pair(p.candidate, ref) for ref in p.references) for p in pairs
+    return reduce(
+        add, (max(_rouge_pair(p.candidate, ref) for ref in p.references) for p in pairs), 0
     ) / len(pairs)
 
 
@@ -269,8 +270,8 @@ def _meteor_pair(candidate: tuple[str, ...], reference: tuple[str, ...]) -> floa
 def meteor(pairs: Sequence[TokenizedPair]) -> float:
     if not pairs:
         raise ValueError("meteor requires at least one pair")
-    return sum(
-        max(_meteor_pair(p.candidate, ref) for ref in p.references) for p in pairs
+    return reduce(
+        add, (max(_meteor_pair(p.candidate, ref) for ref in p.references) for p in pairs), 0
     ) / len(pairs)
 
 
@@ -285,32 +286,32 @@ def cider(table: NgramTable) -> float:
         dict(zip(df, map(idf_of_df.__getitem__, df.values())))
         for df in table.document_frequency[:CIDER_MAX_N]
     ]
-    # Float sums stay as they are (builtin sum() in gram order, += across
-    # orders and pairs): sum() is compensated on Python >= 3.12, so another
-    # form would move the last bits of the score there.
+    # Float sums are plain left folds in gram order (reduce, and += across
+    # orders and pairs).  Builtin sum() of floats is compensated from Python
+    # 3.12 on, so it would move the last bits of the score between versions.
     total = 0.0
     for by_order in table.term_frequency:
         per_n = 0.0
         for idf, (candidate, references) in zip(idf_by_n, by_order):
             weights = list(map(mul, candidate.values(), map(idf.get, candidate, repeat(0.0))))
-            norm = math.sqrt(sum(map(mul, weights, weights)))
+            norm = math.sqrt(reduce(add, map(mul, weights, weights), 0))
             cosines = []
             for reference in references:
                 # Every reference gram has a document frequency, hence an idf.
                 ref_weights = list(map(mul, reference.values(), map(idf.__getitem__, reference)))
-                ref_norm = math.sqrt(sum(map(mul, ref_weights, ref_weights)))
+                ref_norm = math.sqrt(reduce(add, map(mul, ref_weights, ref_weights), 0))
                 if norm == 0 or ref_norm == 0:
                     cosines.append(0.0)
                     continue
                 hits = list(map(reference.__contains__, candidate))
                 shared = list(compress(candidate, hits))
-                dot = sum(map(
+                dot = reduce(add, map(
                     mul,
                     compress(weights, hits),
                     map(mul, map(reference.__getitem__, shared), map(idf.__getitem__, shared)),
-                ))
+                ), 0)
                 cosines.append(dot / (norm * ref_norm))
-            per_n += CIDER_SCALE * (sum(cosines) / len(references))
+            per_n += CIDER_SCALE * (reduce(add, cosines, 0) / len(references))
         total += per_n / CIDER_MAX_N
     return total / n_pairs
 

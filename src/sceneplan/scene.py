@@ -277,20 +277,6 @@ class InstructionPlanTriplet:
     steps: tuple[PlanStep, ...]
 
 
-@dataclass(frozen=True)
-class TripletWarning:
-    """Structured diagnostic emitted while loading a triplet file.
-
-    ``kind`` is one of: syntax, unknown-object, implicitness-violation,
-    step-structure.  Records with a ``syntax`` warning are rejected; records
-    with any other kind are still returned.
-    """
-
-    kind: str
-    line: int
-    detail: str
-
-
 # JSON numbers load as exactly these types; a string or a boolean is not a number.
 _NUMBER_TYPES = frozenset((int, float))
 
@@ -463,38 +449,6 @@ def load_scene(path: str | Path) -> SceneModel:
     return scene
 
 
-def scene_to_dict(scene: SceneModel) -> dict:
-    out: dict = {
-        "scene_id": scene.scene_id,
-        "objects": [
-            {
-                "id": o.id,
-                "category": o.category,
-                "centroid": list(o.centroid),
-                "aabb": {"min": list(o.aabb.min_corner), "max": list(o.aabb.max_corner)},
-                **({"mask_ref": o.mask_ref} if o.mask_ref is not None else {}),
-            }
-            for o in scene.objects
-        ],
-        "category_vocab_size": scene.category_vocab_size,
-    }
-    if scene.occupancy is not None:
-        g = scene.occupancy
-        out["occupancy"] = {
-            "cell_size": g.cell_size,
-            "origin": list(g.origin),
-            "rows": g.rows,
-            "cols": g.cols,
-            "blocked": list(g.blocked),
-        }
-    return out
-
-
-def serialize_scene(scene: SceneModel) -> str:
-    """Inverse of :func:`load_scene`: emits JSON that loads back to an equal scene."""
-    return json.dumps(scene_to_dict(scene), indent=2)
-
-
 def _parse_step(raw: object, where: str) -> PlanStep:
     if not isinstance(raw, dict):
         raise SceneFormatError(f"{where}: expected object")
@@ -529,30 +483,27 @@ def parse_triplet_record(data: dict, where: str = "record") -> InstructionPlanTr
 
 
 def triplet_warnings(
-    triplet: InstructionPlanTriplet, scene: SceneModel | None, line: int
-) -> list[TripletWarning]:
-    """Semantic checks for one triplet; violations are reported, never raised."""
-    warnings: list[TripletWarning] = []
+    triplet: InstructionPlanTriplet, scene: SceneModel | None
+) -> list[tuple[str, str]]:
+    """Semantic checks for one triplet as (kind, detail) pairs; reported, never raised.
+
+    ``kind`` is one of: unknown-object, implicitness-violation,
+    step-structure.
+    """
+    warnings: list[tuple[str, str]] = []
     if not triplet.steps:
-        warnings.append(TripletWarning("step-structure", line, "empty step list"))
+        warnings.append(("step-structure", "empty step list"))
     else:
         finals = [s for s in triplet.steps if s.is_final]
         if len(finals) != 1 or not triplet.steps[-1].is_final:
-            warnings.append(
-                TripletWarning(
-                    "step-structure",
-                    line,
-                    f"expected exactly one final step at the end, found {len(finals)}",
-                )
-            )
+            warnings.append((
+                "step-structure",
+                f"expected exactly one final step at the end, found {len(finals)}",
+            ))
         for pos, step in enumerate(triplet.steps, start=1):
             if step.index != pos:
                 warnings.append(
-                    TripletWarning(
-                        "step-structure",
-                        line,
-                        f"step at position {pos} has index {step.index}",
-                    )
+                    ("step-structure", f"step at position {pos} has index {step.index}")
                 )
                 break
     if scene is not None:
@@ -560,17 +511,12 @@ def triplet_warnings(
         for step in triplet.steps:
             for oid in step.object_ids:
                 if oid not in known:
-                    warnings.append(
-                        TripletWarning("unknown-object", line, f"unknown object {oid}")
-                    )
+                    warnings.append(("unknown-object", f"unknown object {oid}"))
     if triplet.activity and triplet.activity.casefold() in triplet.instruction.casefold():
-        warnings.append(
-            TripletWarning(
-                "implicitness-violation",
-                line,
-                f"instruction literally contains activity {triplet.activity!r}",
-            )
-        )
+        warnings.append((
+            "implicitness-violation",
+            f"instruction literally contains activity {triplet.activity!r}",
+        ))
     return warnings
 
 
@@ -598,16 +544,17 @@ def read_jsonl(path: str | Path) -> list[tuple[int, str, dict | SceneFormatError
 
 def load_triplets(
     path: str | Path, scene: SceneModel | None = None
-) -> tuple[list[InstructionPlanTriplet], list[TripletWarning]]:
+) -> tuple[list[InstructionPlanTriplet], list[tuple[int, str, str]]]:
     """Load instruction-plan triplets from a JSON Lines file.
 
     Total over syntactically valid files: records that fail to parse are
     dropped with a ``syntax`` warning, records that parse but violate a
-    semantic invariant are returned alongside a structured warning.  Blank
+    semantic invariant are returned alongside the warnings of
+    :func:`triplet_warnings`.  Each warning is (line, kind, detail).  Blank
     lines are ignored.
     """
     triplets: list[InstructionPlanTriplet] = []
-    warnings: list[TripletWarning] = []
+    warnings: list[tuple[int, str, str]] = []
     try:
         entries = read_jsonl(path)
     except OSError as exc:
@@ -618,25 +565,8 @@ def load_triplets(
                 raise data
             triplet = parse_triplet_record(data)
         except SceneFormatError as exc:
-            warnings.append(TripletWarning("syntax", lineno, str(exc)))
+            warnings.append((lineno, "syntax", str(exc)))
             continue
-        warnings.extend(triplet_warnings(triplet, scene, lineno))
+        warnings.extend((lineno, kind, detail) for kind, detail in triplet_warnings(triplet, scene))
         triplets.append(triplet)
     return triplets, warnings
-
-
-def triplet_to_dict(triplet: InstructionPlanTriplet) -> dict:
-    return {
-        "scene_id": triplet.scene_id,
-        "instruction": triplet.instruction,
-        "activity": triplet.activity,
-        "steps": [
-            {
-                "index": s.index,
-                "text": s.text,
-                "object_ids": list(s.object_ids),
-                "is_final": s.is_final,
-            }
-            for s in triplet.steps
-        ],
-    }

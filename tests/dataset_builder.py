@@ -1,9 +1,12 @@
-"""Deterministic construction of dataset directories for tests.
+"""Deterministic construction of dataset directories and records for tests.
 
-Builds a 50-sample, two-scene dataset: 45 clean samples generated by the
-rule-based backend and 5 samples with injected faults, one for each
-validation finding kind except step-structure.  Construction is pure
-arithmetic over fixed tables, so repeated builds are byte-identical.
+The record writers (:func:`scene_to_dict`, :func:`serialize_scene` and
+:func:`triplet_to_dict`) are the inverses of the package's loaders.
+:func:`build_faulty_dataset` builds a 50-sample, two-scene dataset: 45
+clean samples generated by the rule-based backend and 5 samples with
+injected faults, one for each validation finding kind except
+step-structure.  Construction is pure arithmetic over fixed tables, so
+repeated builds are byte-identical.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from pathlib import Path
 from sceneplan.engine import run_episode
 from sceneplan.generators import DEFAULT_RULES, RuleBasedGenerator, select_rule
 from sceneplan.graph import build_graph
-from sceneplan.scene import load_scene
+from sceneplan.scene import InstructionPlanTriplet, SceneModel, load_scene
 
 FIXTURES = Path(__file__).parent / "fixtures"
 KITCHEN = FIXTURES / "kitchen.json"
@@ -32,6 +35,55 @@ SUFFIXES = (
     " before the guests arrive", " this evening", " again", " for me",
     " once more", " soon", " honestly", " if you can",
 )
+
+
+def scene_to_dict(scene: SceneModel) -> dict:
+    out: dict = {
+        "scene_id": scene.scene_id,
+        "objects": [
+            {
+                "id": o.id,
+                "category": o.category,
+                "centroid": list(o.centroid),
+                "aabb": {"min": list(o.aabb.min_corner), "max": list(o.aabb.max_corner)},
+                **({"mask_ref": o.mask_ref} if o.mask_ref is not None else {}),
+            }
+            for o in scene.objects
+        ],
+        "category_vocab_size": scene.category_vocab_size,
+    }
+    if scene.occupancy is not None:
+        g = scene.occupancy
+        out["occupancy"] = {
+            "cell_size": g.cell_size,
+            "origin": list(g.origin),
+            "rows": g.rows,
+            "cols": g.cols,
+            "blocked": list(g.blocked),
+        }
+    return out
+
+
+def serialize_scene(scene: SceneModel) -> str:
+    """Inverse of ``load_scene``: emits JSON that loads back to an equal scene."""
+    return json.dumps(scene_to_dict(scene), indent=2)
+
+
+def triplet_to_dict(triplet: InstructionPlanTriplet) -> dict:
+    return {
+        "scene_id": triplet.scene_id,
+        "instruction": triplet.instruction,
+        "activity": triplet.activity,
+        "steps": [
+            {
+                "index": s.index,
+                "text": s.text,
+                "object_ids": list(s.object_ids),
+                "is_final": s.is_final,
+            }
+            for s in triplet.steps
+        ],
+    }
 
 
 def _steps_for(scene, instruction: str) -> list[dict]:

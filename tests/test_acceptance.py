@@ -113,20 +113,20 @@ def test_modulation_scales_exactly_the_mentioned_neighborhood(announce):
             graph = build_graph(scene)
             neighbors = knn_ids(scene, graph.k)
             rng = Random(seed)
-            ids = sorted(graph.nodes)
+            ids = sorted(graph.weights)
             mentioned = rng.sample(ids, rng.randint(1, min(3, len(ids))))
-            record = modulate(graph, mentioned, step_index=1)
+            touched_nodes, touched_edges = modulate(graph, mentioned, step_index=1)
             nodes, edges = oracle_modulated_sets(set(mentioned), neighbors)
-            assert record.touched_nodes == nodes
-            assert record.touched_edges == edges
-            for node_id, node in graph.nodes.items():
-                assert node.weight == (2.0 if node_id in nodes else 1.0)
+            assert touched_nodes == nodes
+            assert touched_edges == edges
+            for node_id, weight in graph.weights.items():
+                assert weight == (2.0 if node_id in nodes else 1.0)
             for src, out in graph.edges.items():
                 for dst, edge in out.items():
                     assert edge.weight == (2.0 if (src, dst) in edges else 1.0)
             modulate(graph, mentioned, w_l=1.0, step_index=2)
-            for node_id, node in graph.nodes.items():
-                assert node.weight == (2.0 if node_id in nodes else 1.0)
+            for node_id, weight in graph.weights.items():
+                assert weight == (2.0 if node_id in nodes else 1.0)
 
 
 def test_knn_matches_brute_force(announce):

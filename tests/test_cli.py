@@ -18,10 +18,19 @@ from hypothesis import strategies as st
 
 from sceneplan import cli, route
 from sceneplan.cli import _emit, build_parser, main
+from sceneplan.engine import END_TOKEN, SYSTEM_PREAMBLE
+from sceneplan.graph import classify_relation
 from sceneplan.route import adjacent_free_cells, default_start_pose
 from sceneplan.scene import load_scene
 from tests.conftest import FIXTURES, run_python
-from tests.oracles import oracle_bfs_length, oracle_nearest_free_cell
+from tests.oracles import (
+    oracle_bfs_length,
+    oracle_find_category_spans,
+    oracle_knn,
+    oracle_modulated_sets,
+    oracle_nearest_free_cell,
+    oracle_serialize_for_prompt,
+)
 from tests.dataset_builder import build_clean_dataset, build_faulty_dataset
 
 KITCHEN = str(FIXTURES / "kitchen.json")
@@ -746,6 +755,17 @@ class TestHostileInputs:
         if captured.out:
             json.loads(captured.out)
 
+    @pytest.mark.parametrize("command", [PLAN, ROUTE_CHECK], ids=["plan", "route-check"])
+    @pytest.mark.parametrize("value", ["-1e-3", "-2.5E+0", "-0.5", "-inf"])
+    def test_negative_start_value_may_be_a_separate_argument(self, capsys, command, value):
+        """``--start-y -1e-3`` runs as ``--start-y=-1e-3`` does, on either flag."""
+        argv = command + ["--scene", KITCHEN, "--start-heading", "90"]
+        for flag, other in (("--start-x", "--start-y=0.5"), ("--start-y", "--start-x=0.5")):
+            joined = main(argv + [other, f"{flag}={value}"]), capsys.readouterr()
+            separate = main(argv + [other, flag, value]), capsys.readouterr()
+            assert separate == joined
+            assert "usage:" not in joined[1].err
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(
@@ -1216,3 +1236,124 @@ class TestRouteCheckAgainstOracles:
                 pose = tuple(report["final_pose"]["position"])
         assert judged == expected_judged
         assert (code, payload["all_ok"]) == ((0, True) if all_ok else (1, False))
+
+
+# Categories with duplicates across objects, multi-word names that contain
+# another category ("kitchen counter", "counter"), and plural names beside
+# their singular ("glass", "glasses").
+_PLAN_CATEGORIES = (
+    "mug", "glass", "glasses", "box", "counter", "kitchen counter", "trash can", "lamp",
+)
+# Step words: fillers, every category word, plural and capitalized forms.
+_PLAN_WORDS = (
+    "walk", "to", "the", "and", "pick", "up", "near", "then", "it",
+    "mug", "mugs", "Mug", "glass", "glasses", "box", "boxes", "counter", "counters",
+    "kitchen", "Kitchen", "trash", "can", "cans", "lamp", "lamps",
+)
+
+
+@st.composite
+def _plan_worlds(draw) -> tuple[dict, int, float, int, list[str], bool]:
+    """A scene, ``k``, ``w_l``, ``max_steps``, the step texts, and whether the last one ends.
+
+    Centroids sit on a half-meter lattice, so distance ties are common, and
+    object ids are neither contiguous nor in file order.  ``k`` often
+    reaches ``n - 1``.  The episode has one step per text: the last reply
+    carries ``[END]``, or there are ``max_steps`` texts and the cap ends it.
+    """
+    n = draw(st.integers(1, 7))
+    ids = draw(st.lists(st.integers(0, 30), min_size=n, max_size=n, unique=True))
+    objects = []
+    for oid in ids:
+        centroid = [0.5 * draw(st.integers(0, 3)) for _ in range(3)]
+        objects.append({
+            "id": oid,
+            "category": draw(st.sampled_from(_PLAN_CATEGORIES)),
+            "centroid": centroid,
+            "aabb": {"min": [c - 0.1 for c in centroid], "max": [c + 0.1 for c in centroid]},
+        })
+    # One scene id for every example: a cache keyed by it would leak across scenes.
+    scene = {"scene_id": "generated", "objects": objects}
+    k = draw(st.integers(1, 5))
+    w_l = draw(st.sampled_from([0.5, 1.5, 2.0, 3.0]))
+    max_steps = draw(st.integers(1, 4))
+    ends = draw(st.booleans())
+    count = draw(st.integers(1, max_steps)) if ends else max_steps
+    texts = [" ".join(draw(st.lists(st.sampled_from(_PLAN_WORDS), max_size=8)))
+             for _ in range(count)]
+    return scene, k, w_l, max_steps, texts, ends
+
+
+class TestPlanAgainstOracles:
+    """``plan --dump-graph`` recomputed step by step from ``tests/oracles.py``."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(world=_plan_worlds())
+    def test_episode_snapshots_and_prompts_match_the_oracles(self, world):
+        scene_data, k, w_l, max_steps, texts, ends = world
+        requests = []
+
+        def recording_generator(scene, rules, start):
+            """Stands in for the rules backend: records each request, replies from ``texts``."""
+
+            def generate(request):
+                requests.append(request)
+                step = request.step_index
+                header = "Plan. " if step == 1 else ""
+                end = f" {END_TOKEN}" if ends and step == len(texts) else ""
+                return f"{header}Step {step}: {texts[step - 1]}{end}"
+
+            return generate
+
+        with tempfile.TemporaryDirectory() as tmp:
+            scene_path = Path(tmp) / "scene.json"
+            scene_path.write_text(json.dumps(scene_data), encoding="utf-8")
+            with mock.patch.object(cli, "RuleBasedGenerator", recording_generator):
+                code, out, err = _run_isolated(
+                    ["plan", "--scene", str(scene_path), "--instruction", "help me",
+                     "--dump-graph", "--k", str(k), f"--w-l={w_l!r}", f"--max-steps={max_steps}"]
+                )
+            objects = load_scene(scene_path).objects
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        by_id = {obj.id: obj for obj in objects}
+        categories = {obj.category for obj in objects}
+        knn = oracle_knn({obj.id: obj.centroid for obj in objects}, k)
+        node_weights = dict.fromkeys(sorted(by_id), 1.0)
+        edge_weights = {(i, j): 1.0 for i in sorted(knn) for j in sorted(knn[i])}
+        steps, modulations = payload["steps"], payload["modulations"]
+        assert payload["activity"] == "Plan."
+        assert payload["terminated_by"] == ("end-token" if ends else "step-cap")
+        assert [s["text"] for s in steps] == texts
+        assert len(requests) == len(steps) == len(modulations) == len(payload["graph_snapshots"])
+        for index, (step, modulation, request, snapshot) in enumerate(
+            zip(steps, modulations, requests, payload["graph_snapshots"]), start=1
+        ):
+            assert request.step_index == step["index"] == modulation["step_index"] == index
+            # The prompt shows the weights that the steps before this one left.
+            assert request.system_context == (
+                SYSTEM_PREAMBLE + "\n" + oracle_serialize_for_prompt(objects, k, node_weights)
+            )
+            named = {c for _, c in oracle_find_category_spans(step["text"], categories)}
+            mentioned = sorted(i for i in by_id if by_id[i].category in named)
+            assert step["object_ids"] == modulation["mentioned_ids"] == mentioned
+            nodes, edges = oracle_modulated_sets(set(mentioned), knn)
+            assert modulation["touched_nodes"] == sorted(nodes)
+            assert modulation["touched_edges_count"] == len(edges)
+            for i in nodes:
+                node_weights[i] *= w_l
+            for edge in edges:
+                edge_weights[edge] *= w_l
+            # Each snapshot is the graph after this step's modulation.
+            assert snapshot["k"] == k
+            assert snapshot["nodes"] == [
+                {"id": i, "category": by_id[i].category, "weight": weight}
+                for i, weight in node_weights.items()
+            ]
+            expected_edges = []
+            for (i, j), weight in edge_weights.items():
+                kind, distance = classify_relation(by_id[i], by_id[j])
+                expected_edges.append(
+                    {"src": i, "dst": j, "kind": kind, "weight": weight, "distance": distance}
+                )
+            assert snapshot["edges"] == expected_edges

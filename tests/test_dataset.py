@@ -10,7 +10,6 @@ import pytest
 from sceneplan import dataset
 from sceneplan.dataset import (
     DatasetError,
-    DatasetSample,
     FINDING_KINDS,
     ValidationFinding,
     compute_stats,
@@ -46,15 +45,14 @@ class TestLoadDataset:
         samples, scenes = load_dataset(root)
         assert len(samples) == len(plan["records"]) == 50
         assert set(scenes) == {"kitchen-01", "kitchen-02"}
-        assert {s.split for s in samples} == {"train", "val"}
-        assert sum(1 for s in samples if s.split == "train") == 40
+        # File order: the builder writes records[:40] to train, the rest to val.
+        assert list(samples) == [(r["scene_id"], r["sample_id"]) for r in plan["records"]]
 
     def test_sample_ids_come_from_records(self, faulty_dir):
         root, plan = faulty_dir
         samples, _ = load_dataset(root)
-        keys = {s.key for s in samples}
         for record in plan["records"]:
-            assert (record["scene_id"], record["sample_id"]) in keys
+            assert (record["scene_id"], record["sample_id"]) in samples
 
     def test_sample_id_defaults_to_line_number(self, tmp_path, clean_dir):
         clean_root, records = clean_dir
@@ -70,7 +68,7 @@ class TestLoadDataset:
             "".join(json.dumps(r) + "\n" for r in stripped), encoding="utf-8"
         )
         samples, _ = load_dataset(root)
-        assert [s.key[1] for s in samples] == [1, 2, 3]
+        assert [sample_id for _, sample_id in samples] == [1, 2, 3]
 
     def test_missing_scene_file_is_fatal(self, tmp_path):
         root = tmp_path / "ds"
@@ -198,9 +196,9 @@ class TestValidation:
     def test_validate_sample_clean(self, clean_dir):
         root, _ = clean_dir
         samples, scenes = load_dataset(root)
-        sample = samples[0]
-        scene = scenes[sample.triplet.scene_id]
-        assert validate_sample(sample, scene, default_start_pose(scene)) == []
+        key, triplet = next(iter(samples.items()))
+        scene = scenes[triplet.scene_id]
+        assert validate_sample(key, triplet, scene, default_start_pose(scene)) == []
 
     def test_start_pose_is_found_once_per_scene(self, faulty_dir, monkeypatch):
         root, _ = faulty_dir
@@ -232,6 +230,7 @@ class TestValidation:
 
 
 def _synthetic_sample(key_id: int, steps: list[str], activity: str = "do a thing"):
+    """A ``(key, triplet)`` item of the dict that :func:`load_dataset` returns."""
     triplet = InstructionPlanTriplet(
         scene_id="kitchen-01",
         instruction="a request",
@@ -241,17 +240,17 @@ def _synthetic_sample(key_id: int, steps: list[str], activity: str = "do a thing
             for i, text in enumerate(steps, start=1)
         ),
     )
-    return DatasetSample(("kitchen-01", key_id), "train", key_id, triplet)
+    return ("kitchen-01", key_id), triplet
 
 
 class TestStats:
     def test_step_histogram_pinned_example(self, kitchen):
-        samples = [
+        samples = dict([
             _synthetic_sample(1, ["a"] * 3),
             _synthetic_sample(2, ["b"] * 3),
             _synthetic_sample(3, ["c"] * 4),
             _synthetic_sample(4, ["d"] * 5),
-        ]
+        ])
         stats = compute_stats(samples, {"kitchen-01": kitchen})
         assert stats["step_histogram"] == {"3": 0.5, "4": 0.25, "5": 0.25}
         assert stats["mean_steps"] == 3.75
@@ -263,7 +262,7 @@ class TestStats:
         sample = _synthetic_sample(
             1, ["walk to the sink", "turn 90 degrees left"], activity="five words are in here"
         )
-        stats = compute_stats([sample], {"kitchen-01": kitchen})
+        stats = compute_stats(dict([sample]), {"kitchen-01": kitchen})
         assert stats["mean_words"] == 5 + 4 + 4
 
     def test_verb_histogram_counts_clause_heads(self, kitchen):
@@ -274,14 +273,14 @@ class TestStats:
                 "go forward and walk to the stove",
             ],
         )
-        stats = compute_stats([sample], {"kitchen-01": kitchen})
+        stats = compute_stats(dict([sample]), {"kitchen-01": kitchen})
         assert stats["verb_histogram"] == {"walk": 2, "turn": 1, "go": 1}
 
     def test_action_object_pairs_from_non_route_fragments(self, kitchen):
         sample = _synthetic_sample(
             1, ["polish the kitchen counter and grab the mug", "walk to the sink"]
         )
-        stats = compute_stats([sample], {"kitchen-01": kitchen})
+        stats = compute_stats(dict([sample]), {"kitchen-01": kitchen})
         assert stats["action_object_histogram"] == [
             {"action": "grab", "object": "mug", "count": 1},
             {"action": "polish", "object": "kitchen counter", "count": 1},
@@ -311,12 +310,12 @@ class TestStats:
         assert sum(stats["step_histogram"].values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_concatenation_recombines_means(self, kitchen):
-        a = [_synthetic_sample(1, ["one two", "three"]), _synthetic_sample(2, ["x"] * 4)]
-        b = [_synthetic_sample(3, ["alpha beta gamma"])]
+        a = dict([_synthetic_sample(1, ["one two", "three"]), _synthetic_sample(2, ["x"] * 4)])
+        b = dict([_synthetic_sample(3, ["alpha beta gamma"])])
         scenes = {"kitchen-01": kitchen}
         stats_a = compute_stats(a, scenes)
         stats_b = compute_stats(b, scenes)
-        combined = compute_stats(a + b, scenes)
+        combined = compute_stats(a | b, scenes)
         n_a, n_b = stats_a["sample_count"], stats_b["sample_count"]
         assert combined["mean_steps"] == pytest.approx(
             (stats_a["mean_steps"] * n_a + stats_b["mean_steps"] * n_b) / (n_a + n_b), abs=1e-12
@@ -327,7 +326,7 @@ class TestStats:
 
     def test_empty_dataset_rejected(self, kitchen):
         with pytest.raises(DatasetError, match="no samples"):
-            compute_stats([], {"kitchen-01": kitchen})
+            compute_stats({}, {"kitchen-01": kitchen})
 
     def test_stats_are_json_ready(self, faulty_dir):
         root, _ = faulty_dir

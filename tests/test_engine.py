@@ -58,9 +58,24 @@ class TestReplyParsing:
         episode = _second_step(kitchen, f"Step 2: Walk to the mug {END_TOKEN} and rinse it.")
         assert episode.terminated_by == "end-token"
         assert len(episode.steps) == 2 and episode.steps[-1].is_final
-        # Only the token goes; the spaces on either side of it stay.
-        assert episode.steps[-1].text == "Walk to the mug  and rinse it."
+        # The token and the space after it go: one space stays between the words.
+        assert episode.steps[-1].text == "Walk to the mug and rinse it."
         assert episode.steps[-1].object_ids == (2, 7)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            f"Step 2: Turn left. {END_TOKEN}",
+            f"Step 2: Turn left.{END_TOKEN}",
+            f"Step 2: Turn left.\n{END_TOKEN}\n",
+            f"Step 2: Walk to the mug{END_TOKEN} and rinse it. {END_TOKEN}",
+            f"{END_TOKEN} Step 2: done  {END_TOKEN}  ",
+        ],
+    )
+    def test_token_at_the_end_of_a_reply_leaves_the_text_as_before(self, kitchen, raw):
+        # What dropping every copy of the token gives, when none sits between two spaces.
+        expected = strip_step_label(raw.replace(END_TOKEN, "").strip())
+        assert _second_step(kitchen, raw).steps[-1].text == expected
 
     def test_strip_step_label_variants(self):
         assert strip_step_label("Step 3: walk to the sink") == "walk to the sink"
@@ -175,18 +190,18 @@ class TestRunEpisode:
         ]
         episode = run_episode(kitchen, graph, "help", scripted_generator(script))
         assert len(episode.modulations) == len(episode.steps) == 2
-        assert episode.modulations[0].step_index == 1
-        assert episode.modulations[1].step_index == 2
+        modulations = episode_to_dict(episode)["modulations"]
+        assert [m["step_index"] for m in modulations] == [1, 2]
         assert episode.steps[0].object_ids == (4,)
         # The kettle node was scaled in both steps: weight w_l squared.
-        assert graph.nodes[4].weight == pytest.approx(4.0)
+        assert graph.weights[4] == pytest.approx(4.0)
 
     def test_unmentioned_step_still_records_empty_modulation(self, kitchen):
         graph = build_graph(kitchen)
         script = [f"Plan. Step 1: Think quietly. {END_TOKEN}"]
         episode = run_episode(kitchen, graph, "help", scripted_generator(script))
-        assert episode.modulations[0].touched_nodes == frozenset()
-        assert all(n.weight == 1.0 for n in graph.nodes.values())
+        assert episode.modulations[0] == (frozenset(), frozenset())
+        assert all(w == 1.0 for w in graph.weights.values())
 
     def test_graph_reserialized_between_steps(self, kitchen):
         graph = build_graph(kitchen)
@@ -238,7 +253,7 @@ class TestRunEpisode:
             with pytest.raises(ValueError, match="w_l must be positive and finite"):
                 run_episode(kitchen, graph, "help", generator, w_l=w_l)
         assert requests == []
-        assert all(n.weight == 1.0 for n in graph.nodes.values())
+        assert all(w == 1.0 for w in graph.weights.values())
 
     def test_episode_to_dict_shape(self, kitchen):
         script = [f"Plan. Step 1: Walk to the mug. {END_TOKEN}"]

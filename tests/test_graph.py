@@ -118,7 +118,7 @@ class TestKnnConstruction:
     def test_out_degree_is_min_k_nminus1(self):
         scene = make_random_scene(3, n_objects=4)
         graph = build_graph(scene, k=7)
-        for node_id in graph.nodes:
+        for node_id in graph.weights:
             assert len(graph.edges[node_id]) == 3
 
     def test_default_k_is_two(self):
@@ -127,7 +127,7 @@ class TestKnnConstruction:
 
     def test_initial_weights_are_one(self):
         graph = build_graph(make_random_scene(5, n_objects=8))
-        assert all(n.weight == 1.0 for n in graph.nodes.values())
+        assert all(w == 1.0 for w in graph.weights.values())
         assert all(e.weight == 1.0 for out in graph.edges.values() for e in out.values())
 
     def test_rejects_bad_inputs(self):
@@ -166,10 +166,10 @@ class TestModulation:
         graph = build_graph(scene)
         neighbors = knn_ids(scene, graph.k)
         mentioned = [1, 4, 9]
-        record = modulate(graph, mentioned)
+        touched_nodes, touched_edges = modulate(graph, mentioned)
         nodes, edges = oracle_modulated_sets(set(mentioned), neighbors)
-        assert record.touched_nodes == nodes
-        assert record.touched_edges == edges
+        assert touched_nodes == nodes
+        assert touched_edges == edges
 
     def test_shared_neighbor_scaled_once_per_call(self):
         # Three collinear objects: 0 and 2 both have 1 as nearest neighbor.
@@ -182,45 +182,43 @@ class TestModulation:
         )
         graph = build_graph(scene, k=1)
         modulate(graph, [0, 2], w_l=2.0)
-        assert graph.nodes[1].weight == 2.0
+        assert graph.weights[1] == 2.0
 
     def test_duplicate_mentions_scale_once(self):
         graph = build_graph(make_random_scene(8, n_objects=5))
-        record = modulate(graph, [2, 2, 2], w_l=3.0)
-        assert graph.nodes[2].weight == 3.0
-        assert record.mentioned_ids == (2, 2, 2)
+        touched = modulate(graph, [2, 2, 2], w_l=3.0)
+        assert graph.weights[2] == 3.0
+        assert touched == modulate(build_graph(make_random_scene(8, n_objects=5)), [2])
 
     def test_modulation_accumulates_across_calls(self):
         graph = build_graph(make_random_scene(9, n_objects=5))
         modulate(graph, [0], w_l=2.0)
         modulate(graph, [0], w_l=2.0)
-        assert graph.nodes[0].weight == 4.0
+        assert graph.weights[0] == 4.0
 
     def test_untouched_elements_keep_weight_one(self):
         scene = make_random_scene(10, n_objects=10)
         graph = build_graph(scene)
-        record = modulate(graph, [0])
-        for node_id, node in graph.nodes.items():
-            expected = DEFAULT_MODULATION_WEIGHT if node_id in record.touched_nodes else 1.0
-            assert node.weight == expected
+        touched_nodes, touched_edges = modulate(graph, [0])
+        for node_id, weight in graph.weights.items():
+            expected = DEFAULT_MODULATION_WEIGHT if node_id in touched_nodes else 1.0
+            assert weight == expected
         for src, out in graph.edges.items():
             for dst, edge in out.items():
-                expected = DEFAULT_MODULATION_WEIGHT if (src, dst) in record.touched_edges else 1.0
+                expected = DEFAULT_MODULATION_WEIGHT if (src, dst) in touched_edges else 1.0
                 assert edge.weight == expected
 
     def test_unit_weight_changes_nothing(self):
         graph = build_graph(make_random_scene(11, n_objects=6))
-        before = {i: n.weight for i, n in graph.nodes.items()}
-        record = modulate(graph, [0, 1], w_l=1.0)
-        assert {i: n.weight for i, n in graph.nodes.items()} == before
-        assert record.touched_nodes  # still reported as touched
+        before = dict(graph.weights)
+        touched_nodes, _ = modulate(graph, [0, 1], w_l=1.0)
+        assert graph.weights == before
+        assert touched_nodes  # still reported as touched
 
     def test_empty_mention_list_touches_nothing(self):
         graph = build_graph(make_random_scene(12, n_objects=6))
-        record = modulate(graph, [])
-        assert record.touched_nodes == frozenset()
-        assert record.touched_edges == frozenset()
-        assert all(n.weight == 1.0 for n in graph.nodes.values())
+        assert modulate(graph, []) == (frozenset(), frozenset())
+        assert all(w == 1.0 for w in graph.weights.values())
 
     def test_unknown_id_raises(self):
         graph = build_graph(make_random_scene(14, n_objects=4))
@@ -260,8 +258,8 @@ class TestSerialization:
         graph = build_graph(kitchen)
         modulate(graph, [4])
         lines = serialize_for_prompt(graph).splitlines()
-        assert len(lines) == len(graph.nodes) + sum(map(len, graph.edges.values()))
-        assert len([l for l in lines if "(w=" in l]) == len(graph.nodes)
+        assert len(lines) == len(graph.weights) + sum(map(len, graph.edges.values()))
+        assert len([l for l in lines if "(w=" in l]) == len(graph.weights)
 
     def test_serialization_is_deterministic(self, kitchen):
         a = build_graph(kitchen)
@@ -330,10 +328,9 @@ class TestOracleAgreement:
         scales = st.sampled_from([0.5, 2.0, 3.0])
         steps = data.draw(st.lists(st.tuples(mentions, scales), max_size=4))
         for step, (mentioned, w_l) in enumerate(steps):
-            record = modulate(graph, mentioned, w_l=w_l, step_index=step)
+            touched = modulate(graph, mentioned, w_l=w_l, step_index=step)
             nodes, edges = oracle_modulated_sets(set(mentioned), knn)
-            assert record.touched_nodes == nodes
-            assert record.touched_edges == edges
+            assert touched == (nodes, edges)
             for i in nodes:
                 node_weights[i] *= w_l
             for key in edges:

@@ -46,11 +46,10 @@ from sceneplan.scene import (
     PlanStep,
     SceneModel,
     load_scene,
-    scene_to_dict,
 )
 from sceneplan.textmatch import CategoryMatcher
 from tests.conftest import make_random_grid_scene
-from tests.dataset_builder import build_faulty_dataset
+from tests.dataset_builder import build_faulty_dataset, scene_to_dict
 from tests.oracles import (
     oracle_bfs_length,
     oracle_component_labels,

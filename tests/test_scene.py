@@ -24,12 +24,10 @@ from sceneplan.scene import (
     load_scene,
     load_triplets,
     parse_triplet_record,
-    scene_to_dict,
-    serialize_scene,
-    triplet_to_dict,
     triplet_warnings,
 )
 from tests.conftest import FIXTURES
+from tests.dataset_builder import scene_to_dict, serialize_scene, triplet_to_dict
 from tests.oracles import oracle_load_objects
 
 
@@ -360,29 +358,31 @@ class TestTripletWarnings:
 
     def test_missing_final_step_flagged(self, kitchen):
         t = _triplet([PlanStep(1, "walk"), PlanStep(2, "stop")])
-        kinds = [w.kind for w in triplet_warnings(t, kitchen, 1)]
+        kinds = [kind for kind, _ in triplet_warnings(t, kitchen)]
         assert kinds == ["step-structure"]
 
     def test_final_step_not_last_flagged(self, kitchen):
         t = _triplet([PlanStep(1, "walk", is_final=True), PlanStep(2, "stop")])
-        kinds = [w.kind for w in triplet_warnings(t, kitchen, 1)]
+        kinds = [kind for kind, _ in triplet_warnings(t, kitchen)]
         assert kinds == ["step-structure"]
 
     def test_non_contiguous_indices_flagged(self, kitchen):
         t = _triplet([PlanStep(1, "walk"), PlanStep(3, "stop", is_final=True)])
-        kinds = [w.kind for w in triplet_warnings(t, kitchen, 1)]
+        kinds = [kind for kind, _ in triplet_warnings(t, kitchen)]
         assert kinds == ["step-structure"]
 
     def test_empty_step_list_flagged(self, kitchen):
-        kinds = [w.kind for w in triplet_warnings(_triplet([]), kitchen, 1)]
+        kinds = [kind for kind, _ in triplet_warnings(_triplet([]), kitchen)]
         assert kinds == ["step-structure"]
 
-    def test_unknown_object_id_flagged(self, kitchen):
+    def test_unknown_object_id_flagged(self, tmp_path, kitchen):
         t = _triplet([PlanStep(1, "walk", object_ids=(999,), is_final=True)])
-        warning = triplet_warnings(t, kitchen, 7)
-        assert [w.kind for w in warning] == ["unknown-object"]
-        assert warning[0].line == 7
-        assert "999" in warning[0].detail
+        assert triplet_warnings(t, kitchen) == [("unknown-object", "unknown object 999")]
+        path = tmp_path / "unknown.jsonl"
+        path.write_text("\n" * 6 + json.dumps(triplet_to_dict(t)) + "\n", encoding="utf-8")
+        assert load_triplets(path, kitchen) == (
+            [t], [(7, "unknown-object", "unknown object 999")]
+        )
 
     def test_implicitness_violation_is_case_insensitive(self, kitchen):
         t = InstructionPlanTriplet(
@@ -391,12 +391,12 @@ class TestTripletWarnings:
             "make coffee",
             (PlanStep(1, "walk", is_final=True),),
         )
-        kinds = [w.kind for w in triplet_warnings(t, kitchen, 1)]
+        kinds = [kind for kind, _ in triplet_warnings(t, kitchen)]
         assert kinds == ["implicitness-violation"]
 
     def test_without_scene_object_ids_are_not_checked(self):
         t = _triplet([PlanStep(1, "walk", object_ids=(999,), is_final=True)])
-        assert triplet_warnings(t, None, 1) == []
+        assert triplet_warnings(t, None) == []
 
 
 class TestTripletIo:
@@ -406,8 +406,7 @@ class TestTripletIo:
         path.write_text("not json\n" + good + "\n", encoding="utf-8")
         triplets, warnings = load_triplets(path, kitchen)
         assert len(triplets) == 1
-        assert [w.kind for w in warnings] == ["syntax"]
-        assert warnings[0].line == 1
+        assert [(line, kind) for line, kind, _ in warnings] == [(1, "syntax")]
 
     def test_blank_lines_ignored(self, tmp_path, kitchen):
         path = tmp_path / "blank.jsonl"

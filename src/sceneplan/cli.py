@@ -36,7 +36,6 @@ from .route import (
     AgentPose,
     RouteError,
     default_start_pose,
-    report_to_dict,
     verify_route,
 )
 from .scene import SceneFormatError, load_scene, load_triplets, read_jsonl
@@ -243,11 +242,8 @@ def cmd_route_check(args: argparse.Namespace) -> int:
     results = []
     for triplet in triplets:
         reports = verify_route(triplet.steps, scene, start)
-        all_ok = all_ok and all(r.verdict == "ok" for r in reports)
-        results.append({
-            "instruction": triplet.instruction,
-            "reports": [report_to_dict(r) for r in reports],
-        })
+        all_ok = all_ok and all(r["verdict"] == "ok" for r in reports)
+        results.append({"instruction": triplet.instruction, "reports": reports})
     _emit({"scene_id": scene.scene_id, "all_ok": all_ok, "routes": results})
     return 0 if all_ok else 1
 

@@ -142,15 +142,14 @@ def validate_sample(
     findings = [
         ValidationFinding(key, kind, detail) for kind, detail in triplet_warnings(triplet, scene)
     ]
-    reports = verify_route(triplet.steps, scene, start)
-    for report in reports:
-        if report.verdict == "ok":
+    for report in verify_route(triplet.steps, scene, start):
+        if report["verdict"] == "ok":
             continue
         findings.append(
             ValidationFinding(
                 key,
-                _ROUTE_VERDICT_TO_KIND[report.verdict],
-                f"step {report.step_index}: {report.detail}",
+                _ROUTE_VERDICT_TO_KIND[report["verdict"]],
+                f"step {report['step_index']}: {report['detail']}",
             )
         )
     return findings
@@ -203,14 +202,14 @@ def compute_stats(
         total_words += _sample_word_count(triplet)
         matcher = scenes[triplet.scene_id].category_matcher
         for step in triplet.steps:
-            for fragment in parse_fragments(step.text):
-                if fragment.clause is not None:
-                    verb_histogram[fragment.clause.verb] += 1
+            for text, clause, is_movement in parse_fragments(step.text):
+                if clause is not None:
+                    verb_histogram[clause.verb] += 1
                     continue
-                if fragment.is_movement:
+                if is_movement:
                     continue
-                tokens = words_of(fragment.text)
-                spans = find_category_spans(fragment.text, matcher)
+                tokens = words_of(text)
+                spans = find_category_spans(text, matcher)
                 if tokens and spans:
                     action_object[(tokens[0], spans[0][1])] += 1
     n = len(samples)

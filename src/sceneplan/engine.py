@@ -60,7 +60,6 @@ class PlanEpisode:
     activity: str
     steps: tuple[PlanStep, ...]
     modulations: tuple[Touched, ...]  # one per step
-    terminated_by: str  # "end-token" or "step-cap"
 
 
 def render_history_prompt(instruction: str, history: list[PlanStep] | tuple[PlanStep, ...]) -> str:
@@ -114,11 +113,11 @@ def run_episode(
 ) -> PlanEpisode:
     """Run one progressive generation episode over the scene graph.
 
-    A reply containing ``END_TOKEN`` ends the episode; every copy of the
-    token is stripped from the step text, and a copy between two spaces
-    leaves one.  The graph is modulated in place once per generated step
-    (empty mention sets still produce a record), so build a fresh graph per
-    episode, as ``cmd_plan`` does.
+    A reply containing ``END_TOKEN`` ends the episode and makes its step
+    final; every copy of the token is stripped from the step text, and a
+    copy between two spaces leaves one.  The graph is modulated in place
+    once per generated step (empty mention sets still produce a record), so
+    build a fresh graph per episode, as ``cmd_plan`` does.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
@@ -127,7 +126,6 @@ def run_episode(
     steps: list[PlanStep] = []
     modulations: list[Touched] = []
     activity = ""
-    terminated_by = "step-cap"
 
     def partial() -> PlanEpisode:
         return PlanEpisode(
@@ -135,7 +133,6 @@ def run_episode(
             activity=activity,
             steps=tuple(steps),
             modulations=tuple(modulations),
-            terminated_by=terminated_by,
         )
 
     for step_index in range(1, max_steps + 1):
@@ -173,12 +170,12 @@ def run_episode(
         )
         modulations.append(modulate(graph, mentioned, w_l=w_l, step_index=step_index))
         if saw_end:
-            terminated_by = "end-token"
             break
     return partial()
 
 
 def episode_to_dict(episode: PlanEpisode) -> dict:
+    """The episode as ``plan`` prints it; it ended on the end token if its last step is final."""
     return {
         "instruction": episode.instruction,
         "activity": episode.activity,
@@ -186,7 +183,7 @@ def episode_to_dict(episode: PlanEpisode) -> dict:
             {"index": s.index, "text": s.text, "object_ids": list(s.object_ids)}
             for s in episode.steps
         ],
-        "terminated_by": episode.terminated_by,
+        "terminated_by": "end-token" if episode.steps[-1].is_final else "step-cap",
         "modulations": [
             {
                 "step_index": s.index,

@@ -2,10 +2,10 @@
 
 Nodes are scene objects; each node gets a directed edge to its k nearest
 neighbors by centroid distance (ties broken by lower object id).  Edges
-carry a coarse spatial relation.  Generating a plan step that mentions an
-object multiplies the weight of that node, its neighbors, and the
-connecting edges by a configurable factor, which in turn reorders the
-weight-ranked prompt serialization.
+carry a coarse spatial relation and never change after they are built.
+Generating a plan step that mentions an object multiplies the weight of
+that node, its neighbors, and the connecting edges by a configurable
+factor, which in turn reorders the weight-ranked prompt serialization.
 """
 
 from __future__ import annotations
@@ -23,26 +23,21 @@ NEAR_DISTANCE = 0.15  # meters; closer than this overrides axis-based kinds
 # What one modulate call scaled: the node ids and the (src, dst) edges.
 Touched = tuple[frozenset[int], frozenset[tuple[int, int]]]
 
-@dataclass
-class GraphEdge:
-    """Relation kind of dst relative to src, exact centroid distance in meters, weight."""
-
-    kind: str
-    distance: float
-    weight: float = 1.0
-
 
 @dataclass
 class SceneGraph:
-    """Per object id, its category and node weight; ``edges[src][dst]`` is the edge src->dst.
+    """Per object id, its category and node weight; per edge src->dst, its weight and relation.
 
-    ``categories`` and ``weights`` share their keys; each inner ``edges``
-    dict is in ascending dst order.
+    ``categories`` and ``weights`` share their keys, and so do ``edges``
+    and ``edge_weights``: ``edges[src][dst]`` is the ``(kind, distance)``
+    pair of :func:`classify_relation`, each inner dict in ascending dst
+    order.  Only the two weight dicts change after :func:`build_graph`.
     """
 
     categories: dict[int, str]
     weights: dict[int, float]
-    edges: dict[int, dict[int, GraphEdge]]
+    edges: dict[int, dict[int, tuple[str, float]]]
+    edge_weights: dict[int, dict[int, float]]
     k: int
 
     @cached_property
@@ -60,8 +55,8 @@ class SceneGraph:
         prefixes = {node_id: label + " (w=" for node_id, label in labels.items()}
         edge_lines = {
             node_id: "".join(
-                f"\n{label} {edge.kind} {labels[dst]}"
-                for dst, edge in self.edges[node_id].items()
+                f"\n{label} {kind} {labels[dst]}"
+                for dst, (kind, _) in self.edges[node_id].items()
             )
             for node_id, label in labels.items()
         }
@@ -158,11 +153,17 @@ def build_graph(scene: SceneModel, k: int = DEFAULT_K) -> SceneGraph:
         raise ValueError("scene has no objects")
     by_id = scene.objects_by_id
     edges = {
-        src: {dst: GraphEdge(*classify_relation(by_id[src], by_id[dst])) for dst in sorted(dsts)}
+        src: {dst: classify_relation(by_id[src], by_id[dst]) for dst in sorted(dsts)}
         for src, dsts in knn_ids(scene, k).items()
     }
     categories = {obj.id: obj.category for obj in scene.objects}
-    return SceneGraph(categories, dict.fromkeys(categories, 1.0), edges, k)
+    return SceneGraph(
+        categories,
+        dict.fromkeys(categories, 1.0),
+        edges,
+        {src: dict.fromkeys(out, 1.0) for src, out in edges.items()},
+        k,
+    )
 
 
 def modulate(
@@ -188,7 +189,7 @@ def modulate(
     touched_edges = {(src, dst) for src in touched_nodes for dst in graph.edges[src]}
     touched_nodes.update(dst for _, dst in touched_edges)
     weights = [graph.weights[node_id] for node_id in touched_nodes]
-    weights += [graph.edges[src][dst].weight for src, dst in touched_edges]
+    weights += [graph.edge_weights[src][dst] for src, dst in touched_edges]
     if not all(0 < weight * w_l < math.inf for weight in weights):
         raise ValueError(
             f"step {step_index}: scaling by w_l={w_l} takes a weight out of the "
@@ -197,7 +198,7 @@ def modulate(
     for node_id in touched_nodes:
         graph.weights[node_id] *= w_l
     for src, dst in touched_edges:
-        graph.edges[src][dst].weight *= w_l
+        graph.edge_weights[src][dst] *= w_l
     return frozenset(touched_nodes), frozenset(touched_edges)
 
 
@@ -233,14 +234,10 @@ def graph_to_dict(graph: SceneGraph) -> dict:
             for node_id, weight in sorted(graph.weights.items())
         ],
         "edges": [
-            {
-                "src": src,
-                "dst": dst,
-                "kind": edge.kind,
-                "weight": edge.weight,
-                "distance": edge.distance,
-            }
+            {"src": src, "dst": dst, "kind": kind, "weight": weight, "distance": distance}
             for src, out in sorted(graph.edges.items())
-            for dst, edge in out.items()
+            for (dst, (kind, distance)), weight in zip(
+                out.items(), graph.edge_weights[src].values(), strict=True
+            )
         ],
     }

@@ -72,23 +72,8 @@ class RouteClause:
     adverb: str | None = None
 
 
-@dataclass(frozen=True)
-class ParsedFragment:
-    """One clause-sized piece of step text and what the grammar made of it."""
-
-    text: str
-    clause: RouteClause | None
-    is_movement: bool
-
-
-@dataclass(frozen=True)
-class RouteCheckReport:
-    step_index: int
-    clauses: tuple[RouteClause, ...]
-    final_pose: AgentPose
-    verdict: str
-    detail: str = ""
-
+# One clause-sized piece of step text: (text, clause or None, starts with a movement verb).
+Fragment = tuple[str, RouteClause | None, bool]
 
 _SENTENCE_BREAKS = ".?!;,"
 
@@ -152,7 +137,7 @@ def _match_fragment(tokens: list[str]) -> RouteClause | None:
     return RouteClause(verb=verb, target_category=target, adverb=adverb)
 
 
-def parse_fragments(step_text: str) -> list[ParsedFragment]:
+def parse_fragments(step_text: str) -> list[Fragment]:
     """Classify every fragment of a step: route clause, failed movement, or other.
 
     Fragments that do not begin with a movement verb (e.g. "pick up the
@@ -160,22 +145,21 @@ def parse_fragments(step_text: str) -> list[ParsedFragment]:
     that begin with one but do not fit the grammar are flagged so a
     downstream check can report them.
     """
-    fragments: list[ParsedFragment] = []
+    fragments: list[Fragment] = []
     for piece in split_fragments(step_text):
         tokens = words_of(piece)
         if not tokens:
             continue
         if tokens[0] not in MOVE_VERBS and tokens[0] != TURN_VERB:
-            fragments.append(ParsedFragment(piece, None, is_movement=False))
+            fragments.append((piece, None, False))
             continue
-        clause = _match_fragment(tokens)
-        fragments.append(ParsedFragment(piece, clause, is_movement=True))
+        fragments.append((piece, _match_fragment(tokens), True))
     return fragments
 
 
 def parse_route(step_text: str) -> list[RouteClause]:
     """All route clauses in a step, in text order.  Total: never raises."""
-    return [f.clause for f in parse_fragments(step_text) if f.clause]
+    return [clause for _, clause, _ in parse_fragments(step_text) if clause]
 
 
 def turn_heading(heading: int, degrees: int, direction: str) -> int:
@@ -516,8 +500,12 @@ def verify_route(
     steps: list[PlanStep] | tuple[PlanStep, ...],
     scene: SceneModel,
     start: AgentPose,
-) -> list[RouteCheckReport]:
+) -> list[dict]:
     """Thread the agent pose through all steps and check route feasibility.
+
+    One report per step, as ``route-check`` prints it: ``step_index``,
+    ``verdict``, ``detail``, the step's ``clauses`` as text and the
+    ``final_pose`` (``position`` list and ``heading``).
 
     Per step, the first failing clause determines the verdict: "unparsed"
     for a movement fragment outside the grammar, "unknown-object" when a
@@ -528,19 +516,17 @@ def verify_route(
     :func:`shortest_cell_path` would find no path.  Later steps are still
     checked from wherever the pose ended up.
     """
-    reports: list[RouteCheckReport] = []
+    reports: list[dict] = []
     pose = start
     for step in steps:
         fragments = parse_fragments(step.text)
-        clauses = tuple(f.clause for f in fragments if f.clause)
         verdict, detail = "ok", ""
-        for fragment in fragments:
-            if fragment.clause is None:
-                if fragment.is_movement:
-                    verdict, detail = "unparsed", fragment.text
+        for text, clause, is_movement in fragments:
+            if clause is None:
+                if is_movement:
+                    verdict, detail = "unparsed", text
                     break
                 continue
-            clause = fragment.clause
             if clause.verb == TURN_VERB or clause.target_category is None:
                 pose = apply_clause(pose, clause, scene)
                 continue
@@ -569,15 +555,13 @@ def verify_route(
                     detail = f"no path to {clause.target_category}"
                     break
             pose = replace(pose, position=_landing_point(pose, clause, target, scene))
-        reports.append(
-            RouteCheckReport(
-                step_index=step.index,
-                clauses=clauses,
-                final_pose=pose,
-                verdict=verdict,
-                detail=detail,
-            )
-        )
+        reports.append({
+            "step_index": step.index,
+            "verdict": verdict,
+            "detail": detail,
+            "clauses": [clause_to_text(clause) for _, clause, _ in fragments if clause],
+            "final_pose": {"position": list(pose.position), "heading": pose.heading},
+        })
     return reports
 
 
@@ -609,16 +593,3 @@ def clause_to_text(clause: RouteClause) -> str:
 
 def clauses_to_text(clauses: list[RouteClause]) -> str:
     return " and ".join(clause_to_text(c) for c in clauses)
-
-
-def report_to_dict(report: RouteCheckReport) -> dict:
-    return {
-        "step_index": report.step_index,
-        "verdict": report.verdict,
-        "detail": report.detail,
-        "clauses": [clause_to_text(c) for c in report.clauses],
-        "final_pose": {
-            "position": list(report.final_pose.position),
-            "heading": report.final_pose.heading,
-        },
-    }

@@ -482,9 +482,7 @@ def parse_triplet_record(data: dict, where: str = "record") -> InstructionPlanTr
     return InstructionPlanTriplet(scene_id, instruction, activity, steps)  # type: ignore[arg-type]
 
 
-def triplet_warnings(
-    triplet: InstructionPlanTriplet, scene: SceneModel | None
-) -> list[tuple[str, str]]:
+def triplet_warnings(triplet: InstructionPlanTriplet, scene: SceneModel) -> list[tuple[str, str]]:
     """Semantic checks for one triplet as (kind, detail) pairs; reported, never raised.
 
     ``kind`` is one of: unknown-object, implicitness-violation,
@@ -506,12 +504,11 @@ def triplet_warnings(
                     ("step-structure", f"step at position {pos} has index {step.index}")
                 )
                 break
-    if scene is not None:
-        known = scene.objects_by_id
-        for step in triplet.steps:
-            for oid in step.object_ids:
-                if oid not in known:
-                    warnings.append(("unknown-object", f"unknown object {oid}"))
+    known = scene.objects_by_id
+    for step in triplet.steps:
+        for oid in step.object_ids:
+            if oid not in known:
+                warnings.append(("unknown-object", f"unknown object {oid}"))
     if triplet.activity and triplet.activity.casefold() in triplet.instruction.casefold():
         warnings.append((
             "implicitness-violation",
@@ -523,13 +520,15 @@ def triplet_warnings(
 def read_jsonl(path: str | Path) -> list[tuple[int, str, dict | SceneFormatError]]:
     """Parse every nonblank line of a JSON Lines file.
 
+    Lines end at line feeds only: a JSON string may hold a raw U+2028 or
+    another character that :meth:`str.splitlines` would also break at.
     Each entry is (line number, ``path:line`` locus, record).  A line that
     is not a JSON object comes back as the :class:`SceneFormatError` saying
     why, in place of its record, so each caller keeps its own policy: skip
     the line or fail.  An unreadable file raises :class:`OSError`.
     """
     entries: list[tuple[int, str, dict | SceneFormatError]] = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
         if not line.strip():
             continue
         try:
@@ -543,7 +542,7 @@ def read_jsonl(path: str | Path) -> list[tuple[int, str, dict | SceneFormatError
 
 
 def load_triplets(
-    path: str | Path, scene: SceneModel | None = None
+    path: str | Path, scene: SceneModel
 ) -> tuple[list[InstructionPlanTriplet], list[tuple[int, str, str]]]:
     """Load instruction-plan triplets from a JSON Lines file.
 

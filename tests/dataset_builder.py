@@ -89,7 +89,7 @@ def triplet_to_dict(triplet: InstructionPlanTriplet) -> dict:
 def _steps_for(scene, instruction: str) -> list[dict]:
     graph = build_graph(scene, k=2)
     episode = run_episode(scene, graph, instruction, RuleBasedGenerator(scene))
-    assert episode.terminated_by == "end-token"
+    assert episode.steps[-1].is_final
     return [
         {
             "index": s.index,

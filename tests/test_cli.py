@@ -226,6 +226,23 @@ class TestRouteCheckCommand:
         }
         assert verdicts == {"ok"}
 
+    def test_line_separator_in_a_string_keeps_records_and_lines(self, capsys, tmp_path):
+        # A raw U+2028 is valid inside a JSON string; it used to split the
+        # record in two, both syntax errors, and shift later line numbers.
+        lines = (FIXTURES / "triplets_valid.jsonl").read_text(encoding="utf-8").split("\n")
+        first = json.loads(lines[0])
+        first["instruction"] += "\u2028"
+        lines[0] = json.dumps(first, ensure_ascii=False)
+        path = tmp_path / "separator.jsonl"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        argv = ["route-check", "--scene", KITCHEN, "--triplets"]
+        code, payload, err = _run(capsys, argv + [str(path)])
+        expected = _run(capsys, argv + [str(FIXTURES / "triplets_valid.jsonl")])
+        assert err == expected[2]
+        assert payload["routes"][0]["instruction"] == first["instruction"]
+        payload["routes"][0]["instruction"] = expected[1]["routes"][0]["instruction"]
+        assert (code, payload) == expected[:2]
+
     def test_bad_route_fails(self, capsys, tmp_path):
         record = {
             "scene_id": "kitchen-01",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -17,9 +18,10 @@ from sceneplan.engine import (
     run_episode,
     strip_step_label,
 )
+from sceneplan.generators import RuleBasedGenerator
 from sceneplan.graph import build_graph
 from sceneplan.scene import PlanStep
-from tests.conftest import scripted_generator
+from tests.conftest import make_random_scene, scripted_generator
 
 
 def _recording(generator):
@@ -43,20 +45,19 @@ def _second_step(kitchen, raw: str, max_steps: int = 8):
 class TestReplyParsing:
     def test_run_episode_strips_all_end_tokens(self, kitchen):
         episode = _second_step(kitchen, f"Step 2: Turn left. {END_TOKEN}")
-        assert episode.terminated_by == "end-token" and episode.steps[-1].is_final
+        assert episode.steps[-1].is_final
         assert episode.steps[-1].text == "Turn left."
         noisy = _second_step(kitchen, f"{END_TOKEN} done {END_TOKEN}")
-        assert noisy.terminated_by == "end-token" and noisy.steps[-1].is_final
+        assert noisy.steps[-1].is_final
         assert noisy.steps[-1].text == "done"
 
     def test_reply_without_token(self, kitchen):
         episode = _second_step(kitchen, "  Step 3: walk.  ", max_steps=2)
-        assert episode.terminated_by == "step-cap" and not episode.steps[-1].is_final
+        assert not episode.steps[-1].is_final
         assert episode.steps[-1].text == "walk."
 
     def test_end_token_mid_text_ends_the_episode(self, kitchen):
         episode = _second_step(kitchen, f"Step 2: Walk to the mug {END_TOKEN} and rinse it.")
-        assert episode.terminated_by == "end-token"
         assert len(episode.steps) == 2 and episode.steps[-1].is_final
         # The token and the space after it go: one space stays between the words.
         assert episode.steps[-1].text == "Walk to the mug and rinse it."
@@ -154,7 +155,6 @@ class TestRunEpisode:
             "Step 3: never requested",
         ]
         episode = run_episode(kitchen, build_graph(kitchen), "help", scripted_generator(script))
-        assert episode.terminated_by == "end-token"
         assert len(episode.steps) == 2
         assert episode.steps[-1].is_final
         assert not episode.steps[0].is_final
@@ -165,7 +165,7 @@ class TestRunEpisode:
             return f"Step {request.step_index}: keep going forever"
 
         episode = run_episode(kitchen, build_graph(kitchen), "help", runaway, max_steps=8)
-        assert episode.terminated_by == "step-cap"
+        assert not episode.steps[-1].is_final
         assert len(episode.steps) == 8
         assert [s.index for s in episode.steps] == list(range(1, 9))
 
@@ -218,6 +218,31 @@ class TestRunEpisode:
         boosted = [l for l in node_lines if l.endswith("(w=2)")]
         assert node_lines[: len(boosted)] == boosted
         assert "kettle#4 (w=2)" in boosted
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_episode_changes_only_the_weights(self, kitchen, k):
+        # Edges are fixed by build_graph; an episode scales only the two weight dicts.
+        generated = make_random_scene(12, n_objects=30)
+        first, second, third = sorted(generated.categories())[:3]
+        script = [
+            f"Plan. Step 1: Walk to the {first}.",
+            f"Step 2: Put the {second} by the {third}. {END_TOKEN}",
+        ]
+        for scene, generator in (
+            (kitchen, RuleBasedGenerator(kitchen)),
+            (generated, scripted_generator(script)),
+        ):
+            graph, fresh = build_graph(scene, k), build_graph(scene, k)
+            run_episode(scene, graph, "I am tired and want coffee", generator)
+            assert graph.edges == fresh.edges
+            assert graph.weights.keys() == graph.categories.keys()
+            # Same keys in the same order: graph_to_dict pairs them by position.
+            assert {src: list(out) for src, out in graph.edge_weights.items()} == {
+                src: list(out) for src, out in graph.edges.items()
+            }
+            assert graph.weights != fresh.weights
+            assert graph.edge_weights != fresh.edge_weights
+            assert replace(graph, weights=fresh.weights, edge_weights=fresh.edge_weights) == fresh
 
     def test_generator_failure_preserves_partial_episode(self, kitchen):
         def flaky(request: GeneratorRequest):

@@ -388,7 +388,6 @@ class TestRuleBasedGenerator:
             "I am tired and want coffee",
             RuleBasedGenerator(kitchen),
         )
-        assert episode.terminated_by == "end-token"
         assert len(episode.steps) == 4
         assert episode.activity == (
             "To help you, the robot assistant will prepare a cup of coffee, "
@@ -405,7 +404,7 @@ class TestRuleBasedGenerator:
             RuleBasedGenerator(kitchen),
         )
         reports = verify_route(episode.steps, kitchen, default_start_pose(kitchen))
-        assert [r.verdict for r in reports] == ["ok"] * len(episode.steps)
+        assert [r["verdict"] for r in reports] == ["ok"] * len(episode.steps)
 
     def test_generation_is_deterministic(self, kitchen):
         def run() -> list[str]:

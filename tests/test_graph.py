@@ -128,7 +128,7 @@ class TestKnnConstruction:
     def test_initial_weights_are_one(self):
         graph = build_graph(make_random_scene(5, n_objects=8))
         assert all(w == 1.0 for w in graph.weights.values())
-        assert all(e.weight == 1.0 for out in graph.edges.values() for e in out.values())
+        assert all(w == 1.0 for out in graph.edge_weights.values() for w in out.values())
 
     def test_rejects_bad_inputs(self):
         scene = make_random_scene(6, n_objects=3)
@@ -146,8 +146,8 @@ class TestKnnConstruction:
             "pair", (_at(0, 0.0, 0.0, 0.0), _at(1, 2.0, 0.0, 0.0)), category_vocab_size=1
         )
         graph = build_graph(scene, k=1)
-        assert graph.edges[0][1].kind == "right-of"
-        assert graph.edges[1][0].kind == "left-of"
+        assert graph.edges[0][1][0] == "right-of"
+        assert graph.edges[1][0][0] == "left-of"
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(scene=_knn_layouts(), k=st.integers(1, 5))
@@ -157,6 +157,16 @@ class TestKnnConstruction:
     @pytest.mark.parametrize("k", [2, 4])
     def test_bucket_grid_matches_oracle_on_1000_objects(self, k):
         scene = make_random_scene(11, n_objects=1000)
+        assert knn_ids(scene, k) == oracle_knn({o.id: o.centroid for o in scene.objects}, k)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_close_pair_far_from_the_rest_finds_k_neighbors(self, k):
+        # The pair's nearest neighbor sits in its own bucket and every other
+        # object at least two rings out: the scan must go on until it has k.
+        far = [_at(i, 5.0 + (i % 6), 5.0 + (i // 6) % 6, 0.0) for i in range(2, 32)]
+        scene = SceneModel(
+            "pair", (_at(0, 0.0, 0.0, 0.0), _at(1, 0.01, 0.0, 0.0), *far), category_vocab_size=1
+        )
         assert knn_ids(scene, k) == oracle_knn({o.id: o.centroid for o in scene.objects}, k)
 
 
@@ -203,10 +213,10 @@ class TestModulation:
         for node_id, weight in graph.weights.items():
             expected = DEFAULT_MODULATION_WEIGHT if node_id in touched_nodes else 1.0
             assert weight == expected
-        for src, out in graph.edges.items():
-            for dst, edge in out.items():
+        for src, out in graph.edge_weights.items():
+            for dst, weight in out.items():
                 expected = DEFAULT_MODULATION_WEIGHT if (src, dst) in touched_edges else 1.0
-                assert edge.weight == expected
+                assert weight == expected
 
     def test_unit_weight_changes_nothing(self):
         graph = build_graph(make_random_scene(11, n_objects=6))

@@ -115,14 +115,16 @@ class TestRouteGrammar:
     def test_movement_fragments_outside_grammar_fail(self, text):
         fragments = parse_fragments(text)
         assert len(fragments) == 1
-        assert fragments[0].is_movement
-        assert fragments[0].clause is None
+        _, clause, is_movement = fragments[0]
+        assert is_movement
+        assert clause is None
 
     def test_non_movement_fragments_are_not_route_material(self):
         fragments = parse_fragments("Pick up the water kettle")
         assert len(fragments) == 1
-        assert not fragments[0].is_movement
-        assert fragments[0].clause is None
+        _, clause, is_movement = fragments[0]
+        assert not is_movement
+        assert clause is None
 
     def test_mixed_step_keeps_text_order(self):
         clauses = parse_route(
@@ -400,7 +402,7 @@ class TestPlanRoute:
             text = clauses_to_text(clauses)
             assert parse_route(text) == clauses
             reports = verify_route([_step(text)], kitchen, start)
-            assert reports[0].verdict == "ok", (obj.id, text, reports[0].detail)
+            assert reports[0]["verdict"] == "ok", (obj.id, text, reports[0]["detail"])
 
     def test_planned_route_ends_adjacent_to_target(self, kitchen):
         start = default_start_pose(kitchen)
@@ -448,35 +450,35 @@ class TestVerifyRoute:
             kitchen,
             _pose(0.0, 0.0, 0),
         )
-        assert [r.verdict for r in reports] == ["ok"]
-        assert reports[0].final_pose.position == pytest.approx((0.0, 1.8))
+        assert [r["verdict"] for r in reports] == ["ok"]
+        assert reports[0]["final_pose"]["position"] == pytest.approx([0.0, 1.8])
 
     def test_unparsed_movement_flagged(self, kitchen):
         reports = verify_route(
             [_step("Walk quickly toward the sink")], kitchen, _pose(0.0, 0.0)
         )
-        assert reports[0].verdict == "unparsed"
-        assert "quickly" in reports[0].detail
+        assert reports[0]["verdict"] == "unparsed"
+        assert "quickly" in reports[0]["detail"]
 
     def test_unknown_object_flagged(self, kitchen):
         reports = verify_route([_step("walk to the unicorn")], kitchen, _pose(0.0, 0.0))
-        assert reports[0].verdict == "unknown-object"
-        assert reports[0].detail == "unicorn"
+        assert reports[0]["verdict"] == "unknown-object"
+        assert reports[0]["detail"] == "unicorn"
 
     def test_direction_inconsistency_requires_straight_ahead_claim(self, kitchen):
         pose = _pose(-2.75, -0.75, 0)  # refrigerator is mostly to the +x side
         claimed = verify_route(
             [_step("walk straight ahead to the refrigerator")], kitchen, pose
         )
-        assert claimed[0].verdict == "direction-inconsistent"
+        assert claimed[0]["verdict"] == "direction-inconsistent"
         unclaimed = verify_route([_step("walk to the refrigerator")], kitchen, pose)
-        assert unclaimed[0].verdict == "ok"
+        assert unclaimed[0]["verdict"] == "ok"
 
     def test_unreachable_target_flagged(self):
         scene = _sealed_scene()
         reports = verify_route([_step("walk to the crate")], scene, _pose(0.25, 0.25))
-        assert reports[0].verdict == "unreachable-target"
-        assert "crate" in reports[0].detail
+        assert reports[0]["verdict"] == "unreachable-target"
+        assert "crate" in reports[0]["detail"]
 
     def test_first_failing_fragment_decides(self, kitchen):
         reports = verify_route(
@@ -484,14 +486,14 @@ class TestVerifyRoute:
             kitchen,
             _pose(0.0, 0.0),
         )
-        assert reports[0].verdict == "unparsed"
+        assert reports[0]["verdict"] == "unparsed"
 
     def test_non_movement_fragments_are_ignored(self, kitchen):
         reports = verify_route(
             [_step("Pick up the mug and place it in the sink")], kitchen, _pose(0.0, 0.0)
         )
-        assert reports[0].verdict == "ok"
-        assert reports[0].clauses == ()
+        assert reports[0]["verdict"] == "ok"
+        assert reports[0]["clauses"] == []
 
     def test_later_steps_checked_after_failure(self, kitchen):
         steps = [
@@ -499,8 +501,8 @@ class TestVerifyRoute:
             _step("turn 90 degrees left", index=2),
         ]
         reports = verify_route(steps, kitchen, _pose(0.0, 0.0, 0))
-        assert [r.verdict for r in reports] == ["unknown-object", "ok"]
-        assert reports[1].final_pose.heading == 90
+        assert [r["verdict"] for r in reports] == ["unknown-object", "ok"]
+        assert reports[1]["final_pose"]["heading"] == 90
 
     def test_pose_threads_across_steps(self, kitchen):
         steps = [
@@ -508,8 +510,8 @@ class TestVerifyRoute:
             _step("walk forward", index=2),
         ]
         reports = verify_route(steps, kitchen, _pose(-2.75, -0.75, 0))
-        assert reports[-1].final_pose.position == pytest.approx((-1.75, -0.75))
-        assert reports[-1].final_pose.heading == 270
+        assert reports[-1]["final_pose"]["position"] == pytest.approx([-1.75, -0.75])
+        assert reports[-1]["final_pose"]["heading"] == 270
 
     def test_drifted_pose_judged_from_nearest_free_cell(self, kitchen):
         # Heading 0 from below the counter, one untargeted move parks the
@@ -523,7 +525,7 @@ class TestVerifyRoute:
         grid = kitchen.occupancy
         assert not grid.is_free(*grid.cell_of(*inside.position))
         reports = verify_route(steps, kitchen, pose)
-        assert reports[0].verdict == "ok"
+        assert reports[0]["verdict"] == "ok"
 
 
 def _coordinate(data, low: float, size: float, cells: int) -> float:
@@ -684,11 +686,11 @@ class TestComponentLabels:
                     ("walk forward and walk to the crate", (x, y - 1.0)),
                 ):
                     (report,) = verify_route([_step(text)], scene, _pose(*start))
-                    assert report.verdict in ("ok", "unreachable-target")
-                    assert (report.verdict == "unreachable-target") == unreachable, (
+                    assert report["verdict"] in ("ok", "unreachable-target")
+                    assert (report["verdict"] == "unreachable-target") == unreachable, (
                         scene.scene_id, cell, text,
                     )
-                    verdicts.add(report.verdict)
+                    verdicts.add(report["verdict"])
         assert verdicts == {"ok", "unreachable-target"}
 
     def test_built_labels_leave_equality_and_hash_alone(self):

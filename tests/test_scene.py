@@ -24,6 +24,7 @@ from sceneplan.scene import (
     load_scene,
     load_triplets,
     parse_triplet_record,
+    read_jsonl,
     triplet_warnings,
 )
 from tests.conftest import FIXTURES
@@ -394,10 +395,6 @@ class TestTripletWarnings:
         kinds = [kind for kind, _ in triplet_warnings(t, kitchen)]
         assert kinds == ["implicitness-violation"]
 
-    def test_without_scene_object_ids_are_not_checked(self):
-        t = _triplet([PlanStep(1, "walk", object_ids=(999,), is_final=True)])
-        assert triplet_warnings(t, None) == []
-
 
 class TestTripletIo:
     def test_syntax_failures_keep_later_records(self, tmp_path, kitchen):
@@ -407,6 +404,40 @@ class TestTripletIo:
         triplets, warnings = load_triplets(path, kitchen)
         assert len(triplets) == 1
         assert [(line, kind) for line, kind, _ in warnings] == [(1, "syntax")]
+
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"])
+    def test_unicode_line_break_inside_a_string_stays_in_its_record(
+        self, tmp_path, kitchen, char
+    ):
+        # JSON allows these raw in a string; str.splitlines() would also break there.
+        lines = (FIXTURES / "triplets_valid.jsonl").read_text(encoding="utf-8").splitlines()
+        first = json.loads(lines[0])
+        first["instruction"] += char
+        lines[0] = json.dumps(first, ensure_ascii=False)
+        path = tmp_path / "breaks.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert [lineno for lineno, _, _ in read_jsonl(path)] == list(range(1, len(lines) + 1))
+        triplets, warnings = load_triplets(path, kitchen)
+        expected, _ = load_triplets(FIXTURES / "triplets_valid.jsonl", kitchen)
+        assert warnings == []
+        assert triplets[0].instruction == expected[0].instruction + char
+        assert triplets[1:] == expected[1:]
+
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+    def test_control_character_fails_only_its_own_line(self, tmp_path, kitchen, char):
+        good = json.dumps(triplet_to_dict(_triplet([PlanStep(1, "walk", is_final=True)])))
+        path = tmp_path / "control.jsonl"
+        path.write_text(good[:10] + char + good[10:] + "\n" + good + "\n", encoding="utf-8")
+        triplets, warnings = load_triplets(path, kitchen)
+        assert len(triplets) == 1
+        assert [(line, kind) for line, kind, _ in warnings] == [(1, "syntax")]
+
+    def test_crlf_line_ends_are_read(self, tmp_path, kitchen):
+        path = tmp_path / "crlf.jsonl"
+        path.write_bytes((FIXTURES / "triplets_valid.jsonl").read_bytes().replace(b"\n", b"\r\n"))
+        assert load_triplets(path, kitchen) == load_triplets(
+            FIXTURES / "triplets_valid.jsonl", kitchen
+        )
 
     def test_blank_lines_ignored(self, tmp_path, kitchen):
         path = tmp_path / "blank.jsonl"

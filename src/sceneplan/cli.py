@@ -33,6 +33,7 @@ from .generators import (
 from .graph import DEFAULT_K, DEFAULT_MODULATION_WEIGHT, build_graph, graph_to_dict
 from .metrics import evaluate_pairs, pair_from_text
 from .route import (
+    HEADINGS,
     AgentPose,
     RouteError,
     default_start_pose,
@@ -173,7 +174,7 @@ def _add_start_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--start-y", type=float, default=None,
                         help="start position y in meters")
     parser.add_argument("--start-heading", type=int, default=None,
-                        choices=(0, 90, 180, 270), help="start heading in degrees (default: 0 = +y)")
+                        choices=HEADINGS, help="start heading in degrees (default: 0 = +y)")
 
 
 def cmd_validate(args: argparse.Namespace) -> int:

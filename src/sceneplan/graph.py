@@ -26,18 +26,20 @@ Touched = tuple[frozenset[int], frozenset[tuple[int, int]]]
 
 @dataclass
 class SceneGraph:
-    """Per object id, its category and node weight; per edge src->dst, its weight and relation.
+    """Per object id, its category, node weight, out-edges and out-edge weight.
 
-    ``categories`` and ``weights`` share their keys, and so do ``edges``
-    and ``edge_weights``: ``edges[src][dst]`` is the ``(kind, distance)``
-    pair of :func:`classify_relation`, each inner dict in ascending dst
-    order.  Only the two weight dicts change after :func:`build_graph`.
+    ``categories``, ``weights``, ``edges`` and ``edge_weights`` share their
+    keys.  ``edges[src][dst]`` is the ``(kind, distance)`` pair of
+    :func:`classify_relation`, each inner dict in ascending dst order, and
+    ``edge_weights[src]`` is the weight that every out-edge of ``src``
+    carries: :func:`modulate` scales a node's out-edges together.  Only the
+    two weight dicts change after :func:`build_graph`.
     """
 
     categories: dict[int, str]
     weights: dict[int, float]
     edges: dict[int, dict[int, tuple[str, float]]]
-    edge_weights: dict[int, dict[int, float]]
+    edge_weights: dict[int, float]
     k: int
 
     @cached_property
@@ -158,11 +160,7 @@ def build_graph(scene: SceneModel, k: int = DEFAULT_K) -> SceneGraph:
     }
     categories = {obj.id: obj.category for obj in scene.objects}
     return SceneGraph(
-        categories,
-        dict.fromkeys(categories, 1.0),
-        edges,
-        {src: dict.fromkeys(out, 1.0) for src, out in edges.items()},
-        k,
+        categories, dict.fromkeys(categories, 1.0), edges, dict.fromkeys(categories, 1.0), k
     )
 
 
@@ -185,11 +183,11 @@ def modulate(
     unknown = [i for i in mentioned_ids if i not in graph.weights]
     if unknown:
         raise KeyError(f"unknown object id(s) {unknown}")
-    touched_nodes = set(mentioned_ids)
-    touched_edges = {(src, dst) for src in touched_nodes for dst in graph.edges[src]}
-    touched_nodes.update(dst for _, dst in touched_edges)
+    sources = set(mentioned_ids)
+    touched_edges = {(src, dst) for src in sources for dst in graph.edges[src]}
+    touched_nodes = sources.union(dst for _, dst in touched_edges)
     weights = [graph.weights[node_id] for node_id in touched_nodes]
-    weights += [graph.edge_weights[src][dst] for src, dst in touched_edges]
+    weights += [graph.edge_weights[src] for src in sources]
     if not all(0 < weight * w_l < math.inf for weight in weights):
         raise ValueError(
             f"step {step_index}: scaling by w_l={w_l} takes a weight out of the "
@@ -197,8 +195,8 @@ def modulate(
         )
     for node_id in touched_nodes:
         graph.weights[node_id] *= w_l
-    for src, dst in touched_edges:
-        graph.edge_weights[src][dst] *= w_l
+    for src in sources:
+        graph.edge_weights[src] *= w_l
     return frozenset(touched_nodes), frozenset(touched_edges)
 
 
@@ -234,10 +232,9 @@ def graph_to_dict(graph: SceneGraph) -> dict:
             for node_id, weight in sorted(graph.weights.items())
         ],
         "edges": [
-            {"src": src, "dst": dst, "kind": kind, "weight": weight, "distance": distance}
+            {"src": src, "dst": dst, "kind": kind, "weight": graph.edge_weights[src],
+             "distance": distance}
             for src, out in sorted(graph.edges.items())
-            for (dst, (kind, distance)), weight in zip(
-                out.items(), graph.edge_weights[src].values(), strict=True
-            )
+            for dst, (kind, distance) in out.items()
         ],
     }

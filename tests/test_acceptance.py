@@ -121,9 +121,9 @@ def test_modulation_scales_exactly_the_mentioned_neighborhood(announce):
             assert touched_edges == edges
             for node_id, weight in graph.weights.items():
                 assert weight == (2.0 if node_id in nodes else 1.0)
-            for src, out in graph.edge_weights.items():
-                for dst, weight in out.items():
-                    assert weight == (2.0 if (src, dst) in edges else 1.0)
+            for src, out in graph.edges.items():
+                for dst in out:
+                    assert graph.edge_weights[src] == (2.0 if (src, dst) in edges else 1.0)
             modulate(graph, mentioned, w_l=1.0, step_index=2)
             for node_id, weight in graph.weights.items():
                 assert weight == (2.0 if node_id in nodes else 1.0)

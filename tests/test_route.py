@@ -48,7 +48,7 @@ from sceneplan.scene import (
     load_scene,
 )
 from sceneplan.textmatch import CategoryMatcher
-from tests.conftest import make_random_grid_scene
+from tests.conftest import FIXTURES, make_random_grid_scene
 from tests.dataset_builder import build_faulty_dataset, scene_to_dict
 from tests.oracles import (
     oracle_bfs_length,
@@ -418,6 +418,27 @@ class TestPlanRoute:
     def test_planning_is_deterministic(self, kitchen):
         start = default_start_pose(kitchen)
         assert plan_route(start, 9, kitchen) == plan_route(start, 9, kitchen)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="plan_route tests the 'straight ahead' cone against the instance it planned "
+        "to reach, but verify_route resolves the final clause to the nearest instance from "
+        "the pose before it (CHANGES.md FOUND: rules-backend routes that verify_route rejects)",
+    )
+    def test_rules_plan_passes_its_own_route_check(self, capsys):
+        # From the start, kettle #30 is the nearer one and the planner heads
+        # for it.  From the pose before "walk straight ahead to the kettle",
+        # kettle #16 is nearer and lies 60 degrees off the heading.
+        path = str(FIXTURES / "two_kettles.json")
+        argv = ["plan", "--scene", path, "--instruction", "a cup of tea would be lovely",
+                "--backend", "rules", "--k", "4"]
+        assert cli.main(argv) == 0
+        steps = [_step(step["text"], step["index"])
+                 for step in json.loads(capsys.readouterr().out)["steps"]]
+        scene = load_scene(path)
+        reports = verify_route(steps, scene, default_start_pose(scene))
+        assert [report["verdict"] for report in reports] == ["ok"] * len(steps)
 
 
 class TestClauseRendering:

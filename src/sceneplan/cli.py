@@ -23,7 +23,7 @@ from .dataset import (
     sample_key,
     validate_dataset,
 )
-from .engine import DEFAULT_MAX_STEPS, EpisodeError, episode_to_dict, run_episode
+from .engine import DEFAULT_MAX_STEPS, EpisodeError, run_episode
 from .generators import (
     DEFAULT_RULES,
     LlmClient,
@@ -225,11 +225,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
     episode = run_episode(
         scene, graph, args.instruction, observe, max_steps=args.max_steps, w_l=args.w_l
     )
-    payload = episode_to_dict(episode)
     if args.dump_graph:
         snapshots.append(graph_to_dict(graph))
-        payload["graph_snapshots"] = snapshots
-    _emit(payload)
+        episode["graph_snapshots"] = snapshots
+    _emit(episode)
     return 0
 
 

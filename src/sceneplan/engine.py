@@ -13,8 +13,8 @@ import re
 from dataclasses import dataclass
 from typing import Callable
 
-from .graph import DEFAULT_MODULATION_WEIGHT, SceneGraph, Touched, modulate, serialize_for_prompt
-from .scene import PlanStep, SceneModel
+from .graph import DEFAULT_MODULATION_WEIGHT, SceneGraph, modulate, serialize_for_prompt
+from .scene import SceneModel
 from .textmatch import mentioned_categories
 
 END_TOKEN = "[END]"
@@ -36,9 +36,13 @@ _STRIP_END = re.compile(r"(?<=\s)" + re.escape(END_TOKEN) + r"\s*|" + re.escape(
 
 
 class EpisodeError(Exception):
-    """Generator failure mid-episode; carries the steps completed so far."""
+    """Generator failure mid-episode; ``partial`` is the episode document so far.
 
-    def __init__(self, message: str, partial: "PlanEpisode"):
+    It holds the completed steps and their modulation records, and no
+    ``terminated_by``.
+    """
+
+    def __init__(self, message: str, partial: dict):
         super().__init__(message)
         self.partial = partial
 
@@ -54,23 +58,15 @@ class GeneratorRequest:
 Generator = Callable[[GeneratorRequest], str]
 
 
-@dataclass(frozen=True)
-class PlanEpisode:
-    instruction: str
-    activity: str
-    steps: tuple[PlanStep, ...]
-    modulations: tuple[Touched, ...]  # one per step
-
-
-def render_history_prompt(instruction: str, history: list[PlanStep] | tuple[PlanStep, ...]) -> str:
-    """The step-s prompt (s >= 2): instruction plus all prior steps inline.
+def render_history_prompt(instruction: str, history: list[dict]) -> str:
+    """The step-s prompt (s >= 2): instruction plus all prior step dicts inline.
 
     Steps render as "Step <i>: <text>" joined by single spaces, so every
     prior step text appears verbatim in every later prompt.
     """
     if not history:
         raise ValueError("history must be nonempty; step 1 uses the instruction alone")
-    rendered = " ".join(f"Step {s.index}: {s.text}" for s in history)
+    rendered = " ".join(f"Step {s['index']}: {s['text']}" for s in history)
     return HISTORY_TEMPLATE.format(instruction=instruction, history=rendered)
 
 
@@ -110,31 +106,30 @@ def run_episode(
     *,
     max_steps: int = DEFAULT_MAX_STEPS,
     w_l: float = DEFAULT_MODULATION_WEIGHT,
-) -> PlanEpisode:
+) -> dict:
     """Run one progressive generation episode over the scene graph.
 
-    A reply containing ``END_TOKEN`` ends the episode and makes its step
-    final; every copy of the token is stripped from the step text, and a
-    copy between two spaces leaves one.  The graph is modulated in place
-    once per generated step (empty mention sets still produce a record), so
-    build a fresh graph per episode, as ``cmd_plan`` does.
+    Returns the episode document that ``plan`` prints: ``instruction``,
+    ``activity``, ``steps`` as ``{index, text, object_ids}``,
+    ``modulations`` as ``{step_index, mentioned_ids, touched_nodes,
+    touched_edges_count}`` (one per step) and ``terminated_by``.
+
+    A reply containing ``END_TOKEN`` ends the episode (``terminated_by`` is
+    ``"end-token"``, else ``"step-cap"``); every copy of the token is
+    stripped from the step text, and a copy between two spaces leaves one.
+    The graph is modulated in place once per generated step (empty mention
+    sets still produce a record), so build a fresh graph per episode, as
+    ``cmd_plan`` does.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     if not (math.isfinite(w_l) and w_l > 0):
         raise ValueError("w_l must be positive and finite")
-    steps: list[PlanStep] = []
-    modulations: list[Touched] = []
-    activity = ""
-
-    def partial() -> PlanEpisode:
-        return PlanEpisode(
-            instruction=instruction,
-            activity=activity,
-            steps=tuple(steps),
-            modulations=tuple(modulations),
-        )
-
+    steps: list[dict] = []
+    modulations: list[dict] = []
+    episode = {
+        "instruction": instruction, "activity": "", "steps": steps, "modulations": modulations
+    }
     for step_index in range(1, max_steps + 1):
         system_context = SYSTEM_PREAMBLE + "\n" + serialize_for_prompt(graph)
         if step_index == 1:
@@ -152,47 +147,23 @@ def run_episode(
                 raise TypeError(f"reply is {type(raw).__name__}, not str")
         except Exception as exc:
             raise EpisodeError(
-                f"generator failed at step {step_index}: {exc}", partial()
+                f"generator failed at step {step_index}: {exc}", episode
             ) from exc
         saw_end = END_TOKEN in raw
         reply = _STRIP_END.sub("", raw).strip()
         if step_index == 1:
-            activity, reply = parse_activity_header(reply)
+            episode["activity"], reply = parse_activity_header(reply)
         text = strip_step_label(reply)
         mentioned = detect_mentions(text, scene)
-        steps.append(
-            PlanStep(
-                index=step_index,
-                text=text,
-                object_ids=tuple(mentioned),
-                is_final=saw_end,
-            )
-        )
-        modulations.append(modulate(graph, mentioned, w_l=w_l, step_index=step_index))
+        steps.append({"index": step_index, "text": text, "object_ids": mentioned})
+        touched_nodes, touched_edges = modulate(graph, mentioned, w_l=w_l, step_index=step_index)
+        modulations.append({
+            "step_index": step_index,
+            "mentioned_ids": list(mentioned),
+            "touched_nodes": sorted(touched_nodes),
+            "touched_edges_count": len(touched_edges),
+        })
         if saw_end:
             break
-    return partial()
-
-
-def episode_to_dict(episode: PlanEpisode) -> dict:
-    """The episode as ``plan`` prints it; it ended on the end token if its last step is final."""
-    return {
-        "instruction": episode.instruction,
-        "activity": episode.activity,
-        "steps": [
-            {"index": s.index, "text": s.text, "object_ids": list(s.object_ids)}
-            for s in episode.steps
-        ],
-        "terminated_by": "end-token" if episode.steps[-1].is_final else "step-cap",
-        "modulations": [
-            {
-                "step_index": s.index,
-                "mentioned_ids": sorted(s.object_ids),
-                "touched_nodes": sorted(touched_nodes),
-                "touched_edges_count": len(touched_edges),
-            }
-            for s, (touched_nodes, touched_edges) in zip(
-                episode.steps, episode.modulations, strict=True
-            )
-        ],
-    }
+    episode["terminated_by"] = "end-token" if saw_end else "step-cap"
+    return episode

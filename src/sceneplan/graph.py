@@ -20,9 +20,6 @@ DEFAULT_K = 2
 DEFAULT_MODULATION_WEIGHT = 2.0
 NEAR_DISTANCE = 0.15  # meters; closer than this overrides axis-based kinds
 
-# What one modulate call scaled: the node ids and the (src, dst) edges.
-Touched = tuple[frozenset[int], frozenset[tuple[int, int]]]
-
 
 @dataclass
 class SceneGraph:
@@ -169,7 +166,7 @@ def modulate(
     mentioned_ids: list[int],
     w_l: float = DEFAULT_MODULATION_WEIGHT,
     step_index: int = 0,
-) -> Touched:
+) -> tuple[frozenset[int], frozenset[tuple[int, int]]]:
     """Scale mentioned nodes, their KNN neighbors, and the connecting edges by ``w_l``.
 
     Returns the touched node ids and the touched (src, dst) edges.  The

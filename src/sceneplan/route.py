@@ -16,7 +16,7 @@ from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 
-from .scene import Aabb, ObjectInstance, OccupancyGrid, PlanStep, SceneModel, ring_cells
+from .scene import ObjectInstance, OccupancyGrid, PlanStep, SceneModel, Vec3, ring_cells
 from .textmatch import resolve_noun_phrase, words_of
 
 MOVE_VERBS = ("walk", "move", "go", "head", "proceed")
@@ -169,8 +169,9 @@ def turn_heading(heading: int, degrees: int, direction: str) -> int:
     return (heading + delta) % 360
 
 
-def _footprint_rect(box: Aabb) -> tuple[float, float, float, float]:
-    return box.min_corner[0], box.min_corner[1], box.max_corner[0], box.max_corner[1]
+def _footprint_rect(box: tuple[Vec3, Vec3]) -> tuple[float, float, float, float]:
+    lo, hi = box
+    return lo[0], lo[1], hi[0], hi[1]
 
 
 def nearest_instance(
@@ -222,7 +223,7 @@ def _nearest_clearance_point(
     return min(sides, key=lambda s: s[0])[1]
 
 
-def footprint_cells(grid: OccupancyGrid, box: Aabb) -> set[tuple[int, int]]:
+def footprint_cells(grid: OccupancyGrid, box: tuple[Vec3, Vec3]) -> set[tuple[int, int]]:
     """Grid cells overlapping the box's ground-plane rectangle."""
     xmin, ymin, xmax, ymax = _footprint_rect(box)
     cells: set[tuple[int, int]] = set()
@@ -244,7 +245,7 @@ def footprint_cells(grid: OccupancyGrid, box: Aabb) -> set[tuple[int, int]]:
     return cells
 
 
-def adjacent_free_cells(grid: OccupancyGrid, box: Aabb) -> set[tuple[int, int]]:
+def adjacent_free_cells(grid: OccupancyGrid, box: tuple[Vec3, Vec3]) -> set[tuple[int, int]]:
     """Free cells in the 8-neighborhood of the box's footprint cells."""
     footprint = footprint_cells(grid, box)
     adjacent: set[tuple[int, int]] = set()

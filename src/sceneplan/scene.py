@@ -38,17 +38,10 @@ class SceneInvariantError(ValueError):
 
 
 @dataclass(frozen=True)
-class Aabb:
-    """Axis-aligned box given by its min and max corners."""
-
-    min_corner: Vec3
-    max_corner: Vec3
-
-
-@dataclass(frozen=True)
 class ObjectInstance:
     """One labelled object in a scene.
 
+    ``aabb`` is the axis-aligned box as its ``(min corner, max corner)``.
     ``mask_ref`` is an opaque reference to an external segmentation asset;
     the planner itself only consumes the centroid and the bounding box.
     """
@@ -56,7 +49,7 @@ class ObjectInstance:
     id: int
     category: str
     centroid: Vec3
-    aabb: Aabb
+    aabb: tuple[Vec3, Vec3]
     mask_ref: str | None = None
 
     def validate(self) -> None:
@@ -68,7 +61,7 @@ class ObjectInstance:
             raise SceneInvariantError(
                 f"object {self.id}: category {self.category!r} is not lowercase"
             )
-        lo, hi, c = self.aabb.min_corner, self.aabb.max_corner, self.centroid
+        (lo, hi), c = self.aabb, self.centroid
         if lo[0] > hi[0] or lo[1] > hi[1] or lo[2] > hi[2]:
             raise SceneInvariantError(f"object {self.id}: aabb min exceeds max")
         if not (lo[0] <= c[0] <= hi[0] and lo[1] <= c[1] <= hi[1] and lo[2] <= c[2] <= hi[2]):
@@ -346,7 +339,7 @@ def _parse_object(raw: object, index: int) -> ObjectInstance:
     aabb_raw = _object_field(raw, "aabb", index)
     if not isinstance(aabb_raw, dict):
         raise _object_error(index, ".aabb", "expected object with min/max")
-    box = Aabb(
+    box = (
         _vec3(_object_field(aabb_raw, "min", index, ".aabb"), index, ".aabb.min"),
         _vec3(_object_field(aabb_raw, "max", index, ".aabb"), index, ".aabb.max"),
     )

@@ -13,7 +13,7 @@ import pytest
 
 import sceneplan
 from sceneplan.engine import GeneratorRequest
-from sceneplan.scene import Aabb, ObjectInstance, OccupancyGrid, SceneModel, load_scene
+from sceneplan.scene import ObjectInstance, OccupancyGrid, SceneModel, load_scene
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -51,7 +51,7 @@ def make_random_scene(seed: int, n_objects: int | None = None) -> SceneModel:
                 id=oid,
                 category=rng.choice(CATEGORY_POOL),
                 centroid=(cx, cy, cz),
-                aabb=Aabb((cx - hx, cy - hy, cz - hz), (cx + hx, cy + hy, cz + hz)),
+                aabb=((cx - hx, cy - hy, cz - hz), (cx + hx, cy + hy, cz + hz)),
             )
         )
     scene = SceneModel(
@@ -91,7 +91,7 @@ def make_random_grid_scene(seed: int) -> SceneModel | None:
         id=0,
         category="crate",
         centroid=((xmin + xmax) / 2, (ymin + ymax) / 2, 0.4),
-        aabb=Aabb((xmin, ymin, 0.0), (xmax, ymax, 0.8)),
+        aabb=((xmin, ymin, 0.0), (xmax, ymax, 0.8)),
     )
     grid = OccupancyGrid(
         cell_size=cell, origin=(0.0, 0.0), rows=rows, cols=cols, blocked=bytes(blocked)

@@ -45,7 +45,7 @@ def scene_to_dict(scene: SceneModel) -> dict:
                 "id": o.id,
                 "category": o.category,
                 "centroid": list(o.centroid),
-                "aabb": {"min": list(o.aabb.min_corner), "max": list(o.aabb.max_corner)},
+                "aabb": {"min": list(o.aabb[0]), "max": list(o.aabb[1])},
                 **({"mask_ref": o.mask_ref} if o.mask_ref is not None else {}),
             }
             for o in scene.objects
@@ -89,16 +89,9 @@ def triplet_to_dict(triplet: InstructionPlanTriplet) -> dict:
 def _steps_for(scene, instruction: str) -> list[dict]:
     graph = build_graph(scene, k=2)
     episode = run_episode(scene, graph, instruction, RuleBasedGenerator(scene))
-    assert episode.steps[-1].is_final
-    return [
-        {
-            "index": s.index,
-            "text": s.text,
-            "object_ids": list(s.object_ids),
-            "is_final": s.index == len(episode.steps),
-        }
-        for s in episode.steps
-    ]
+    assert episode["terminated_by"] == "end-token"
+    steps = episode["steps"]
+    return [{**s, "is_final": s["index"] == len(steps)} for s in steps]
 
 
 def _walled_scene(base: dict) -> dict:

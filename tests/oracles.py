@@ -12,7 +12,7 @@ from collections import deque
 from functools import lru_cache
 
 from sceneplan.graph import classify_relation
-from sceneplan.scene import Aabb, ObjectInstance, SceneFormatError, SceneInvariantError
+from sceneplan.scene import ObjectInstance, SceneFormatError, SceneInvariantError
 from sceneplan.textmatch import token_matches, words_of
 
 
@@ -247,7 +247,7 @@ def oracle_parse_object(raw: object, where: str) -> ObjectInstance:
     aabb_raw = _oracle_require(raw, "aabb", where)
     if not isinstance(aabb_raw, dict):
         raise SceneFormatError(f"{where}.aabb: expected object with min/max")
-    box = Aabb(
+    box = (
         oracle_vec3(_oracle_require(aabb_raw, "min", f"{where}.aabb"), f"{where}.aabb.min"),
         oracle_vec3(_oracle_require(aabb_raw, "max", f"{where}.aabb"), f"{where}.aabb.max"),
     )
@@ -264,7 +264,7 @@ def oracle_validate_object(obj: ObjectInstance) -> None:
         raise SceneInvariantError(f"object {obj.id}: empty category")
     if obj.category != obj.category.lower():
         raise SceneInvariantError(f"object {obj.id}: category {obj.category!r} is not lowercase")
-    lo, hi = obj.aabb.min_corner, obj.aabb.max_corner
+    lo, hi = obj.aabb
     if any(lo[i] > hi[i] for i in range(3)):
         raise SceneInvariantError(f"object {obj.id}: aabb min exceeds max")
     if not oracle_point_in_box(obj.centroid, lo, hi):

@@ -170,17 +170,15 @@ def test_progressive_prompting_contract(announce, kitchen):
             episode = run_episode(kitchen, graph, instruction, generator)
 
             expected_steps = min(planned, 8)
-            assert len(episode.steps) == expected_steps
-            assert episode.steps[-1].is_final == ends
-            for i, step in enumerate(episode.steps):
-                assert step.text == sentences[i]
-                assert "[END]" not in step.text
+            assert len(episode["steps"]) == expected_steps
+            assert (episode["terminated_by"] == "end-token") == ends
+            for i, step in enumerate(episode["steps"]):
+                assert step["text"] == sentences[i]
+                assert "[END]" not in step["text"]
             assert requests[0].user_prompt == instruction
             for i, request in enumerate(requests[1:], start=1):
                 assert request.step_index == i + 1
-                history = [
-                    PlanStep(index=j + 1, text=sentences[j]) for j in range(i)
-                ]
+                history = [{"index": j + 1, "text": sentences[j]} for j in range(i)]
                 assert request.user_prompt == render_history_prompt(
                     instruction, history
                 )

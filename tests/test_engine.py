@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import replace
 
@@ -12,7 +13,6 @@ from sceneplan.engine import (
     EpisodeError,
     GeneratorRequest,
     detect_mentions,
-    episode_to_dict,
     parse_activity_header,
     render_history_prompt,
     run_episode,
@@ -20,7 +20,6 @@ from sceneplan.engine import (
 )
 from sceneplan.generators import RuleBasedGenerator
 from sceneplan.graph import build_graph
-from sceneplan.scene import PlanStep
 from tests.conftest import make_random_scene, scripted_generator
 
 
@@ -45,23 +44,23 @@ def _second_step(kitchen, raw: str, max_steps: int = 8):
 class TestReplyParsing:
     def test_run_episode_strips_all_end_tokens(self, kitchen):
         episode = _second_step(kitchen, f"Step 2: Turn left. {END_TOKEN}")
-        assert episode.steps[-1].is_final
-        assert episode.steps[-1].text == "Turn left."
+        assert episode["terminated_by"] == "end-token"
+        assert episode["steps"][-1]["text"] == "Turn left."
         noisy = _second_step(kitchen, f"{END_TOKEN} done {END_TOKEN}")
-        assert noisy.steps[-1].is_final
-        assert noisy.steps[-1].text == "done"
+        assert noisy["terminated_by"] == "end-token"
+        assert noisy["steps"][-1]["text"] == "done"
 
     def test_reply_without_token(self, kitchen):
         episode = _second_step(kitchen, "  Step 3: walk.  ", max_steps=2)
-        assert not episode.steps[-1].is_final
-        assert episode.steps[-1].text == "walk."
+        assert episode["terminated_by"] == "step-cap"
+        assert episode["steps"][-1]["text"] == "walk."
 
     def test_end_token_mid_text_ends_the_episode(self, kitchen):
         episode = _second_step(kitchen, f"Step 2: Walk to the mug {END_TOKEN} and rinse it.")
-        assert len(episode.steps) == 2 and episode.steps[-1].is_final
+        assert len(episode["steps"]) == 2 and episode["terminated_by"] == "end-token"
         # The token and the space after it go: one space stays between the words.
-        assert episode.steps[-1].text == "Walk to the mug and rinse it."
-        assert episode.steps[-1].object_ids == (2, 7)
+        assert episode["steps"][-1]["text"] == "Walk to the mug and rinse it."
+        assert episode["steps"][-1]["object_ids"] == [2, 7]
 
     @pytest.mark.parametrize(
         "raw",
@@ -76,7 +75,7 @@ class TestReplyParsing:
     def test_token_at_the_end_of_a_reply_leaves_the_text_as_before(self, kitchen, raw):
         # What dropping every copy of the token gives, when none sits between two spaces.
         expected = strip_step_label(raw.replace(END_TOKEN, "").strip())
-        assert _second_step(kitchen, raw).steps[-1].text == expected
+        assert _second_step(kitchen, raw)["steps"][-1]["text"] == expected
 
     def test_strip_step_label_variants(self):
         assert strip_step_label("Step 3: walk to the sink") == "walk to the sink"
@@ -99,10 +98,10 @@ class TestReplyParsing:
 
 class TestHistoryPrompt:
     def test_template_shape(self):
-        steps = (
-            PlanStep(1, "Walk to the kettle."),
-            PlanStep(2, "Fill it at the sink."),
-        )
+        steps = [
+            {"index": 1, "text": "Walk to the kettle."},
+            {"index": 2, "text": "Fill it at the sink."},
+        ]
         prompt = render_history_prompt("I am tired", steps)
         assert prompt == (
             "Q: I am tired. You should answer based on these historical steps: "
@@ -142,10 +141,10 @@ class TestRunEpisode:
         episode = run_episode(kitchen, graph, "I am tired", generator)
         assert requests[0].user_prompt == "I am tired"
         for s, request in enumerate(requests[1:], start=2):
-            expected = render_history_prompt("I am tired", episode.steps[: s - 1])
+            expected = render_history_prompt("I am tired", episode["steps"][: s - 1])
             assert request.user_prompt == expected
-            for prior in episode.steps[: s - 1]:
-                assert prior.text in request.user_prompt
+            for prior in episode["steps"][: s - 1]:
+                assert prior["text"] in request.user_prompt
 
     def test_end_token_terminates_and_marks_final(self, kitchen):
         graph = build_graph(kitchen)
@@ -155,32 +154,31 @@ class TestRunEpisode:
             "Step 3: never requested",
         ]
         episode = run_episode(kitchen, build_graph(kitchen), "help", scripted_generator(script))
-        assert len(episode.steps) == 2
-        assert episode.steps[-1].is_final
-        assert not episode.steps[0].is_final
-        assert all(END_TOKEN not in s.text for s in episode.steps)
+        assert len(episode["steps"]) == 2
+        assert episode["terminated_by"] == "end-token"
+        assert all(END_TOKEN not in s["text"] for s in episode["steps"])
 
     def test_step_cap_bounds_runaway_generators(self, kitchen):
         def runaway(request: GeneratorRequest):
             return f"Step {request.step_index}: keep going forever"
 
         episode = run_episode(kitchen, build_graph(kitchen), "help", runaway, max_steps=8)
-        assert not episode.steps[-1].is_final
-        assert len(episode.steps) == 8
-        assert [s.index for s in episode.steps] == list(range(1, 9))
+        assert episode["terminated_by"] == "step-cap"
+        assert len(episode["steps"]) == 8
+        assert [s["index"] for s in episode["steps"]] == list(range(1, 9))
 
     def test_first_reply_splits_activity_and_step(self, kitchen):
         script = [f"I will tidy up. Step 1: Walk to the trash can. {END_TOKEN}"]
         episode = run_episode(kitchen, build_graph(kitchen), "help", scripted_generator(script))
-        assert episode.activity == "I will tidy up."
-        assert episode.steps[0].text == "Walk to the trash can."
+        assert episode["activity"] == "I will tidy up."
+        assert episode["steps"][0]["text"] == "Walk to the trash can."
 
     def test_first_reply_without_marker_is_all_activity(self, kitchen):
         script = [f"I cannot plan this. {END_TOKEN}"]
         episode = run_episode(kitchen, build_graph(kitchen), "help", scripted_generator(script))
-        assert episode.activity == "I cannot plan this."
-        assert episode.steps[0].text == ""
-        assert episode.steps[0].object_ids == ()
+        assert episode["activity"] == "I cannot plan this."
+        assert episode["steps"][0]["text"] == ""
+        assert episode["steps"][0]["object_ids"] == []
 
     def test_modulation_once_per_step_and_accumulating(self, kitchen):
         graph = build_graph(kitchen)
@@ -189,10 +187,9 @@ class TestRunEpisode:
             f"Step 2: Walk to the kettle again. {END_TOKEN}",
         ]
         episode = run_episode(kitchen, graph, "help", scripted_generator(script))
-        assert len(episode.modulations) == len(episode.steps) == 2
-        modulations = episode_to_dict(episode)["modulations"]
-        assert [m["step_index"] for m in modulations] == [1, 2]
-        assert episode.steps[0].object_ids == (4,)
+        assert len(episode["modulations"]) == len(episode["steps"]) == 2
+        assert [m["step_index"] for m in episode["modulations"]] == [1, 2]
+        assert episode["steps"][0]["object_ids"] == [4]
         # The kettle node was scaled in both steps: weight w_l squared.
         assert graph.weights[4] == pytest.approx(4.0)
 
@@ -200,7 +197,9 @@ class TestRunEpisode:
         graph = build_graph(kitchen)
         script = [f"Plan. Step 1: Think quietly. {END_TOKEN}"]
         episode = run_episode(kitchen, graph, "help", scripted_generator(script))
-        assert episode.modulations[0] == (frozenset(), frozenset())
+        assert episode["modulations"] == [
+            {"step_index": 1, "mentioned_ids": [], "touched_nodes": [], "touched_edges_count": 0}
+        ]
         assert all(w == 1.0 for w in graph.weights.values())
 
     def test_graph_reserialized_between_steps(self, kitchen):
@@ -242,16 +241,25 @@ class TestRunEpisode:
             assert replace(graph, weights=fresh.weights, edge_weights=fresh.edge_weights) == fresh
 
     def test_generator_failure_preserves_partial_episode(self, kitchen):
-        def flaky(request: GeneratorRequest):
-            if request.step_index == 2:
-                raise RuntimeError("boom")
-            return "Plan. Step 1: Walk to the sink."
+        for failing_step in (1, 2):
 
-        with pytest.raises(EpisodeError, match="step 2") as err:
-            run_episode(kitchen, build_graph(kitchen), "help", flaky)
-        partial = err.value.partial
-        assert len(partial.steps) == 1
-        assert partial.steps[0].text == "Walk to the sink."
+            def flaky(request: GeneratorRequest, failing_step=failing_step):
+                if request.step_index == failing_step:
+                    raise RuntimeError("boom")
+                return "Plan. Step 1: Walk to the mug."
+
+            with pytest.raises(EpisodeError, match=f"step {failing_step}") as err:
+                run_episode(kitchen, build_graph(kitchen), "help", flaky)
+            partial = err.value.partial
+            # Plain JSON values only: a tuple or a set would not come back equal.
+            assert json.loads(json.dumps(partial)) == partial
+            assert "terminated_by" not in partial
+            assert partial["activity"] == ("" if failing_step == 1 else "Plan.")
+            assert len(partial["steps"]) == len(partial["modulations"]) == failing_step - 1
+            for step, record in zip(partial["steps"], partial["modulations"]):
+                assert step["text"] == "Walk to the mug."
+                assert step["object_ids"] == record["mentioned_ids"] == [2, 7]
+                assert step["object_ids"] is not record["mentioned_ids"]
 
     @pytest.mark.parametrize("reply", [None, b"Step 2: Walk to the mug.", 7])
     def test_non_string_reply_preserves_partial_episode(self, kitchen, reply):
@@ -261,8 +269,8 @@ class TestRunEpisode:
         with pytest.raises(EpisodeError, match="step 2: reply is .*, not str") as err:
             run_episode(kitchen, build_graph(kitchen), "help", wrong_type)
         partial = err.value.partial
-        assert [step.text for step in partial.steps] == ["Walk to the sink."]
-        assert len(partial.modulations) == 1
+        assert [step["text"] for step in partial["steps"]] == ["Walk to the sink."]
+        assert len(partial["modulations"]) == 1
         assert isinstance(err.value.__cause__, TypeError)
 
     def test_config_validation(self, kitchen):
@@ -277,14 +285,14 @@ class TestRunEpisode:
         assert requests == []
         assert all(w == 1.0 for w in graph.weights.values())
 
-    def test_episode_to_dict_shape(self, kitchen):
+    def test_episode_document_shape(self, kitchen):
         script = [f"Plan. Step 1: Walk to the mug. {END_TOKEN}"]
-        episode = run_episode(kitchen, build_graph(kitchen), "help", scripted_generator(script))
-        out = episode_to_dict(episode)
+        out = run_episode(kitchen, build_graph(kitchen), "help", scripted_generator(script))
+        assert set(out) == {"instruction", "activity", "steps", "modulations", "terminated_by"}
         assert out["instruction"] == "help"
         assert out["activity"] == "Plan."
         assert out["terminated_by"] == "end-token"
-        assert out["steps"][0]["object_ids"] == [2, 7]
+        assert out["steps"] == [{"index": 1, "text": "Walk to the mug.", "object_ids": [2, 7]}]
         record = out["modulations"][0]
         assert record["step_index"] == 1
         assert record["mentioned_ids"] == [2, 7]

@@ -27,6 +27,7 @@ from sceneplan.generators import (
 )
 from sceneplan.graph import build_graph
 from sceneplan.route import default_start_pose, verify_route
+from sceneplan.scene import PlanStep
 from tests.conftest import run_python, scripted_generator
 
 
@@ -388,13 +389,13 @@ class TestRuleBasedGenerator:
             "I am tired and want coffee",
             RuleBasedGenerator(kitchen),
         )
-        assert len(episode.steps) == 4
-        assert episode.activity == (
+        assert len(episode["steps"]) == 4
+        assert episode["activity"] == (
             "To help you, the robot assistant will prepare a cup of coffee, "
             "with the following steps:"
         )
-        assert "pick up the kettle" in episode.steps[0].text
-        assert episode.steps[-1].is_final
+        assert "pick up the kettle" in episode["steps"][0]["text"]
+        assert episode["terminated_by"] == "end-token"
 
     def test_generated_routes_verify_ok(self, kitchen):
         episode = run_episode(
@@ -403,8 +404,9 @@ class TestRuleBasedGenerator:
             "I am tired and want coffee",
             RuleBasedGenerator(kitchen),
         )
-        reports = verify_route(episode.steps, kitchen, default_start_pose(kitchen))
-        assert [r["verdict"] for r in reports] == ["ok"] * len(episode.steps)
+        steps = [PlanStep(s["index"], s["text"]) for s in episode["steps"]]
+        reports = verify_route(steps, kitchen, default_start_pose(kitchen))
+        assert [r["verdict"] for r in reports] == ["ok"] * len(steps)
 
     def test_generation_is_deterministic(self, kitchen):
         def run() -> list[str]:
@@ -414,7 +416,7 @@ class TestRuleBasedGenerator:
                 "time to clean up this mess",
                 RuleBasedGenerator(kitchen),
             )
-            return [episode.activity] + [s.text for s in episode.steps]
+            return [episode["activity"]] + [s["text"] for s in episode["steps"]]
 
         assert run() == run()
 
@@ -422,8 +424,8 @@ class TestRuleBasedGenerator:
         episode = run_episode(
             kitchen, build_graph(kitchen), "entertain me", RuleBasedGenerator(kitchen)
         )
-        assert len(episode.steps) == 2
-        assert episode.steps[0].text.startswith("Survey the scene")
+        assert len(episode["steps"]) == 2
+        assert episode["steps"][0]["text"].startswith("Survey the scene")
 
     def test_missing_category_surfaces_as_episode_error(self, kitchen):
         piano_rule = ActivityRule(

@@ -19,14 +19,14 @@ from sceneplan.graph import (
     modulate,
     serialize_for_prompt,
 )
-from sceneplan.scene import Aabb, ObjectInstance, SceneModel
+from sceneplan.scene import ObjectInstance, SceneModel
 from tests.conftest import make_random_scene
 from tests.oracles import oracle_knn, oracle_modulated_sets, oracle_serialize_for_prompt
 
 
 def _at(oid: int, x: float, y: float, z: float, category: str = "box") -> ObjectInstance:
     return ObjectInstance(
-        oid, category, (x, y, z), Aabb((x - 0.1, y - 0.1, z - 0.1), (x + 0.1, y + 0.1, z + 0.1))
+        oid, category, (x, y, z), ((x - 0.1, y - 0.1, z - 0.1), (x + 0.1, y + 0.1, z + 0.1))
     )
 
 

@@ -40,7 +40,6 @@ from sceneplan.route import (
     verify_route,
 )
 from sceneplan.scene import (
-    Aabb,
     ObjectInstance,
     OccupancyGrid,
     PlanStep,
@@ -199,7 +198,7 @@ class TestApplyClause:
 
     def test_ray_landing_matches_marching_oracle(self):
         crate = ObjectInstance(
-            0, "crate", (1.5, 2.5, 0.5), Aabb((1.0, 2.0, 0.0), (2.0, 3.0, 1.0))
+            0, "crate", (1.5, 2.5, 0.5), ((1.0, 2.0, 0.0), (2.0, 3.0, 1.0))
         )
         scene = SceneModel("ray", (crate,), category_vocab_size=1)
         clause = RouteClause("walk", target_category="crate", adverb="straight ahead")
@@ -355,7 +354,7 @@ def _sealed_scene() -> SceneModel:
         for col in range(1, 4):
             blocked[row * 5 + col] = True
     crate = ObjectInstance(
-        0, "crate", (1.25, 1.25, 0.2), Aabb((1.2, 1.2, 0.0), (1.3, 1.3, 0.4))
+        0, "crate", (1.25, 1.25, 0.2), ((1.2, 1.2, 0.0), (1.3, 1.3, 0.4))
     )
     grid = OccupancyGrid(0.5, (0.0, 0.0), 5, 5, bytes(blocked))
     return SceneModel("sealed", (crate,), occupancy=grid, category_vocab_size=1)
@@ -363,7 +362,7 @@ def _sealed_scene() -> SceneModel:
 
 class TestPlanRoute:
     def test_requires_grid(self):
-        crate = ObjectInstance(0, "crate", (0.0, 0.0, 0.0), Aabb((-1, -1, -1), (1, 1, 1)))
+        crate = ObjectInstance(0, "crate", (0.0, 0.0, 0.0), ((-1, -1, -1), (1, 1, 1)))
         scene = SceneModel("nogrid", (crate,), category_vocab_size=1)
         with pytest.raises(MissingGridError):
             plan_route(_pose(0.0, 0.0), 0, scene)
@@ -791,12 +790,12 @@ class TestDefaultStartPose:
         assert pose.heading == 0
 
     def test_gridless_scene_starts_at_world_origin(self):
-        crate = ObjectInstance(0, "crate", (0.0, 0.0, 0.0), Aabb((-1, -1, -1), (1, 1, 1)))
+        crate = ObjectInstance(0, "crate", (0.0, 0.0, 0.0), ((-1, -1, -1), (1, 1, 1)))
         scene = SceneModel("nogrid", (crate,), category_vocab_size=1)
         assert default_start_pose(scene) == AgentPose((0.0, 0.0), 0)
 
     def test_fully_blocked_grid_raises(self):
-        crate = ObjectInstance(0, "crate", (0.25, 0.25, 0.2), Aabb((0.2, 0.2, 0), (0.3, 0.3, 0.4)))
+        crate = ObjectInstance(0, "crate", (0.25, 0.25, 0.2), ((0.2, 0.2, 0), (0.3, 0.3, 0.4)))
         grid = OccupancyGrid(0.5, (0.0, 0.0), 2, 2, b"\x01" * 4)
         scene = SceneModel("full", (crate,), occupancy=grid, category_vocab_size=1)
         with pytest.raises(RouteError, match="fully blocked"):

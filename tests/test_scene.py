@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sceneplan.scene import (
-    Aabb,
     InstructionPlanTriplet,
     ObjectInstance,
     OccupancyGrid,
@@ -32,12 +31,11 @@ from tests.dataset_builder import scene_to_dict, serialize_scene, triplet_to_dic
 from tests.oracles import oracle_load_objects
 
 
-def _box(lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)) -> Aabb:
-    return Aabb(lo, hi)
+_UNIT_BOX = ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 
 
 def _obj(oid=0, category="table", centroid=(0.5, 0.5, 0.5), box=None) -> ObjectInstance:
-    return ObjectInstance(oid, category, centroid, box or _box())
+    return ObjectInstance(oid, category, centroid, box or _UNIT_BOX)
 
 
 class TestOccupancyGrid:
@@ -85,7 +83,7 @@ class TestSceneValidation:
             scene.validate()
 
     def test_centroid_outside_aabb_rejected(self):
-        bad = ObjectInstance(0, "table", (5.0, 5.0, 5.0), _box())
+        bad = ObjectInstance(0, "table", (5.0, 5.0, 5.0), _UNIT_BOX)
         with pytest.raises(SceneInvariantError, match="centroid outside aabb"):
             SceneModel("s", (bad,), category_vocab_size=1).validate()
 

@@ -87,6 +87,91 @@ def _key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
+def _column(rows: list[dict], name: str) -> list[str]:
+    """The JSON text of ``row[name]`` for each row, from one C call."""
+    return _c_encode(_MARK)([row[name] for row in rows])[1:-1].split(_MARK) if rows else []
+
+
+class _GraphSnapshots:
+    """The ``graph_snapshots`` of ``plan --dump-graph``: one graph, its weights at each step.
+
+    :func:`_dumps` renders it as the list of :func:`graph_to_dict` snapshots
+    of the graph under each recorded pair of weight dicts; only the weights
+    change after :func:`build_graph`.  The weights must be positive floats,
+    as :func:`modulate` keeps them, so that equal weights print alike.
+    """
+
+    def __init__(self, graph) -> None:
+        self.graph = graph
+        self.weights: list[tuple[dict[int, float], dict[int, float]]] = []
+
+    def record(self) -> None:
+        """Keep a copy of the graph's node and out-edge weights as they are now."""
+        self.weights.append((self.graph.weights.copy(), self.graph.edge_weights.copy()))
+
+    def as_list(self) -> list[dict]:
+        """One :func:`graph_to_dict` snapshot per recorded step."""
+        return [
+            graph_to_dict(replace(self.graph, weights=weights, edge_weights=edge_weights))
+            for weights, edge_weights in self.weights
+        ]
+
+    def render(self, depth: int) -> str:
+        """:func:`_dumps` of :meth:`as_list` at ``depth``, from one :func:`graph_to_dict` call.
+
+        Everything but the weights is the same in every snapshot, so the text
+        between two weights is built once; each snapshot fills in its own
+        weights, formatting each distinct value once.  Keys print sorted:
+        the edges, then ``k``, then the nodes, and ``"weight"`` last in a row.
+        Ids and ``k`` are ints; strings and floats go through the C encoder,
+        so a non-finite distance raises ``ValueError`` as in :func:`_dumps`.
+        """
+        snapshot = graph_to_dict(self.graph)
+        edges, nodes = snapshot["edges"], snapshot["nodes"]
+        outer = "\n" + "  " * depth
+        item, key, row, field = outer + "  ", outer + "    ", outer + "      ", outer + "        "
+        heads = [
+            f'{{{field}"distance": {distance},{field}"dst": {edge["dst"]},{field}"kind": {kind},'
+            f'{field}"src": {edge["src"]},{field}"weight": '
+            for edge, distance, kind in zip(
+                edges, _column(edges, "distance"), _column(edges, "kind")
+            )
+        ] + [
+            f'{{{field}"category": {category},{field}"id": {node["id"]},{field}"weight": '
+            for node, category in zip(nodes, _column(nodes, "category"))
+        ]
+        # The text before each weight, then the text after the last one.
+        between = [row + "}," + row + head for head in heads] + [row + "}" + key + "]" + item + "}"]
+        opening = "{" + key + '"edges": ['
+        between[0] = opening + row + heads[0]
+        after_edges = row + "}" + key + "]," if edges else opening + "],"
+        between[len(edges)] = (
+            f'{after_edges}{key}"k": {snapshot["k"]},{key}"nodes": [{row}{heads[len(edges)]}'
+        )
+        edge_srcs = [edge["src"] for edge in edges]
+        node_ids = [node["id"] for node in nodes]
+        parts = [""] * (2 * len(between) - 1)
+        parts[0::2] = between
+        rendered = []
+        for weights, edge_weights in self.weights:
+            texts = {
+                weight: _c_encode(",")(weight)
+                for weight in {*weights.values(), *edge_weights.values()}
+            }
+            parts[1::2] = map(texts.__getitem__, [
+                *map(edge_weights.__getitem__, edge_srcs), *map(weights.__getitem__, node_ids)
+            ])
+            rendered.append("".join(parts))
+        return "[" + item + ("," + item).join(rendered) + outer + "]"
+
+
+def _plain(value):
+    """``json.dumps``'s ``default``: graph snapshots as a list, anything else refused."""
+    if type(value) is _GraphSnapshots:
+        return value.as_list()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _dumps(value, depth: int) -> str:
     """``value`` as ``json.dumps(indent=2, sort_keys=True)`` renders it at ``depth``.
 
@@ -94,8 +179,11 @@ def _dumps(value, depth: int) -> str:
     separator.  A table (a list of nonempty leaf dicts) is one C call with ``_MARK``
     between items, replaced afterwards by the indentation of the list (after
     a ``}``) or of the dicts (anywhere else: a leaf dict's values cannot end
-    in ``}``).  Only the other containers are walked here.
+    in ``}``).  Graph snapshots render themselves.  Only the other containers
+    are walked here.
     """
+    if type(value) is _GraphSnapshots:
+        return value.render(depth)
     if not isinstance(value, (dict, list, tuple)):
         return _c_encode(",")(value)
     is_dict = isinstance(value, dict)
@@ -125,13 +213,15 @@ def _emit(payload: dict) -> None:
 
     The standard library's encoder gives up its C accelerator when asked to
     indent; :func:`_dumps` prints the same bytes with the C encoder doing
-    the bulk.  On failure the standard library runs again, so the exception
-    (for a non-finite float, one that names the value) is exactly its own.
+    the bulk.  A :class:`_GraphSnapshots` in ``payload`` prints as its list
+    of snapshots.  On failure the standard library runs again, on the
+    snapshots as that list, so the exception (for a non-finite float, one
+    that names the value) is exactly its own.
     """
     try:
         text = _dumps(payload, 0)
     except (TypeError, ValueError):
-        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=_plain)
         raise
     print(text)
 
@@ -215,18 +305,18 @@ def cmd_plan(args: argparse.Namespace) -> int:
         if not args.endpoint or not args.model:
             raise LlmError("--backend llm requires --endpoint and --model")
         generator = LlmClient(base_url=args.endpoint, model_name=args.model)
-    snapshots: list[dict] = []
+    snapshots = _GraphSnapshots(graph)
 
     def observe(request):
         if args.dump_graph and request.step_index > 1:
-            snapshots.append(graph_to_dict(graph))
+            snapshots.record()
         return generator(request)
 
     episode = run_episode(
         scene, graph, args.instruction, observe, max_steps=args.max_steps, w_l=args.w_l
     )
     if args.dump_graph:
-        snapshots.append(graph_to_dict(graph))
+        snapshots.record()
         episode["graph_snapshots"] = snapshots
     _emit(episode)
     return 0

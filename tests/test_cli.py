@@ -7,6 +7,7 @@ import functools
 import io
 import json
 import math
+import random
 import string
 import tempfile
 from pathlib import Path
@@ -18,10 +19,11 @@ from hypothesis import strategies as st
 
 from sceneplan import cli, route
 from sceneplan.cli import _emit, build_parser, main
-from sceneplan.engine import END_TOKEN, SYSTEM_PREAMBLE
-from sceneplan.graph import classify_relation
-from sceneplan.route import adjacent_free_cells, default_start_pose
-from sceneplan.scene import load_scene
+from sceneplan.engine import END_TOKEN, SYSTEM_PREAMBLE, run_episode
+from sceneplan.generators import DEFAULT_RULES, RuleBasedGenerator
+from sceneplan.graph import SceneGraph, build_graph, classify_relation, graph_to_dict, modulate
+from sceneplan.route import AgentPose, adjacent_free_cells, default_start_pose
+from sceneplan.scene import ObjectInstance, SceneModel, load_scene
 from tests.conftest import FIXTURES, run_python
 from tests.oracles import (
     oracle_bfs_length,
@@ -504,6 +506,95 @@ class TestEmitter:
         _assert_emits_like_json_dumps(payload)
 
 
+# Categories that JSON must escape, beside plain and repeated ones.
+_SNAPSHOT_CATEGORIES = ('say "hi"', "back\\slash", "bell\x07", "café", "line\u2028break",
+                        "mug", "mug", "kitchen counter")
+
+
+@st.composite
+def _modulated_graphs(draw) -> tuple[SceneGraph, list[tuple[list[int], float]]]:
+    """A graph and one to five ``(mentioned ids, w_l)`` modulation steps.
+
+    Centroids sit on a half-meter lattice, so distances tie, and ``k``
+    often reaches ``n - 1`` or beyond.  The ``w_l`` values make products
+    with long reprs.
+    """
+    n = draw(st.integers(1, 8))
+    ids = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True))
+    objects = []
+    for oid in ids:
+        centroid = tuple(0.5 * draw(st.integers(0, 2)) for _ in range(3))
+        objects.append(ObjectInstance(
+            oid, draw(st.sampled_from(_SNAPSHOT_CATEGORIES)), centroid, (centroid, centroid)
+        ))
+    graph = build_graph(SceneModel("generated", tuple(objects)), k=draw(st.integers(1, 6)))
+    steps = draw(st.lists(
+        st.tuples(st.lists(st.sampled_from(ids), max_size=3),
+                  st.sampled_from([1.1, 0.3, 1e-5, 2.0, 1.0 / 3.0])),
+        min_size=1, max_size=5,
+    ))
+    return graph, steps
+
+
+def _old_plan_stdout(scene_path: str, instruction: str, k: int) -> str:
+    """``plan --dump-graph`` stdout built from ``graph_to_dict`` per step and ``json.dumps``."""
+    scene = load_scene(scene_path)
+    graph = build_graph(scene, k=k)
+    start = AgentPose(default_start_pose(scene).position, 0)
+    generator = RuleBasedGenerator(scene, DEFAULT_RULES, start)
+    snapshots = []
+
+    def observe(request):
+        if request.step_index > 1:
+            snapshots.append(graph_to_dict(graph))
+        return generator(request)
+
+    episode = run_episode(scene, graph, instruction, observe)
+    snapshots.append(graph_to_dict(graph))
+    episode["graph_snapshots"] = snapshots
+    return json.dumps(episode, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+class TestGraphSnapshots:
+    """Snapshots rendered from recorded weights print what ``graph_to_dict`` per step does."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(world=_modulated_graphs(), depth=st.integers(0, 3))
+    def test_rendered_snapshots_match_graph_to_dict_per_step(self, world, depth):
+        graph, steps = world
+        snapshots = cli._GraphSnapshots(graph)
+        expected = []
+        for step_index, (mentioned, w_l) in enumerate(steps, start=1):
+            modulate(graph, mentioned, w_l=w_l, step_index=step_index)
+            snapshots.record()
+            expected.append(graph_to_dict(graph))
+        payload, reference = {"graph_snapshots": snapshots}, {"graph_snapshots": expected}
+        for _ in range(depth):
+            payload, reference = {"a": [1], "b": payload}, {"a": [1], "b": reference}
+        assert _emitted(payload) == json.dumps(reference, indent=2, sort_keys=True) + "\n"
+
+    def test_large_scene_prints_the_graph_to_dict_document(self, capsys, tmp_path):
+        """A 240-object kitchen, the four-step coffee rule, ``--k 4``."""
+        data = json.loads(Path(KITCHEN).read_text(encoding="utf-8"))
+        rng = random.Random(20)
+        categories = sorted({obj["category"] for obj in data["objects"]}) + ["lamp", "plant"]
+        for oid in range(len(data["objects"]), 240):
+            centroid = [rng.uniform(-3.0, 3.0), rng.uniform(-1.0, 5.0), rng.uniform(0.0, 2.0)]
+            data["objects"].append({
+                "id": oid, "category": rng.choice(categories), "centroid": centroid,
+                "aabb": {"min": [c - 0.05 for c in centroid], "max": [c + 0.05 for c in centroid]},
+            })
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(data), encoding="utf-8")
+        instruction = "I am tired and want coffee"
+        code = main(["plan", "--scene", str(scene_path), "--instruction", instruction,
+                     "--k", "4", "--dump-graph"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert len(json.loads(out)["graph_snapshots"]) == 4
+        assert out == _old_plan_stdout(str(scene_path), instruction, 4)
+
+
 class TestEvaluateCommand:
     @staticmethod
     def _write(path, records):
@@ -696,6 +787,28 @@ def _dataset_with_first_step(tmp_path, **fields) -> list[str]:
     return ["validate", str(tmp_path)]
 
 
+def _far_apart_scene(tmp_path) -> str:
+    """Four objects whose centroid differences square past the largest float."""
+    objects = []
+    for oid, (category, x) in enumerate(
+        [("mug", -1.5e200), ("kettle", 1.5e200), ("sink", 0.0), ("tea", 1e199)]
+    ):
+        centroid = [x, 1e199, 0.0]
+        objects.append({
+            "id": oid, "category": category, "centroid": centroid,
+            "aabb": {"min": centroid, "max": centroid},
+        })
+    occupancy = {
+        "cell_size": 1e200, "origin": [-2e200, -2e200], "rows": 4, "cols": 4, "blocked": [0] * 16,
+    }
+    path = tmp_path / "scene.json"
+    path.write_text(
+        json.dumps({"scene_id": "far", "objects": objects, "occupancy": occupancy}),
+        encoding="utf-8",
+    )
+    return str(path)
+
+
 ROUTE_CHECK = ["route-check", "--triplets", str(FIXTURES / "triplets_valid.jsonl")]
 
 # Inputs that once crashed a command or printed invalid JSON.
@@ -747,6 +860,16 @@ HOSTILE_INPUTS = {
     "stats-whitespace-category": lambda tmp: _blank_category_dataset(tmp, "stats"),
     "validate-step-index-bool": lambda tmp: _dataset_with_first_step(tmp, index=True),
     "validate-is-final-string": lambda tmp: _dataset_with_first_step(tmp, is_final="false"),
+    # classify_relation's distance overflows to inf, which JSON cannot hold.
+    "plan-dump-graph-distance-overflows": lambda tmp: [
+        "plan", "--scene", _far_apart_scene(tmp), "--instruction", "a cup of tea would be lovely",
+        "--k", "2", "--dump-graph",
+    ],
+}
+# The whole stderr of the cases whose message is pinned.
+HOSTILE_ERRORS = {
+    "plan-dump-graph-distance-overflows":
+        "error: Out of range float values are not JSON compliant: inf\n",
 }
 
 
@@ -761,6 +884,8 @@ class TestHostileInputs:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+        if case in HOSTILE_ERRORS:
+            assert captured.err == HOSTILE_ERRORS[case]
 
     @pytest.mark.parametrize("command", [PLAN, ROUTE_CHECK], ids=["plan", "route-check"])
     @pytest.mark.parametrize("x,y", [("1e308", "0"), ("-1e308", "1e308")])

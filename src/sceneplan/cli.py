@@ -331,9 +331,9 @@ def cmd_route_check(args: argparse.Namespace) -> int:
     all_ok = True
     results = []
     for triplet in triplets:
-        reports = verify_route(triplet.steps, scene, start)
+        reports = verify_route(triplet["steps"], scene, start)
         all_ok = all_ok and all(r["verdict"] == "ok" for r in reports)
-        results.append({"instruction": triplet.instruction, "reports": reports})
+        results.append({"instruction": triplet["instruction"], "reports": reports})
     _emit({"scene_id": scene.scene_id, "all_ok": all_ok, "routes": results})
     return 0 if all_ok else 1
 

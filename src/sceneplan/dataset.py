@@ -17,7 +17,6 @@ from pathlib import Path
 
 from .route import AgentPose, default_start_pose, parse_fragments, verify_route
 from .scene import (
-    InstructionPlanTriplet,
     SceneFormatError,
     SceneModel,
     load_scene,
@@ -84,15 +83,17 @@ def sample_key(
 
 def load_dataset(
     dataset_dir: str | Path,
-) -> tuple[dict[tuple[str, int], InstructionPlanTriplet], dict[str, SceneModel]]:
+) -> tuple[dict[tuple[str, int], dict], dict[str, SceneModel]]:
     """Read every split file and the scenes they reference.
 
     Samples come back as ``{(scene_id, sample_id): triplet}`` in file
-    order, train before val; scenes come back by id.  Sample ids come from
-    the optional ``sample_id`` record field, defaulting to the record's line
-    number within its split file; a key may occur once across both files.
-    Malformed records, duplicate keys or missing scene files are fatal with
-    a path locus; semantic problems are left for :func:`validate_dataset`.
+    order, train before val, each triplet the dict that
+    :func:`~sceneplan.scene.parse_triplet_record` returns; scenes come back
+    by id.  Sample ids come from the optional ``sample_id`` record field,
+    defaulting to the record's line number within its split file; a key
+    may occur once across both files.  Malformed records, duplicate keys or
+    missing scene files are fatal with a path locus; semantic problems are
+    left for :func:`validate_dataset`.
     """
     root = Path(dataset_dir)
     triplet_dir = root / "triplets"
@@ -101,7 +102,7 @@ def load_dataset(
     if not split_files:
         raise DatasetError(f"{triplet_dir}: no train.jsonl or val.jsonl found")
     scenes: dict[str, SceneModel] = {}
-    samples: dict[tuple[str, int], InstructionPlanTriplet] = {}
+    samples: dict[tuple[str, int], dict] = {}
     loci: dict[tuple[str, int], str] = {}
     for path in split_files:
         try:
@@ -134,7 +135,7 @@ def load_dataset(
 
 def validate_sample(
     key: tuple[str, int],
-    triplet: InstructionPlanTriplet,
+    triplet: dict,
     scene: SceneModel,
     start: AgentPose,
 ) -> list[ValidationFinding]:
@@ -142,7 +143,7 @@ def validate_sample(
     findings = [
         ValidationFinding(key, kind, detail) for kind, detail in triplet_warnings(triplet, scene)
     ]
-    for report in verify_route(triplet.steps, scene, start):
+    for report in verify_route(triplet["steps"], scene, start):
         if report["verdict"] == "ok":
             continue
         findings.append(
@@ -173,12 +174,13 @@ def validate_dataset(dataset_dir: str | Path) -> list[ValidationFinding]:
     return findings
 
 
-def _sample_word_count(triplet: InstructionPlanTriplet) -> int:
-    return len(triplet.activity.split()) + sum(len(s.text.split()) for s in triplet.steps)
+def _sample_word_count(triplet: dict) -> int:
+    words = len(triplet["activity"].split())
+    return words + sum(len(step["text"].split()) for step in triplet["steps"])
 
 
 def compute_stats(
-    samples: dict[tuple[str, int], InstructionPlanTriplet], scenes: dict[str, SceneModel]
+    samples: dict[tuple[str, int], dict], scenes: dict[str, SceneModel]
 ) -> dict:
     """Composition of the samples :func:`load_dataset` returns, as ``stats`` prints it.
 
@@ -191,18 +193,18 @@ def compute_stats(
     if not samples:
         raise DatasetError("dataset has no samples")
     triplets = samples.values()
-    scene_ids = {t.scene_id for t in triplets}
-    step_counts = Counter(len(t.steps) for t in triplets)
+    scene_ids = {t["scene_id"] for t in triplets}
+    step_counts = Counter(len(t["steps"]) for t in triplets)
     verb_histogram: Counter = Counter()
     action_object: Counter = Counter()
     total_steps = 0
     total_words = 0
     for triplet in triplets:
-        total_steps += len(triplet.steps)
+        total_steps += len(triplet["steps"])
         total_words += _sample_word_count(triplet)
-        matcher = scenes[triplet.scene_id].category_matcher
-        for step in triplet.steps:
-            for text, clause, is_movement in parse_fragments(step.text):
+        matcher = scenes[triplet["scene_id"]].category_matcher
+        for step in triplet["steps"]:
+            for text, clause, is_movement in parse_fragments(step["text"]):
                 if clause is not None:
                     verb_histogram[clause.verb] += 1
                     continue

@@ -6,8 +6,12 @@ Variant choices, stated because they change absolute scores:
   - ROUGE-L is the LCS F-score with beta = 1.2 weighting recall, averaged
     over pairs.
   - METEOR runs exact and Porter-stem match stages only (no synonym or
-    paraphrase tables); reports name the variant "METEOR-es".
-  - CIDEr omits the CIDEr-D length penalty and uses
+    paraphrase tables); reports name the variant "METEOR-es".  Each stage
+    aligns greedily, left to right (see ``align_unigrams``), not by the
+    fewest-chunks alignment, so its fragmentation penalty can be higher
+    when tokens repeat.
+  - CIDEr omits the CIDEr-D length penalty and CIDEr-D's clipping of each
+    candidate n-gram count at the reference's count, and uses
     idf = log(pair_count / (1 + document_frequency)) with one document per
     pair's reference set.
 

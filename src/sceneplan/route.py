@@ -16,7 +16,7 @@ from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 
-from .scene import ObjectInstance, OccupancyGrid, PlanStep, SceneModel, Vec3, ring_cells
+from .scene import ObjectInstance, OccupancyGrid, SceneModel, Vec3, ring_cells
 from .textmatch import resolve_noun_phrase, words_of
 
 MOVE_VERBS = ("walk", "move", "go", "head", "proceed")
@@ -498,11 +498,15 @@ def plan_route(
 
 
 def verify_route(
-    steps: list[PlanStep] | tuple[PlanStep, ...],
+    steps: list[dict],
     scene: SceneModel,
     start: AgentPose,
 ) -> list[dict]:
     """Thread the agent pose through all steps and check route feasibility.
+
+    Each step is a dict read only at ``index`` and ``text``: a step as
+    ``plan`` prints it or as :func:`~sceneplan.scene.parse_triplet_record`
+    returns it.
 
     One report per step, as ``route-check`` prints it: ``step_index``,
     ``verdict``, ``detail``, the step's ``clauses`` as text and the
@@ -520,7 +524,7 @@ def verify_route(
     reports: list[dict] = []
     pose = start
     for step in steps:
-        fragments = parse_fragments(step.text)
+        fragments = parse_fragments(step["text"])
         verdict, detail = "ok", ""
         for text, clause, is_movement in fragments:
             if clause is None:
@@ -557,7 +561,7 @@ def verify_route(
                     break
             pose = replace(pose, position=_landing_point(pose, clause, target, scene))
         reports.append({
-            "step_index": step.index,
+            "step_index": step["index"],
             "verdict": verdict,
             "detail": detail,
             "clauses": [clause_to_text(clause) for _, clause, _ in fragments if clause],

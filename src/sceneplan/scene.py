@@ -5,8 +5,9 @@ On-disk formats:
   * triplet file -- JSON Lines, one instruction-plan triplet per line,
     see :func:`load_triplets`
 
-All lengths are in meters.  Loaded objects are immutable and safe to share
-across workers.
+All lengths are in meters.  Loaded scenes and their objects are immutable
+and safe to share across workers.  A triplet is a plain dict, as
+:func:`parse_triplet_record` returns it.
 """
 
 from __future__ import annotations
@@ -250,26 +251,6 @@ class SceneModel:
         return [o for o in self.objects if o.category == category]
 
 
-@dataclass(frozen=True)
-class PlanStep:
-    """One sentence of a step-by-step plan; ``index`` is 1-based."""
-
-    index: int
-    text: str
-    object_ids: tuple[int, ...] = ()
-    is_final: bool = False
-
-
-@dataclass(frozen=True)
-class InstructionPlanTriplet:
-    """An implicit instruction, its reasoned activity phrase, and the plan steps."""
-
-    scene_id: str
-    instruction: str
-    activity: str
-    steps: tuple[PlanStep, ...]
-
-
 # JSON numbers load as exactly these types; a string or a boolean is not a number.
 _NUMBER_TYPES = frozenset((int, float))
 
@@ -442,7 +423,7 @@ def load_scene(path: str | Path) -> SceneModel:
     return scene
 
 
-def _parse_step(raw: object, where: str) -> PlanStep:
+def _parse_step(raw: object, where: str) -> dict:
     if not isinstance(raw, dict):
         raise SceneFormatError(f"{where}: expected object")
     index = _require(raw, "index", where)
@@ -457,10 +438,16 @@ def _parse_step(raw: object, where: str) -> PlanStep:
     is_final = raw.get("is_final", False)
     if not isinstance(is_final, bool):
         raise SceneFormatError(f"{where}.is_final: expected true or false")
-    return PlanStep(index=index, text=text, object_ids=tuple(ids_raw), is_final=is_final)
+    return {"index": index, "text": text, "object_ids": list(ids_raw), "is_final": is_final}
 
 
-def parse_triplet_record(data: dict, where: str = "record") -> InstructionPlanTriplet:
+def parse_triplet_record(data: dict, where: str = "record") -> dict:
+    """The checked record as a new dict of scene_id, instruction, activity and steps.
+
+    Each step holds ``index``, ``text``, ``object_ids`` (default ``[]``) and
+    ``is_final`` (default false); other keys, such as ``sample_id``, are
+    dropped.  Raises :class:`SceneFormatError` at ``where`` on a bad field.
+    """
     scene_id = _require(data, "scene_id", where)
     instruction = _require(data, "instruction", where)
     activity = _require(data, "activity", where)
@@ -469,43 +456,43 @@ def parse_triplet_record(data: dict, where: str = "record") -> InstructionPlanTr
     steps_raw = _require(data, "steps", where)
     if not isinstance(steps_raw, list):
         raise SceneFormatError(f"{where}.steps: expected array")
-    steps = tuple(
-        _parse_step(raw, f"{where}.steps[{i}]") for i, raw in enumerate(steps_raw)
-    )
-    return InstructionPlanTriplet(scene_id, instruction, activity, steps)  # type: ignore[arg-type]
+    steps = [_parse_step(raw, f"{where}.steps[{i}]") for i, raw in enumerate(steps_raw)]
+    return {"scene_id": scene_id, "instruction": instruction, "activity": activity, "steps": steps}
 
 
-def triplet_warnings(triplet: InstructionPlanTriplet, scene: SceneModel) -> list[tuple[str, str]]:
+def triplet_warnings(triplet: dict, scene: SceneModel) -> list[tuple[str, str]]:
     """Semantic checks for one triplet as (kind, detail) pairs; reported, never raised.
 
     ``kind`` is one of: unknown-object, implicitness-violation,
     step-structure.
     """
     warnings: list[tuple[str, str]] = []
-    if not triplet.steps:
+    steps = triplet["steps"]
+    if not steps:
         warnings.append(("step-structure", "empty step list"))
     else:
-        finals = [s for s in triplet.steps if s.is_final]
-        if len(finals) != 1 or not triplet.steps[-1].is_final:
+        finals = [s for s in steps if s["is_final"]]
+        if len(finals) != 1 or not steps[-1]["is_final"]:
             warnings.append((
                 "step-structure",
                 f"expected exactly one final step at the end, found {len(finals)}",
             ))
-        for pos, step in enumerate(triplet.steps, start=1):
-            if step.index != pos:
+        for pos, step in enumerate(steps, start=1):
+            if step["index"] != pos:
                 warnings.append(
-                    ("step-structure", f"step at position {pos} has index {step.index}")
+                    ("step-structure", f"step at position {pos} has index {step['index']}")
                 )
                 break
     known = scene.objects_by_id
-    for step in triplet.steps:
-        for oid in step.object_ids:
+    for step in steps:
+        for oid in step["object_ids"]:
             if oid not in known:
                 warnings.append(("unknown-object", f"unknown object {oid}"))
-    if triplet.activity and triplet.activity.casefold() in triplet.instruction.casefold():
+    activity = triplet["activity"]
+    if activity and activity.casefold() in triplet["instruction"].casefold():
         warnings.append((
             "implicitness-violation",
-            f"instruction literally contains activity {triplet.activity!r}",
+            f"instruction literally contains activity {activity!r}",
         ))
     return warnings
 
@@ -536,7 +523,7 @@ def read_jsonl(path: str | Path) -> list[tuple[int, str, dict | SceneFormatError
 
 def load_triplets(
     path: str | Path, scene: SceneModel
-) -> tuple[list[InstructionPlanTriplet], list[tuple[int, str, str]]]:
+) -> tuple[list[dict], list[tuple[int, str, str]]]:
     """Load instruction-plan triplets from a JSON Lines file.
 
     Total over syntactically valid files: records that fail to parse are
@@ -545,7 +532,7 @@ def load_triplets(
     :func:`triplet_warnings`.  Each warning is (line, kind, detail).  Blank
     lines are ignored.
     """
-    triplets: list[InstructionPlanTriplet] = []
+    triplets: list[dict] = []
     warnings: list[tuple[int, str, str]] = []
     try:
         entries = read_jsonl(path)

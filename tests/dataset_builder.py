@@ -1,7 +1,9 @@
 """Deterministic construction of dataset directories and records for tests.
 
-The record writers (:func:`scene_to_dict`, :func:`serialize_scene` and
-:func:`triplet_to_dict`) are the inverses of the package's loaders.
+The scene writers (:func:`scene_to_dict` and :func:`serialize_scene`) are
+the inverses of :func:`~sceneplan.scene.load_scene`; a triplet record needs
+no writer, since it is already the dict that ``parse_triplet_record``
+returns.
 :func:`build_faulty_dataset` builds a 50-sample, two-scene dataset: 45
 clean samples generated by the rule-based backend and 5 samples with
 injected faults, one for each validation finding kind except
@@ -18,7 +20,7 @@ from pathlib import Path
 from sceneplan.engine import run_episode
 from sceneplan.generators import DEFAULT_RULES, RuleBasedGenerator, select_rule
 from sceneplan.graph import build_graph
-from sceneplan.scene import InstructionPlanTriplet, SceneModel, load_scene
+from sceneplan.scene import SceneModel, load_scene
 
 FIXTURES = Path(__file__).parent / "fixtures"
 KITCHEN = FIXTURES / "kitchen.json"
@@ -67,23 +69,6 @@ def scene_to_dict(scene: SceneModel) -> dict:
 def serialize_scene(scene: SceneModel) -> str:
     """Inverse of ``load_scene``: emits JSON that loads back to an equal scene."""
     return json.dumps(scene_to_dict(scene), indent=2)
-
-
-def triplet_to_dict(triplet: InstructionPlanTriplet) -> dict:
-    return {
-        "scene_id": triplet.scene_id,
-        "instruction": triplet.instruction,
-        "activity": triplet.activity,
-        "steps": [
-            {
-                "index": s.index,
-                "text": s.text,
-                "object_ids": list(s.object_ids),
-                "is_final": s.is_final,
-            }
-            for s in triplet.steps
-        ],
-    }
 
 
 def _steps_for(scene, instruction: str) -> list[dict]:

@@ -43,7 +43,6 @@ from sceneplan.route import (
     shortest_cell_path,
     verify_route,
 )
-from sceneplan.scene import PlanStep
 from tests.conftest import (
     FIXTURES,
     make_random_grid_scene,
@@ -220,7 +219,7 @@ def test_routes_round_trip_on_random_grid_worlds(announce):
 
             text = clauses_to_text(clauses)
             assert parse_route(text) == clauses
-            report = verify_route([PlanStep(index=1, text=text)], scene, start)[0]
+            report = verify_route([{"index": 1, "text": text}], scene, start)[0]
             assert report["verdict"] == "ok", (scene.scene_id, text, report["detail"])
 
             pose = start

@@ -21,7 +21,6 @@ from sceneplan.dataset import (
     validate_sample,
 )
 from sceneplan.route import default_start_pose
-from sceneplan.scene import InstructionPlanTriplet, PlanStep
 from tests.dataset_builder import build_clean_dataset, build_faulty_dataset
 
 
@@ -197,7 +196,7 @@ class TestValidation:
         root, _ = clean_dir
         samples, scenes = load_dataset(root)
         key, triplet = next(iter(samples.items()))
-        scene = scenes[triplet.scene_id]
+        scene = scenes[triplet["scene_id"]]
         assert validate_sample(key, triplet, scene, default_start_pose(scene)) == []
 
     def test_start_pose_is_found_once_per_scene(self, faulty_dir, monkeypatch):
@@ -231,15 +230,15 @@ class TestValidation:
 
 def _synthetic_sample(key_id: int, steps: list[str], activity: str = "do a thing"):
     """A ``(key, triplet)`` item of the dict that :func:`load_dataset` returns."""
-    triplet = InstructionPlanTriplet(
-        scene_id="kitchen-01",
-        instruction="a request",
-        activity=activity,
-        steps=tuple(
-            PlanStep(i, text, is_final=i == len(steps))
+    triplet = {
+        "scene_id": "kitchen-01",
+        "instruction": "a request",
+        "activity": activity,
+        "steps": [
+            {"index": i, "text": text, "object_ids": [], "is_final": i == len(steps)}
             for i, text in enumerate(steps, start=1)
-        ),
-    )
+        ],
+    }
     return ("kitchen-01", key_id), triplet
 
 

@@ -27,7 +27,6 @@ from sceneplan.generators import (
 )
 from sceneplan.graph import build_graph
 from sceneplan.route import default_start_pose, verify_route
-from sceneplan.scene import PlanStep
 from tests.conftest import run_python, scripted_generator
 
 
@@ -404,7 +403,7 @@ class TestRuleBasedGenerator:
             "I am tired and want coffee",
             RuleBasedGenerator(kitchen),
         )
-        steps = [PlanStep(s["index"], s["text"]) for s in episode["steps"]]
+        steps = episode["steps"]
         reports = verify_route(steps, kitchen, default_start_pose(kitchen))
         assert [r["verdict"] for r in reports] == ["ok"] * len(steps)
 

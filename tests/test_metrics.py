@@ -108,6 +108,35 @@ class TestPinnedExamples:
         assert meteor([_pair(text, text)]) == pytest.approx(expected, abs=1e-12)
 
 
+class TestKnownAnswers:
+    """Worked examples from the metrics' own papers; each expected value is theirs."""
+
+    def test_bleu1_clips_each_word_to_its_most_in_one_reference(self):
+        # Papineni et al. 2002, "BLEU", section 2.1: "the" occurs twice in
+        # reference 1 and once in reference 2, so the modified unigram
+        # precision is 2/7.  Both references have at most 7 words, so the
+        # brevity penalty is 1.
+        pair = _pair(
+            "the the the the the the the", "The cat is on the mat", "There is a cat on the mat"
+        )
+        assert bleu(NgramTable([pair]), 1) == pytest.approx(2 / 7, rel=1e-12)
+
+    def test_lcs_counts_in_sequence_words_only(self):
+        # Lin 2004, "ROUGE", section 3.1: against "police killed the gunman",
+        # "police kill the gunman" shares an LCS of 3 words, "the gunman kill
+        # police" one of 2, so ROUGE-L is 3/4 and 2/4.
+        reference = tuple(tokenize("police killed the gunman"))
+        assert lcs_length(tuple(tokenize("police kill the gunman")), reference) == 3
+        assert lcs_length(tuple(tokenize("the gunman kill police")), reference) == 2
+        # Precision equals recall in both, so the F-score is that ratio for any beta.
+        assert rouge_l([_pair("police kill the gunman", "police killed the gunman")]) == (
+            pytest.approx(3 / 4, abs=1e-12)
+        )
+        assert rouge_l([_pair("the gunman kill police", "police killed the gunman")]) == (
+            pytest.approx(2 / 4, abs=1e-12)
+        )
+
+
 class TestCorpusInvariants:
     IDENTITY = [
         _pair("walk to the stove", "walk to the stove"),

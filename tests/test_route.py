@@ -42,7 +42,6 @@ from sceneplan.route import (
 from sceneplan.scene import (
     ObjectInstance,
     OccupancyGrid,
-    PlanStep,
     SceneModel,
     load_scene,
 )
@@ -59,10 +58,6 @@ from tests.oracles import (
 
 def _pose(x: float, y: float, heading: int = 0) -> AgentPose:
     return AgentPose(position=(x, y), heading=heading)
-
-
-def _step(text: str, index: int = 1) -> PlanStep:
-    return PlanStep(index=index, text=text)
 
 
 class TestFragmentSplitting:
@@ -400,7 +395,7 @@ class TestPlanRoute:
                 continue
             text = clauses_to_text(clauses)
             assert parse_route(text) == clauses
-            reports = verify_route([_step(text)], kitchen, start)
+            reports = verify_route([{"index": 1, "text": text}], kitchen, start)
             assert reports[0]["verdict"] == "ok", (obj.id, text, reports[0]["detail"])
 
     def test_planned_route_ends_adjacent_to_target(self, kitchen):
@@ -433,8 +428,7 @@ class TestPlanRoute:
         argv = ["plan", "--scene", path, "--instruction", "a cup of tea would be lovely",
                 "--backend", "rules", "--k", "4"]
         assert cli.main(argv) == 0
-        steps = [_step(step["text"], step["index"])
-                 for step in json.loads(capsys.readouterr().out)["steps"]]
+        steps = json.loads(capsys.readouterr().out)["steps"]
         scene = load_scene(path)
         reports = verify_route(steps, scene, default_start_pose(scene))
         assert [report["verdict"] for report in reports] == ["ok"] * len(steps)
@@ -466,7 +460,7 @@ class TestClauseRendering:
 class TestVerifyRoute:
     def test_ok_route(self, kitchen):
         reports = verify_route(
-            [_step("walk straight ahead to the kitchen counter")],
+            [{"index": 1, "text": "walk straight ahead to the kitchen counter"}],
             kitchen,
             _pose(0.0, 0.0, 0),
         )
@@ -475,34 +469,38 @@ class TestVerifyRoute:
 
     def test_unparsed_movement_flagged(self, kitchen):
         reports = verify_route(
-            [_step("Walk quickly toward the sink")], kitchen, _pose(0.0, 0.0)
+            [{"index": 1, "text": "Walk quickly toward the sink"}], kitchen, _pose(0.0, 0.0)
         )
         assert reports[0]["verdict"] == "unparsed"
         assert "quickly" in reports[0]["detail"]
 
     def test_unknown_object_flagged(self, kitchen):
-        reports = verify_route([_step("walk to the unicorn")], kitchen, _pose(0.0, 0.0))
+        reports = verify_route(
+            [{"index": 1, "text": "walk to the unicorn"}], kitchen, _pose(0.0, 0.0)
+        )
         assert reports[0]["verdict"] == "unknown-object"
         assert reports[0]["detail"] == "unicorn"
 
     def test_direction_inconsistency_requires_straight_ahead_claim(self, kitchen):
         pose = _pose(-2.75, -0.75, 0)  # refrigerator is mostly to the +x side
         claimed = verify_route(
-            [_step("walk straight ahead to the refrigerator")], kitchen, pose
+            [{"index": 1, "text": "walk straight ahead to the refrigerator"}], kitchen, pose
         )
         assert claimed[0]["verdict"] == "direction-inconsistent"
-        unclaimed = verify_route([_step("walk to the refrigerator")], kitchen, pose)
+        unclaimed = verify_route([{"index": 1, "text": "walk to the refrigerator"}], kitchen, pose)
         assert unclaimed[0]["verdict"] == "ok"
 
     def test_unreachable_target_flagged(self):
         scene = _sealed_scene()
-        reports = verify_route([_step("walk to the crate")], scene, _pose(0.25, 0.25))
+        reports = verify_route(
+            [{"index": 1, "text": "walk to the crate"}], scene, _pose(0.25, 0.25)
+        )
         assert reports[0]["verdict"] == "unreachable-target"
         assert "crate" in reports[0]["detail"]
 
     def test_first_failing_fragment_decides(self, kitchen):
         reports = verify_route(
-            [_step("walk fastly to the sink and walk to the unicorn")],
+            [{"index": 1, "text": "walk fastly to the sink and walk to the unicorn"}],
             kitchen,
             _pose(0.0, 0.0),
         )
@@ -510,15 +508,17 @@ class TestVerifyRoute:
 
     def test_non_movement_fragments_are_ignored(self, kitchen):
         reports = verify_route(
-            [_step("Pick up the mug and place it in the sink")], kitchen, _pose(0.0, 0.0)
+            [{"index": 1, "text": "Pick up the mug and place it in the sink"}],
+            kitchen,
+            _pose(0.0, 0.0),
         )
         assert reports[0]["verdict"] == "ok"
         assert reports[0]["clauses"] == []
 
     def test_later_steps_checked_after_failure(self, kitchen):
         steps = [
-            _step("walk to the unicorn", index=1),
-            _step("turn 90 degrees left", index=2),
+            {"index": 1, "text": "walk to the unicorn"},
+            {"index": 2, "text": "turn 90 degrees left"},
         ]
         reports = verify_route(steps, kitchen, _pose(0.0, 0.0, 0))
         assert [r["verdict"] for r in reports] == ["unknown-object", "ok"]
@@ -526,8 +526,8 @@ class TestVerifyRoute:
 
     def test_pose_threads_across_steps(self, kitchen):
         steps = [
-            _step("turn 90 degrees right", index=1),
-            _step("walk forward", index=2),
+            {"index": 1, "text": "turn 90 degrees right"},
+            {"index": 2, "text": "walk forward"},
         ]
         reports = verify_route(steps, kitchen, _pose(-2.75, -0.75, 0))
         assert reports[-1]["final_pose"]["position"] == pytest.approx([-1.75, -0.75])
@@ -538,7 +538,7 @@ class TestVerifyRoute:
         # simulated pose inside the counter footprint; reachability must
         # still be judged from the nearest free cell, not fail spuriously.
         steps = [
-            _step("walk forward and walk to the sink", index=1),
+            {"index": 1, "text": "walk forward and walk to the sink"},
         ]
         pose = _pose(0.25, 1.25, 0)
         inside = apply_clause(pose, RouteClause("walk", adverb="forward"), kitchen)
@@ -705,7 +705,7 @@ class TestComponentLabels:
                     ("walk to the crate", (x, y)),
                     ("walk forward and walk to the crate", (x, y - 1.0)),
                 ):
-                    (report,) = verify_route([_step(text)], scene, _pose(*start))
+                    (report,) = verify_route([{"index": 1, "text": text}], scene, _pose(*start))
                     assert report["verdict"] in ("ok", "unreachable-target")
                     assert (report["verdict"] == "unreachable-target") == unreachable, (
                         scene.scene_id, cell, text,

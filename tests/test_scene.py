@@ -13,10 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sceneplan.scene import (
-    InstructionPlanTriplet,
     ObjectInstance,
     OccupancyGrid,
-    PlanStep,
     SceneFormatError,
     SceneInvariantError,
     SceneModel,
@@ -27,7 +25,7 @@ from sceneplan.scene import (
     triplet_warnings,
 )
 from tests.conftest import FIXTURES
-from tests.dataset_builder import scene_to_dict, serialize_scene, triplet_to_dict
+from tests.dataset_builder import scene_to_dict, serialize_scene
 from tests.oracles import oracle_load_objects
 
 
@@ -345,8 +343,18 @@ class TestObjectParsingAgainstOracle:
         assert got == _outcome(lambda: oracle_load_objects(records))
 
 
-def _triplet(steps) -> InstructionPlanTriplet:
-    return InstructionPlanTriplet("kitchen-01", "I am tired", "make coffee", tuple(steps))
+def _triplet(*steps: dict, instruction: str = "I am tired") -> dict:
+    """A checked record of ``steps``, each an ``index`` and ``text`` plus any other fields."""
+    return parse_triplet_record({
+        "scene_id": "kitchen-01",
+        "instruction": instruction,
+        "activity": "make coffee",
+        "steps": list(steps),
+    })
+
+
+WALK = {"index": 1, "text": "walk"}
+WALK_FINAL = {**WALK, "is_final": True}
 
 
 class TestTripletWarnings:
@@ -356,40 +364,35 @@ class TestTripletWarnings:
         assert warnings == []
 
     def test_missing_final_step_flagged(self, kitchen):
-        t = _triplet([PlanStep(1, "walk"), PlanStep(2, "stop")])
+        t = _triplet(WALK, {"index": 2, "text": "stop"})
         kinds = [kind for kind, _ in triplet_warnings(t, kitchen)]
         assert kinds == ["step-structure"]
 
     def test_final_step_not_last_flagged(self, kitchen):
-        t = _triplet([PlanStep(1, "walk", is_final=True), PlanStep(2, "stop")])
+        t = _triplet(WALK_FINAL, {"index": 2, "text": "stop"})
         kinds = [kind for kind, _ in triplet_warnings(t, kitchen)]
         assert kinds == ["step-structure"]
 
     def test_non_contiguous_indices_flagged(self, kitchen):
-        t = _triplet([PlanStep(1, "walk"), PlanStep(3, "stop", is_final=True)])
+        t = _triplet(WALK, {"index": 3, "text": "stop", "is_final": True})
         kinds = [kind for kind, _ in triplet_warnings(t, kitchen)]
         assert kinds == ["step-structure"]
 
     def test_empty_step_list_flagged(self, kitchen):
-        kinds = [kind for kind, _ in triplet_warnings(_triplet([]), kitchen)]
+        kinds = [kind for kind, _ in triplet_warnings(_triplet(), kitchen)]
         assert kinds == ["step-structure"]
 
     def test_unknown_object_id_flagged(self, tmp_path, kitchen):
-        t = _triplet([PlanStep(1, "walk", object_ids=(999,), is_final=True)])
+        t = _triplet({**WALK_FINAL, "object_ids": [999]})
         assert triplet_warnings(t, kitchen) == [("unknown-object", "unknown object 999")]
         path = tmp_path / "unknown.jsonl"
-        path.write_text("\n" * 6 + json.dumps(triplet_to_dict(t)) + "\n", encoding="utf-8")
+        path.write_text("\n" * 6 + json.dumps(t) + "\n", encoding="utf-8")
         assert load_triplets(path, kitchen) == (
             [t], [(7, "unknown-object", "unknown object 999")]
         )
 
     def test_implicitness_violation_is_case_insensitive(self, kitchen):
-        t = InstructionPlanTriplet(
-            "kitchen-01",
-            "Please Make Coffee for me",
-            "make coffee",
-            (PlanStep(1, "walk", is_final=True),),
-        )
+        t = _triplet(WALK_FINAL, instruction="Please Make Coffee for me")
         kinds = [kind for kind, _ in triplet_warnings(t, kitchen)]
         assert kinds == ["implicitness-violation"]
 
@@ -397,7 +400,7 @@ class TestTripletWarnings:
 class TestTripletIo:
     def test_syntax_failures_keep_later_records(self, tmp_path, kitchen):
         path = tmp_path / "mixed.jsonl"
-        good = json.dumps(triplet_to_dict(_triplet([PlanStep(1, "walk", is_final=True)])))
+        good = json.dumps(_triplet(WALK_FINAL))
         path.write_text("not json\n" + good + "\n", encoding="utf-8")
         triplets, warnings = load_triplets(path, kitchen)
         assert len(triplets) == 1
@@ -418,12 +421,12 @@ class TestTripletIo:
         triplets, warnings = load_triplets(path, kitchen)
         expected, _ = load_triplets(FIXTURES / "triplets_valid.jsonl", kitchen)
         assert warnings == []
-        assert triplets[0].instruction == expected[0].instruction + char
+        assert triplets[0]["instruction"] == expected[0]["instruction"] + char
         assert triplets[1:] == expected[1:]
 
     @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
     def test_control_character_fails_only_its_own_line(self, tmp_path, kitchen, char):
-        good = json.dumps(triplet_to_dict(_triplet([PlanStep(1, "walk", is_final=True)])))
+        good = json.dumps(_triplet(WALK_FINAL))
         path = tmp_path / "control.jsonl"
         path.write_text(good[:10] + char + good[10:] + "\n" + good + "\n", encoding="utf-8")
         triplets, warnings = load_triplets(path, kitchen)
@@ -439,17 +442,41 @@ class TestTripletIo:
 
     def test_blank_lines_ignored(self, tmp_path, kitchen):
         path = tmp_path / "blank.jsonl"
-        good = json.dumps(triplet_to_dict(_triplet([PlanStep(1, "walk", is_final=True)])))
+        good = json.dumps(_triplet(WALK_FINAL))
         path.write_text("\n" + good + "\n\n", encoding="utf-8")
         triplets, warnings = load_triplets(path, kitchen)
         assert len(triplets) == 1 and warnings == []
 
     def test_record_round_trip(self):
-        t = _triplet([PlanStep(1, "walk to the sink", (3,), True)])
-        assert parse_triplet_record(triplet_to_dict(t)) == t
+        record = {
+            "scene_id": "kitchen-01",
+            "instruction": "I am tired",
+            "activity": "make coffee",
+            "steps": [
+                {"index": 1, "text": "walk to the sink", "object_ids": [3], "is_final": True}
+            ],
+        }
+        parsed = parse_triplet_record(record)
+        assert parsed == record
+        assert parsed is not record and parsed["steps"][0] is not record["steps"][0]
+
+    def test_defaults_filled_and_unknown_keys_dropped(self):
+        record = {
+            "scene_id": "kitchen-01",
+            "instruction": "I am tired",
+            "activity": "make coffee",
+            "sample_id": 7,
+            "steps": [{"index": 1, "text": "walk", "note": "extra"}],
+        }
+        assert parse_triplet_record(record) == {
+            "scene_id": "kitchen-01",
+            "instruction": "I am tired",
+            "activity": "make coffee",
+            "steps": [{"index": 1, "text": "walk", "object_ids": [], "is_final": False}],
+        }
 
     def test_bool_step_index_is_rejected(self):
-        record = triplet_to_dict(_triplet([PlanStep(1, "walk", is_final=True)]))
+        record = _triplet(WALK_FINAL)
         record["steps"][0]["index"] = True
         with pytest.raises(SceneFormatError, match=re.escape("record.steps[0]: bad index/text")):
             parse_triplet_record(record)
@@ -457,12 +484,12 @@ class TestTripletIo:
     @pytest.mark.parametrize("value", ["false", 0, 1, None, [], {}])
     def test_non_bool_is_final_is_rejected(self, value):
         # bool() would read "false" and 1 as a final step, and None as not final.
-        record = triplet_to_dict(_triplet([PlanStep(1, "walk"), PlanStep(2, "stop")]))
+        record = _triplet(WALK, {"index": 2, "text": "stop"})
         record["steps"][1]["is_final"] = value
         with pytest.raises(SceneFormatError, match=re.escape("record.steps[1].is_final")):
             parse_triplet_record(record)
 
     def test_missing_is_final_means_not_final(self):
-        record = triplet_to_dict(_triplet([PlanStep(1, "walk")]))
+        record = _triplet(WALK)
         del record["steps"][0]["is_final"]
-        assert parse_triplet_record(record).steps[0].is_final is False
+        assert parse_triplet_record(record)["steps"][0]["is_final"] is False

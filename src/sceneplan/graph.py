@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 from .scene import ObjectInstance, SceneModel, ring_cells
 
@@ -91,11 +92,16 @@ def knn_ids(scene: SceneModel, k: int) -> dict[int, list[int]]:
 
     Objects go into a uniform grid of square buckets over their centroids'
     x/y, sized for about two objects per bucket (Cleary 1979); one bucket
-    holds them all when the x/y extent is zero or overflows.  Each object
-    scans rings of buckets of growing Chebyshev radius ``d`` around its own.
-    Every centroid in ring ``d`` is at least ``(d - 1)`` bucket sizes away
-    in x or y, so the scan stops once that exceeds the k-th best distance:
-    no later object can be closer or tie.
+    holds them all when the x/y extent is zero or overflows.  Each bucket
+    gathers the objects of its 3 x 3 neighbourhood (rings 0 and 1 around
+    it, clipped to the grid) once, and ranks every member against that list
+    by ``(math.dist, id)``.  Every centroid in ring ``d`` is at least
+    ``(d - 1)`` bucket sizes away in x or y, so the neighbourhood's k best
+    are final once the k-th lies strictly under ``ring_bound``, one bucket
+    size less a rounding margin.  Otherwise the member scans rings of
+    growing ``d`` from 2 and stops by the same bound once it holds k.  Both
+    tests are strict because the bound only says that no later object is
+    closer: at equality one may tie the k-th best and win it with a lower id.
     """
     objects = scene.objects
     if not objects:
@@ -124,19 +130,33 @@ def knn_ids(scene: SceneModel, k: int) -> dict[int, list[int]]:
     # a few ulps of the extent past its bucket's edge; shrinking the ring
     # bound by more than that keeps it a true lower bound on math.dist.
     ring_bound = size * (1 - (cols + rows + 4) * 2.0**-50)
-    result: dict[int, list[int]] = {}
-    for obj, (row0, col0) in zip(objects, cells):
-        best: list[tuple[float, int]] = []
-        for d in range(max(row0, rows - 1 - row0, col0, cols - 1 - col0) + 1):
-            if len(best) == k and (d - 1) * ring_bound > best[-1][0]:
-                break
-            for cell in ring_cells(rows, cols, row0, col0, d):
-                for other in buckets.get(cell, ()):
-                    if other.id != obj.id:
-                        best.append((math.dist(obj.centroid, other.centroid), other.id))
-            best.sort()
+    # Keyed in scene order, though filled bucket by bucket.
+    result: dict[int, list[int]] = dict.fromkeys(obj.id for obj in objects)
+    for (row0, col0), members in buckets.items():
+        near_cols = range(max(col0 - 1, 0), min(col0 + 2, cols))
+        near = [
+            other
+            for row in range(max(row0 - 1, 0), min(row0 + 2, rows))
+            for col in near_cols
+            for other in buckets.get((row, col), ())
+        ]
+        centroids = [other.centroid for other in near]
+        ids = [other.id for other in near]
+        last_ring = max(row0, rows - 1 - row0, col0, cols - 1 - col0)
+        for obj in members:
+            best = sorted(zip(map(math.dist, repeat(obj.centroid), centroids), ids))
+            best.remove((0.0, obj.id))
             del best[k:]
-        result[obj.id] = [other_id for _, other_id in best]
+            if len(best) < k or best[-1][0] >= ring_bound:
+                for d in range(2, last_ring + 1):
+                    if len(best) == k and (d - 1) * ring_bound > best[-1][0]:
+                        break
+                    for cell in ring_cells(rows, cols, row0, col0, d):
+                        for other in buckets.get(cell, ()):
+                            best.append((math.dist(obj.centroid, other.centroid), other.id))
+                    best.sort()
+                    del best[k:]
+            result[obj.id] = [other_id for _, other_id in best]
     return result
 
 

@@ -253,6 +253,11 @@ class SceneModel:
 
 # JSON numbers load as exactly these types; a string or a boolean is not a number.
 _NUMBER_TYPES = frozenset((int, float))
+# The types of an object record's other fields, as JSON loads them when well formed.
+_ID_TYPES = frozenset((int,))
+_CATEGORY_TYPES = frozenset((str,))
+_MASK_REF_TYPES = frozenset((str, type(None)))
+_VECTOR_TYPES = frozenset((list,))
 
 
 def _number(raw: object, where: str) -> float:
@@ -330,6 +335,43 @@ def _parse_object(raw: object, index: int) -> ObjectInstance:
     return ObjectInstance(oid, category, centroid, box, mask_ref)
 
 
+def _parse_objects(records: list) -> tuple[ObjectInstance, ...]:
+    """The ``objects`` array of a scene file, every record checked in one pass.
+
+    Each field is gathered into one column, and each column's types are
+    checked as a set, with the numbers converted by one ``map(float, ...)``
+    and their finiteness by one ``all(map(math.isfinite, ...))``.  On any
+    miss the records go through :func:`_parse_object` one by one, which
+    reports the first fault of the file.
+    """
+    try:
+        ids, categories, centroids, mins, maxes, mask_refs = zip(*[
+            (raw["id"], raw["category"], raw["centroid"], raw["aabb"]["min"],
+             raw["aabb"]["max"], raw.get("mask_ref"))
+            for raw in records
+        ])
+        vectors = centroids + mins + maxes
+        if (
+            _ID_TYPES.issuperset(map(type, ids))
+            and _CATEGORY_TYPES.issuperset(map(type, categories))
+            and _MASK_REF_TYPES.issuperset(map(type, mask_refs))
+            and _VECTOR_TYPES.issuperset(map(type, vectors))
+            and set(map(len, vectors)) == {3}
+        ):
+            numbers = list(itertools.chain.from_iterable(vectors))
+            values = list(map(float, numbers))
+            if _NUMBER_TYPES.issuperset(map(type, numbers)) and all(map(math.isfinite, values)):
+                triples = list(zip(*[iter(values)] * 3))
+                n = len(ids)
+                boxes = zip(triples[n : 2 * n], triples[2 * n :])
+                return tuple(map(ObjectInstance, ids, categories, triples[:n], boxes, mask_refs))
+    except (KeyError, TypeError, ValueError, OverflowError):
+        # A missing field, a value of the wrong kind, an empty array (nothing
+        # to unzip), a string number or an integer too large for a float.
+        pass
+    return tuple(map(_parse_object, records, itertools.count()))
+
+
 def _parse_occupancy(raw: object) -> OccupancyGrid:
     where = "occupancy"
     if not isinstance(raw, dict):
@@ -383,7 +425,10 @@ def load_scene(path: str | Path) -> SceneModel:
     0, 1, true or false.  ``category_vocab_size`` defaults to the number of
     distinct categories present.  Raises :class:`SceneFormatError` with a
     line/field locus on syntax problems and :class:`SceneInvariantError`
-    naming the offending object id on semantic ones.
+    naming the offending object id on semantic ones; every format error
+    comes before any invariant error.  The object records are checked in one
+    pass over all of them; on any miss they are parsed one by one, and the
+    first fault in file order is reported (see :func:`_parse_objects`).
     """
     path = Path(path)
     try:
@@ -404,7 +449,7 @@ def load_scene(path: str | Path) -> SceneModel:
     objects_raw = _require(data, "objects", "scene")
     if not isinstance(objects_raw, list):
         raise SceneFormatError("objects: expected array")
-    objects = tuple(map(_parse_object, objects_raw, itertools.count()))
+    objects = _parse_objects(objects_raw)
     occupancy = None
     if data.get("occupancy") is not None:
         occupancy = _parse_occupancy(data["occupancy"])

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import math
+import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sceneplan import graph
 from sceneplan.graph import (
     DEFAULT_K,
     DEFAULT_MODULATION_WEIGHT,
@@ -60,6 +63,69 @@ def _knn_layouts(draw) -> SceneModel:
             y = x
         objects.append(_at(i, x, y, z))
     return SceneModel(layout, tuple(objects), category_vocab_size=1)
+
+
+@st.composite
+def _clustered_layouts(draw) -> SceneModel:
+    """200-1000 objects in dense furniture clusters with empty floor between them.
+
+    Each cluster packs its objects within a few centimetres to half a metre
+    of its centre, so their k nearest lie inside the bucket neighbourhood.
+    A few lone objects stand in the gaps, with no one in their
+    neighbourhood, so the ring scan beyond it runs too.
+    """
+    n = draw(st.integers(200, 1000))
+    room = draw(st.sampled_from([8.0, 20.0, 60.0]))
+    spread = draw(st.sampled_from([0.02, 0.1, 0.5]))
+    clusters = draw(st.integers(2, 12))
+    loners = draw(st.integers(1, 6))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    centres = [(rng.uniform(0, room), rng.uniform(0, room)) for _ in range(clusters)]
+    objects = []
+    for oid in rng.sample(range(10 * n), n):
+        if len(objects) < loners:
+            x, y = rng.uniform(0, room), rng.uniform(0, room)
+        else:
+            cx, cy = rng.choice(centres)
+            x, y = cx + rng.uniform(-spread, spread), cy + rng.uniform(-spread, spread)
+        objects.append(_at(oid, x, y, rng.choice([0.0, 0.4, 0.9, 1.8])))
+    return SceneModel("clustered", tuple(objects), category_vocab_size=1)
+
+
+@st.composite
+def _dyadic_layouts(draw) -> tuple[SceneModel, float]:
+    """2-120 objects at multiples of 1/16 m, and the ``cx`` of a mirror ``x -> cx - x``.
+
+    Every coordinate, every coordinate difference and every sum of squares
+    of them is exact in binary, so each ``math.dist`` is correctly rounded
+    from exact inputs, whatever the order of the axes.
+    """
+    ids = draw(st.lists(st.integers(0, 10**4), min_size=2, max_size=120, unique=True))
+    lattice = st.integers(0, 160).map(lambda i: i / 16)
+    objects = tuple(
+        _at(i, draw(lattice), draw(lattice), draw(st.integers(0, 8)) / 4) for i in ids
+    )
+    return SceneModel("dyadic", objects, category_vocab_size=1), draw(lattice)
+
+
+def _ring_scans(scene: SceneModel, k: int) -> tuple[dict[int, list[int]], list[tuple]]:
+    """``knn_ids(scene, k)`` and the arguments of every ``ring_cells`` call it made."""
+    with mock.patch.object(graph, "ring_cells", wraps=graph.ring_cells) as rings:
+        neighbors = knn_ids(scene, k)
+    return neighbors, [call.args for call in rings.call_args_list]
+
+
+def _line_of_16(near_x: float) -> SceneModel:
+    """16 objects on the x axis spanning 8 m: one bucket per metre, ``ring_bound`` just under 1.
+
+    Object 10 sits at x = 2, on the left edge of bucket 2.  Object 11 sits at
+    ``near_x`` in its 3 x 3 neighbourhood.  Object 1 sits in ring 2, at
+    x = 1 - 2**-53, whose distance from object 10 rounds to exactly 1.0.
+    """
+    xs = {15: 0.0, 1: 1 - 2.0**-53, 10: 2.0, 11: near_x, 14: 8.0}
+    xs.update((oid, 6.0 + oid / 8) for oid in (0, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13))
+    objects = tuple(_at(i, x, 0.0, 0.0) for i, x in xs.items())
+    return SceneModel("line", objects, category_vocab_size=1)
 
 
 class TestRelations:
@@ -168,6 +234,52 @@ class TestKnnConstruction:
             "pair", (_at(0, 0.0, 0.0, 0.0), _at(1, 0.01, 0.0, 0.0), *far), category_vocab_size=1
         )
         assert knn_ids(scene, k) == oracle_knn({o.id: o.centroid for o in scene.objects}, k)
+
+    def test_ring_two_tie_at_one_bucket_size_goes_to_the_lower_id(self):
+        # Object 11 in the neighbourhood and object 1 in ring 2 are both at
+        # distance 1.0 from object 10: the scan must go on to ring 2 and
+        # take object 1.
+        scene = _line_of_16(3.0)
+        assert knn_ids(scene, 1)[10] == [1]
+        assert knn_ids(scene, 1) == oracle_knn({o.id: o.centroid for o in scene.objects}, 1)
+
+    def test_kth_best_exactly_at_ring_bound_scans_ring_two(self):
+        # Object 11 lies at exactly ring_bound = 1 - (8 + 1 + 4) * 2**-50
+        # from object 10.  The bound says only that ring 2 holds nothing
+        # closer, so the scan must look there before it settles on object 11.
+        ring_bound = 1 - 13 * 2.0**-50
+        scene = _line_of_16(2.0 + ring_bound)
+        by_id = scene.objects_by_id
+        assert math.dist(by_id[10].centroid, by_id[11].centroid) == ring_bound
+        neighbors, scans = _ring_scans(scene, 1)
+        assert neighbors == oracle_knn({o.id: o.centroid for o in scene.objects}, 1)
+        assert neighbors[10] == [11]
+        assert (1, 8, 0, 2, 2) in scans
+
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(scene=_clustered_layouts(), k=st.sampled_from([1, 2, 4, 7]))
+    def test_clustered_layouts_match_oracle_on_both_paths(self, scene, k):
+        neighbors, scans = _ring_scans(scene, k)
+        assert neighbors == oracle_knn({o.id: o.centroid for o in scene.objects}, k)
+        # One ring-2 call per object whose neighbourhood did not settle it.
+        fallbacks = sum(args[-1] == 2 for args in scans)
+        assert 0 < fallbacks < len(scene.objects)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(layout=_dyadic_layouts(), k=st.integers(1, 5))
+    def test_neighbors_survive_a_mirror_and_an_axis_swap(self, layout, k):
+        # Both maps keep every distance and id, and move the buckets' edges.
+        scene, mirror_x = layout
+        expected = knn_ids(scene, k)
+        mirrored = tuple(
+            _at(o.id, mirror_x - o.centroid[0], o.centroid[1], o.centroid[2])
+            for o in scene.objects
+        )
+        swapped = tuple(
+            _at(o.id, o.centroid[1], o.centroid[0], o.centroid[2]) for o in scene.objects
+        )
+        for objects in (mirrored, swapped):
+            assert knn_ids(SceneModel("mapped", objects, category_vocab_size=1), k) == expected
 
 
 class TestModulation:

@@ -136,6 +136,42 @@ class TestKnownAnswers:
             pytest.approx(2 / 4, abs=1e-12)
         )
 
+    def test_meteor_fragmentation_penalty_of_the_two_chunk_example(self):
+        # Banerjee & Lavie 2005, "METEOR", section 2: "the president spoke to
+        # the audience" against "the president then spoke to the audience"
+        # aligns in two chunks, "the president" and "spoke to the audience".
+        # By hand from the paper's equations, with m = 6 matched unigrams,
+        # P = 6/6 and R = 6/7:
+        #   Fmean   = 10PR / (R + 9P) = (60/7) / (69/7) = 20/23
+        #   Penalty = 0.5 * (chunks / m)**3 = 0.5 * (2/6)**3 = 1/54
+        #   Score   = Fmean * (1 - Penalty) = 20/23 * 53/54 = 530/621
+        pair = _pair(
+            "the president spoke to the audience", "the president then spoke to the audience"
+        )
+        assert align_unigrams(pair.candidate, pair.references[0]) == [
+            (0, 0), (1, 1), (2, 3), (3, 4), (4, 5), (5, 6)
+        ]
+        assert meteor([pair]) == pytest.approx(530 / 621, rel=1e-12)
+
+    def test_cider_of_two_pairs_worked_by_hand(self):
+        # Vedantam et al. 2015, "CIDEr", equations 1-3, with this module's idf
+        # variant idf = log(N / (1 + df)), N = 2 pairs, df = how many pairs'
+        # reference sets hold the n-gram.  Every candidate n-gram is in some
+        # reference.  The term-frequency normalization of equation 1 scales a
+        # whole vector, so it cancels in the cosine.
+        #   df: mug 2, tea 2, "mug tea" 2; "tea tea", "tea mug" and both
+        #   trigrams 1.  idf: L = log(2/3) for the first three, log(2/2) = 0
+        #   for the rest.
+        #   n = 1: each candidate is (mug L, tea L), each reference
+        #     (mug L, tea 2L): cosine = 3L^2 / (sqrt(2)|L| * sqrt(5)|L|) = 3/sqrt(10).
+        #   n = 2: each candidate is ("mug tea" L), each reference holds it
+        #     once at L and a gram of weight 0: cosine = L^2 / (|L| * |L|) = 1.
+        #   n = 3, 4: the candidates have no such grams: cosine 0.
+        #   Per pair: 10 * (3/sqrt(10) + 1 + 0 + 0) / 4 = 2.5 + 0.75 * sqrt(10),
+        #   and so is the mean over the two pairs.
+        pairs = [_pair("mug tea", "mug tea tea"), _pair("mug tea", "tea mug tea")]
+        assert cider(NgramTable(pairs)) == pytest.approx(2.5 + 0.75 * math.sqrt(10), rel=1e-12)
+
 
 class TestCorpusInvariants:
     IDENTITY = [

@@ -24,7 +24,7 @@ from sceneplan.scene import (
     read_jsonl,
     triplet_warnings,
 )
-from tests.conftest import FIXTURES
+from tests.conftest import FIXTURES, make_random_scene
 from tests.dataset_builder import scene_to_dict, serialize_scene
 from tests.oracles import oracle_load_objects
 
@@ -316,6 +316,30 @@ def _object_records(draw, format_faults: bool = True):
     return record
 
 
+def _spoil(record: dict, spoil: str) -> None:
+    """Give one object record of a scene file one format fault, in place."""
+    if spoil == "bool id":
+        record["id"] = True
+    elif spoil == "string number":
+        record["centroid"][1] = "1.5"
+    elif spoil == "huge integer":
+        record["aabb"]["min"][0] = 10**400
+    elif spoil == "nan":
+        record["aabb"]["max"][2] = math.nan
+    elif spoil == "two-number vector":
+        record["aabb"]["max"] = record["aabb"]["max"][:2]
+    elif spoil == "missing aabb.max":
+        del record["aabb"]["max"]
+    elif spoil == "non-dict aabb":
+        record["aabb"] = [0.0, 0.0, 0.0]
+    else:
+        record["mask_ref"] = 3
+
+
+_SPOILS = ("bool id", "string number", "huge integer", "nan", "two-number vector",
+           "missing aabb.max", "non-dict aabb", "integer mask_ref")
+
+
 def _outcome(load):
     try:
         return "loaded", load()
@@ -341,6 +365,19 @@ class TestObjectParsingAgainstOracle:
             path.write_text(json.dumps({"scene_id": "s", "objects": records}), encoding="utf-8")
             got = _outcome(lambda: load_scene(path).objects)
         assert got == _outcome(lambda: oracle_load_objects(records))
+
+    @pytest.mark.parametrize("index", [0, 500, 999])
+    @pytest.mark.parametrize("spoil", _SPOILS)
+    def test_one_spoiled_record_of_1000_is_reported_as_the_oracle_reports_it(
+        self, tmp_path, index, spoil
+    ):
+        records = scene_to_dict(make_random_scene(3, n_objects=1000))["objects"]
+        _spoil(records[index], spoil)
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({"scene_id": "s", "objects": records}), encoding="utf-8")
+        expected = _outcome(lambda: oracle_load_objects(records))
+        assert expected[0] is SceneFormatError
+        assert _outcome(lambda: load_scene(path).objects) == expected
 
 
 def _triplet(*steps: dict, instruction: str = "I am tired") -> dict:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import sys
@@ -45,8 +44,6 @@ PROMPT_SEPARATOR = "\n=== PROMPT {i} ===\n"
 _START_FLAGS = ("--start-x", "--start-y")
 
 
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-_DICT = frozenset((dict,))
 # A control character is always escaped inside a JSON string, so in the C
 # encoder's output it appears only where it was put as the item separator.
 _MARK = "\x00"
@@ -60,33 +57,6 @@ def _c_encode(item_separator: str):
     ).encode
 
 
-def _is_leaf(value) -> bool:
-    """A plain dict, list or tuple whose every value is a plain scalar."""
-    if type(value) is dict:
-        value = value.values()
-    elif type(value) not in (list, tuple):
-        return False
-    return _SCALARS.issuperset(map(type, value))
-
-
-def _is_table(value) -> bool:
-    """A plain list or tuple of nonempty leaf dicts (each check a loop in C)."""
-    return (
-        type(value) in (list, tuple)
-        and _DICT.issuperset(map(type, value))
-        and all(value)
-        and _SCALARS.issuperset(map(type, itertools.chain.from_iterable(map(dict.values, value))))
-    )
-
-
-def _key(key) -> str:
-    if isinstance(key, str):
-        return _c_encode(",")(key)
-    if isinstance(key, (int, float)) or key is None:
-        return '"' + _c_encode(",")(key) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
 def _column(rows: list[dict], name: str) -> list[str]:
     """The JSON text of ``row[name]`` for each row, from one C call."""
     return _c_encode(_MARK)([row[name] for row in rows])[1:-1].split(_MARK) if rows else []
@@ -95,10 +65,10 @@ def _column(rows: list[dict], name: str) -> list[str]:
 class _GraphSnapshots:
     """The ``graph_snapshots`` of ``plan --dump-graph``: one graph, its weights at each step.
 
-    :func:`_dumps` renders it as the list of :func:`graph_to_dict` snapshots
-    of the graph under each recorded pair of weight dicts; only the weights
-    change after :func:`build_graph`.  The weights must be positive floats,
-    as :func:`modulate` keeps them, so that equal weights print alike.
+    :meth:`render` prints the list of :func:`graph_to_dict` snapshots of the
+    graph under each recorded pair of weight dicts; only the weights change
+    after :func:`build_graph`.  The weights must be positive floats, as
+    :func:`modulate` keeps them, so that equal weights print alike.
     """
 
     def __init__(self, graph) -> None:
@@ -109,33 +79,32 @@ class _GraphSnapshots:
         """Keep a copy of the graph's node and out-edge weights as they are now."""
         self.weights.append((self.graph.weights.copy(), self.graph.edge_weights.copy()))
 
-    def as_list(self) -> list[dict]:
-        """One :func:`graph_to_dict` snapshot per recorded step."""
-        return [
-            graph_to_dict(replace(self.graph, weights=weights, edge_weights=edge_weights))
-            for weights, edge_weights in self.weights
-        ]
+    def render(self) -> str:
+        """The snapshots as ``json.dumps(indent=2, sort_keys=True)`` prints a top-level key's value.
 
-    def render(self, depth: int) -> str:
-        """:func:`_dumps` of :meth:`as_list` at ``depth``, from one :func:`graph_to_dict` call.
-
-        Everything but the weights is the same in every snapshot, so the text
-        between two weights is built once; each snapshot fills in its own
-        weights, formatting each distinct value once.  Keys print sorted:
-        the edges, then ``k``, then the nodes, and ``"weight"`` last in a row.
-        Ids and ``k`` are ints; strings and floats go through the C encoder,
-        so a non-finite distance raises ``ValueError`` as in :func:`_dumps`.
+        Built from one :func:`graph_to_dict` call.  Everything but the
+        weights is the same in every snapshot, so the text between two
+        weights is built once; each snapshot fills in its own weights,
+        formatting each distinct value once.  Keys print sorted: the edges,
+        then ``k``, then the nodes, and ``"weight"`` last in a row.  Ids and
+        ``k`` are ints; strings and floats go through the C encoder, so a
+        non-finite distance raises ``ValueError``.
         """
         snapshot = graph_to_dict(self.graph)
         edges, nodes = snapshot["edges"], snapshot["nodes"]
-        outer = "\n" + "  " * depth
+        try:
+            distances = _column(edges, "distance")
+        except ValueError:
+            # The C encoder's message leaves out the value on Python 3.10
+            # and 3.11; the standard library's own encoder names it.
+            json.dumps(edges, indent=2, allow_nan=False)
+            raise
+        outer = "\n  "
         item, key, row, field = outer + "  ", outer + "    ", outer + "      ", outer + "        "
         heads = [
             f'{{{field}"distance": {distance},{field}"dst": {edge["dst"]},{field}"kind": {kind},'
             f'{field}"src": {edge["src"]},{field}"weight": '
-            for edge, distance, kind in zip(
-                edges, _column(edges, "distance"), _column(edges, "kind")
-            )
+            for edge, distance, kind in zip(edges, distances, _column(edges, "kind"))
         ] + [
             f'{{{field}"category": {category},{field}"id": {node["id"]},{field}"weight": '
             for node, category in zip(nodes, _column(nodes, "category"))
@@ -165,65 +134,23 @@ class _GraphSnapshots:
         return "[" + item + ("," + item).join(rendered) + outer + "]"
 
 
-def _plain(value):
-    """``json.dumps``'s ``default``: graph snapshots as a list, anything else refused."""
-    if type(value) is _GraphSnapshots:
-        return value.as_list()
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _dumps(value, depth: int) -> str:
-    """``value`` as ``json.dumps(indent=2, sort_keys=True)`` renders it at ``depth``.
-
-    A leaf container is one C call, its indentation folded into the item
-    separator.  A table (a list of nonempty leaf dicts) is one C call with ``_MARK``
-    between items, replaced afterwards by the indentation of the list (after
-    a ``}``) or of the dicts (anywhere else: a leaf dict's values cannot end
-    in ``}``).  Graph snapshots render themselves.  Only the other containers
-    are walked here.
-    """
-    if type(value) is _GraphSnapshots:
-        return value.render(depth)
-    if not isinstance(value, (dict, list, tuple)):
-        return _c_encode(",")(value)
-    is_dict = isinstance(value, dict)
-    opening, closing = "{}" if is_dict else "[]"
-    if not value:
-        return opening + closing
-    outer = "\n" + "  " * depth
-    inner = outer + "  "
-    if _is_leaf(value):
-        body = _c_encode("," + inner)(value)[1:-1]
-    elif is_dict:
-        body = ("," + inner).join(
-            _key(key) + ": " + _dumps(item, depth + 1) for key, item in sorted(value.items())
-        )
-    elif _is_table(value):
-        deeper = inner + "  "
-        body = _c_encode(_MARK)(value)[2:-2]
-        body = body.replace("}" + _MARK + "{", inner + "}," + inner + "{" + deeper)
-        body = "{" + deeper + body.replace(_MARK, "," + deeper) + inner + "}"
-    else:
-        body = ("," + inner).join(_dumps(item, depth + 1) for item in value)
-    return opening + inner + body + outer + closing
-
-
-def _emit(payload: dict) -> None:
+def _emit(payload: dict, snapshots: _GraphSnapshots | None = None) -> None:
     """Print ``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)``.
 
-    The standard library's encoder gives up its C accelerator when asked to
-    indent; :func:`_dumps` prints the same bytes with the C encoder doing
-    the bulk.  A :class:`_GraphSnapshots` in ``payload`` prints as its list
-    of snapshots.  On failure the standard library runs again, on the
-    snapshots as that list, so the exception (for a non-finite float, one
-    that names the value) is exactly its own.
+    Given ``snapshots``, the payload prints with them as its
+    ``graph_snapshots``: the standard library prints it with a null there,
+    and the null is replaced by :meth:`_GraphSnapshots.render`.
     """
-    try:
-        text = _dumps(payload, 0)
-    except (TypeError, ValueError):
-        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=_plain)
-        raise
-    print(text)
+    if snapshots is None:
+        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
+        return
+    text = json.dumps(
+        {**payload, "graph_snapshots": None}, indent=2, sort_keys=True, allow_nan=False
+    )
+    # Quotes and newlines are escaped inside JSON strings, so this text is
+    # found only where the payload's own top-level key is.
+    slot = '\n  "graph_snapshots": '
+    print(text.replace(slot + "null", slot + snapshots.render(), 1))
 
 
 def _start_pose(args: argparse.Namespace, scene) -> AgentPose:
@@ -305,20 +232,19 @@ def cmd_plan(args: argparse.Namespace) -> int:
         if not args.endpoint or not args.model:
             raise LlmError("--backend llm requires --endpoint and --model")
         generator = LlmClient(base_url=args.endpoint, model_name=args.model)
-    snapshots = _GraphSnapshots(graph)
+    snapshots = _GraphSnapshots(graph) if args.dump_graph else None
 
     def observe(request):
-        if args.dump_graph and request.step_index > 1:
+        if snapshots is not None and request.step_index > 1:
             snapshots.record()
         return generator(request)
 
     episode = run_episode(
         scene, graph, args.instruction, observe, max_steps=args.max_steps, w_l=args.w_l
     )
-    if args.dump_graph:
+    if snapshots is not None:
         snapshots.record()
-        episode["graph_snapshots"] = snapshots
-    _emit(episode)
+    _emit(episode, snapshots)
     return 0
 
 

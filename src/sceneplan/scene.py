@@ -272,25 +272,9 @@ def _number(raw: object, where: str) -> float:
     return value
 
 
-def _vec3(raw: object, index: int, field: str) -> Vec3:
-    """``raw`` as three finite floats, for field ``field`` of ``objects[index]``.
-
-    The locus is formatted only to raise.
-    """
+def _vec3(raw: object, where: str) -> Vec3:
     if not isinstance(raw, (list, tuple)) or len(raw) != 3:
-        raise SceneFormatError(f"objects[{index}]{field}: expected 3 numbers")
-    try:
-        x, y, z = map(float, raw)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    else:
-        if (
-            _NUMBER_TYPES.issuperset(map(type, raw))
-            and math.isfinite(x) and math.isfinite(y) and math.isfinite(z)
-        ):
-            return (x, y, z)
-    # Some number is bad: check each in turn, so that the first is reported.
-    where = f"objects[{index}]{field}"
+        raise SceneFormatError(f"{where}: expected 3 numbers")
     return (_number(raw[0], where), _number(raw[1], where), _number(raw[2], where))
 
 
@@ -300,38 +284,26 @@ def _require(record: dict, key: str, where: str) -> object:
     return record[key]
 
 
-def _object_error(index: int, field: str, problem: str) -> SceneFormatError:
-    return SceneFormatError(f"objects[{index}]{field}: {problem}")
-
-
-def _object_field(record: dict, key: str, index: int, field: str = "") -> object:
-    """``record[key]``, where ``record`` is field ``field`` of ``objects[index]``."""
-    if key not in record:
-        raise _object_error(index, field, f"missing field {key!r}")
-    return record[key]
-
-
-def _parse_object(raw: object, index: int) -> ObjectInstance:
-    """``objects[index]`` of a scene file; its locus is formatted only to raise."""
+def _parse_object(raw: object, where: str) -> ObjectInstance:
     if not isinstance(raw, dict):
-        raise _object_error(index, "", "expected object")
-    oid = _object_field(raw, "id", index)
+        raise SceneFormatError(f"{where}: expected object")
+    oid = _require(raw, "id", where)
     if not isinstance(oid, int) or isinstance(oid, bool):
-        raise _object_error(index, ".id", "expected integer")
-    category = _object_field(raw, "category", index)
+        raise SceneFormatError(f"{where}.id: expected integer")
+    category = _require(raw, "category", where)
     if not isinstance(category, str):
-        raise _object_error(index, ".category", "expected string")
-    centroid = _vec3(_object_field(raw, "centroid", index), index, ".centroid")
-    aabb_raw = _object_field(raw, "aabb", index)
+        raise SceneFormatError(f"{where}.category: expected string")
+    centroid = _vec3(_require(raw, "centroid", where), f"{where}.centroid")
+    aabb_raw = _require(raw, "aabb", where)
     if not isinstance(aabb_raw, dict):
-        raise _object_error(index, ".aabb", "expected object with min/max")
+        raise SceneFormatError(f"{where}.aabb: expected object with min/max")
     box = (
-        _vec3(_object_field(aabb_raw, "min", index, ".aabb"), index, ".aabb.min"),
-        _vec3(_object_field(aabb_raw, "max", index, ".aabb"), index, ".aabb.max"),
+        _vec3(_require(aabb_raw, "min", f"{where}.aabb"), f"{where}.aabb.min"),
+        _vec3(_require(aabb_raw, "max", f"{where}.aabb"), f"{where}.aabb.max"),
     )
     mask_ref = raw.get("mask_ref")
     if mask_ref is not None and not isinstance(mask_ref, str):
-        raise _object_error(index, ".mask_ref", "expected string")
+        raise SceneFormatError(f"{where}.mask_ref: expected string")
     return ObjectInstance(oid, category, centroid, box, mask_ref)
 
 
@@ -369,7 +341,7 @@ def _parse_objects(records: list) -> tuple[ObjectInstance, ...]:
         # A missing field, a value of the wrong kind, an empty array (nothing
         # to unzip), a string number or an integer too large for a float.
         pass
-    return tuple(map(_parse_object, records, itertools.count()))
+    return tuple(_parse_object(raw, f"objects[{i}]") for i, raw in enumerate(records))
 
 
 def _parse_occupancy(raw: object) -> OccupancyGrid:

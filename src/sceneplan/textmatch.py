@@ -31,10 +31,6 @@ def _singularize(token: str) -> set[str]:
     return forms
 
 
-def token_matches(text_token: str, category_token: str) -> bool:
-    return category_token in _singularize(text_token)
-
-
 class CategoryMatcher:
     """A category set indexed for :func:`find_category_spans`.
 

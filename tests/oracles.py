@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from sceneplan.graph import classify_relation
 from sceneplan.scene import ObjectInstance, SceneFormatError, SceneInvariantError
-from sceneplan.textmatch import token_matches, words_of
+from sceneplan.textmatch import words_of
 
 
 # ---------------------------------------------------------------- geometry
@@ -153,6 +153,11 @@ def oracle_component_labels(rows: int, cols: int, blocked) -> tuple[int, ...]:
 # whitespace-separated words are [a-z0-9] runs.
 
 
+def oracle_token_matches(text_token: str, category_token: str) -> bool:
+    """A text word names a (nonempty) category word spelled alike or with "s" or "es" added."""
+    return text_token in (category_token, category_token + "s", category_token + "es")
+
+
 def oracle_find_category_spans(text: str, categories: set[str]) -> list[tuple[int, str]]:
     """All category occurrences in ``text`` as (start-token-position, category).
 
@@ -171,7 +176,7 @@ def oracle_find_category_spans(text: str, categories: set[str]) -> list[tuple[in
             if pos + len(cat_tokens) > len(tokens):
                 continue
             if all(
-                token_matches(tokens[pos + i], cat_tokens[i])
+                oracle_token_matches(tokens[pos + i], cat_tokens[i])
                 for i in range(len(cat_tokens))
             ):
                 hit = category
@@ -200,7 +205,9 @@ def oracle_resolve_noun_phrase(noun_phrase: str, categories: set[str]) -> str | 
     if not tokens:
         return None
     head = tokens[-1]
-    matches = sorted(c for c in categories if c.split() and token_matches(head, c.split()[-1]))
+    matches = sorted(
+        c for c in categories if c.split() and oracle_token_matches(head, c.split()[-1])
+    )
     return matches[0] if matches else None
 
 

@@ -21,7 +21,14 @@ from sceneplan import cli, route
 from sceneplan.cli import _emit, build_parser, main
 from sceneplan.engine import END_TOKEN, SYSTEM_PREAMBLE, run_episode
 from sceneplan.generators import DEFAULT_RULES, RuleBasedGenerator
-from sceneplan.graph import SceneGraph, build_graph, classify_relation, graph_to_dict, modulate
+from sceneplan.graph import (
+    DEFAULT_K,
+    SceneGraph,
+    build_graph,
+    classify_relation,
+    graph_to_dict,
+    modulate,
+)
 from sceneplan.route import AgentPose, adjacent_free_cells, default_start_pose
 from sceneplan.scene import ObjectInstance, SceneModel, load_scene
 from tests.conftest import FIXTURES, run_python
@@ -438,10 +445,10 @@ def _outcome(encode):
         return type(exc), str(exc)
 
 
-def _emitted(payload) -> str:
+def _emitted(payload, snapshots=None) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        _emit(payload)
+        _emit(payload, snapshots)
     return out.getvalue()
 
 
@@ -559,8 +566,8 @@ class TestGraphSnapshots:
     """Snapshots rendered from recorded weights print what ``graph_to_dict`` per step does."""
 
     @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(world=_modulated_graphs(), depth=st.integers(0, 3))
-    def test_rendered_snapshots_match_graph_to_dict_per_step(self, world, depth):
+    @given(world=_modulated_graphs())
+    def test_rendered_snapshots_match_graph_to_dict_per_step(self, world):
         graph, steps = world
         snapshots = cli._GraphSnapshots(graph)
         expected = []
@@ -568,10 +575,18 @@ class TestGraphSnapshots:
             modulate(graph, mentioned, w_l=w_l, step_index=step_index)
             snapshots.record()
             expected.append(graph_to_dict(graph))
-        payload, reference = {"graph_snapshots": snapshots}, {"graph_snapshots": expected}
-        for _ in range(depth):
-            payload, reference = {"a": [1], "b": payload}, {"a": [1], "b": reference}
-        assert _emitted(payload) == json.dumps(reference, indent=2, sort_keys=True) + "\n"
+        # Keys on both sides of "graph_snapshots"; a nested null one stays null.
+        payload = {"a": {"graph_snapshots": None}, "k": [1], "z": '"graph_snapshots": null'}
+        reference = {**payload, "graph_snapshots": expected}
+        assert _emitted(payload, snapshots) == json.dumps(
+            reference, indent=2, sort_keys=True
+        ) + "\n"
+
+    def test_splice_ignores_the_slot_text_inside_the_instruction(self, capsys):
+        instruction = 'make tea\n  "graph_snapshots": null\n  '
+        code = main(["plan", "--scene", KITCHEN, "--instruction", instruction, "--dump-graph"])
+        assert code == 0
+        assert capsys.readouterr().out == _old_plan_stdout(KITCHEN, instruction, DEFAULT_K)
 
     def test_large_scene_prints_the_graph_to_dict_document(self, capsys, tmp_path):
         """A 240-object kitchen, the four-step coffee rule, ``--k 4``."""

@@ -280,6 +280,14 @@ class TestKnnConstruction:
         )
         for objects in (mirrored, swapped):
             assert knn_ids(SceneModel("mapped", objects, category_vocab_size=1), k) == expected
+        # The mirror swaps left and right in every edge and keeps all else.
+        swap = {"left-of": "right-of", "right-of": "left-of"}
+        mirrored_edges = {
+            src: {dst: (swap.get(kind, kind), distance) for dst, (kind, distance) in out.items()}
+            for src, out in build_graph(scene, k=k).edges.items()
+        }
+        mirrored_scene = SceneModel("mirrored", mirrored, category_vocab_size=1)
+        assert build_graph(mirrored_scene, k=k).edges == mirrored_edges
 
 
 class TestModulation:

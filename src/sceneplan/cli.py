@@ -47,19 +47,13 @@ _START_FLAGS = ("--start-x", "--start-y")
 # A control character is always escaped inside a JSON string, so in the C
 # encoder's output it appears only where it was put as the item separator.
 _MARK = "\x00"
+# The C encoder, refusing NaN and infinities, with ``_MARK`` between list items.
+_encode = json.JSONEncoder(allow_nan=False, separators=(_MARK, ": ")).encode
 
 
-@functools.lru_cache(maxsize=None)
-def _c_encode(item_separator: str):
-    """The C encoder (sorted keys, no NaN) with ``item_separator`` between items."""
-    return json.JSONEncoder(
-        sort_keys=True, allow_nan=False, separators=(item_separator, ": ")
-    ).encode
-
-
-def _column(rows: list[dict], name: str) -> list[str]:
-    """The JSON text of ``row[name]`` for each row, from one C call."""
-    return _c_encode(_MARK)([row[name] for row in rows])[1:-1].split(_MARK) if rows else []
+def _texts(values: list) -> list[str]:
+    """The JSON text of each value, from one C call."""
+    return _encode(values)[1:-1].split(_MARK) if values else []
 
 
 class _GraphSnapshots:
@@ -83,17 +77,17 @@ class _GraphSnapshots:
         """The snapshots as ``json.dumps(indent=2, sort_keys=True)`` prints a top-level key's value.
 
         Built from one :func:`graph_to_dict` call.  Everything but the
-        weights is the same in every snapshot, so the text between two
-        weights is built once; each snapshot fills in its own weights,
-        formatting each distinct value once.  Keys print sorted: the edges,
-        then ``k``, then the nodes, and ``"weight"`` last in a row.  Ids and
-        ``k`` are ints; strings and floats go through the C encoder, so a
-        non-finite distance raises ``ValueError``.
+        weights is the same in every snapshot, so one snapshot's text is
+        written once with ``_MARK`` where each weight goes: the edge rows,
+        then ``k``, then the node rows, ``"weight"`` last in a row.  Each
+        snapshot fills in its own weights, formatting each distinct value
+        once.  Ids and ``k`` are ints; strings and floats go through the C
+        encoder, so a non-finite distance raises ``ValueError``.
         """
         snapshot = graph_to_dict(self.graph)
         edges, nodes = snapshot["edges"], snapshot["nodes"]
         try:
-            distances = _column(edges, "distance")
+            distances = _texts([edge["distance"] for edge in edges])
         except ValueError:
             # The C encoder's message leaves out the value on Python 3.10
             # and 3.11; the standard library's own encoder names it.
@@ -101,36 +95,42 @@ class _GraphSnapshots:
             raise
         outer = "\n  "
         item, key, row, field = outer + "  ", outer + "    ", outer + "      ", outer + "        "
-        heads = [
-            f'{{{field}"distance": {distance},{field}"dst": {edge["dst"]},{field}"kind": {kind},'
-            f'{field}"src": {edge["src"]},{field}"weight": '
-            for edge, distance, kind in zip(edges, distances, _column(edges, "kind"))
-        ] + [
-            f'{{{field}"category": {category},{field}"id": {node["id"]},{field}"weight": '
-            for node, category in zip(nodes, _column(nodes, "category"))
-        ]
-        # The text before each weight, then the text after the last one.
-        between = [row + "}," + row + head for head in heads] + [row + "}" + key + "]" + item + "}"]
-        opening = "{" + key + '"edges": ['
-        between[0] = opening + row + heads[0]
-        after_edges = row + "}" + key + "]," if edges else opening + "],"
-        between[len(edges)] = (
-            f'{after_edges}{key}"k": {snapshot["k"]},{key}"nodes": [{row}{heads[len(edges)]}'
-        )
+
+        def rows(texts: list[str]) -> str:
+            return "[" + row + ("," + row).join(texts) + key + "]" if texts else "[]"
+
+        kinds = _texts([edge["kind"] for edge in edges])
+        categories = _texts([node["category"] for node in nodes])
+        # One snapshot's text with _MARK where each weight goes, split there
+        # in one expression, so that only the pieces stay alive.
+        pieces = "".join([
+            f'{{{key}"edges": ',
+            rows([
+                f'{{{field}"distance": {distance},{field}"dst": {edge["dst"]},{field}"kind": {kind},'
+                f'{field}"src": {edge["src"]},{field}"weight": {_MARK}{row}}}'
+                for edge, distance, kind in zip(edges, distances, kinds)
+            ]),
+            f',{key}"k": {snapshot["k"]},{key}"nodes": ',
+            rows([
+                f'{{{field}"category": {category},{field}"id": {node["id"]},'
+                f'{field}"weight": {_MARK}{row}}}'
+                for node, category in zip(nodes, categories)
+            ]),
+            item + "}",
+        ]).split(_MARK)
+        # The text around the weights in the even slots, the weights in the odd ones.
+        slots = [""] * (2 * len(pieces) - 1)
+        slots[0::2] = pieces
         edge_srcs = [edge["src"] for edge in edges]
         node_ids = [node["id"] for node in nodes]
-        parts = [""] * (2 * len(between) - 1)
-        parts[0::2] = between
         rendered = []
         for weights, edge_weights in self.weights:
-            texts = {
-                weight: _c_encode(",")(weight)
-                for weight in {*weights.values(), *edge_weights.values()}
-            }
-            parts[1::2] = map(texts.__getitem__, [
+            distinct = [*{*weights.values(), *edge_weights.values()}]
+            texts = dict(zip(distinct, _texts(distinct)))
+            slots[1::2] = map(texts.__getitem__, [
                 *map(edge_weights.__getitem__, edge_srcs), *map(weights.__getitem__, node_ids)
             ])
-            rendered.append("".join(parts))
+            rendered.append("".join(slots))
         return "[" + item + ("," + item).join(rendered) + outer + "]"
 
 

@@ -19,19 +19,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .engine import END_TOKEN, GeneratorRequest
-from .route import (
-    AgentPose,
-    RouteClause,
-    apply_clause,
-    clauses_to_text,
-    default_start_pose,
-    nearest_instance,
-    plan_route,
-)
+from .route import AgentPose, clauses_to_text, default_start_pose, nearest_instance, plan_route
 from .scene import SceneModel
 from .textmatch import words_of
 
-DEFAULT_API_KEY_ENV = "SHARP_API_KEY"
+API_KEY_ENV = "SHARP_API_KEY"
 DEFAULT_IN_FLIGHT_LIMIT = 4
 BACKOFF_BASE_SECONDS = 0.5
 BACKOFF_FACTOR = 2.0
@@ -71,7 +63,6 @@ class LlmClient:
         *,
         base_url: str,
         model_name: str,
-        api_key_env: str = DEFAULT_API_KEY_ENV,
         timeout: float = 30.0,
         max_retries: int = 3,
         max_in_flight: int = DEFAULT_IN_FLIGHT_LIMIT,
@@ -86,7 +77,6 @@ class LlmClient:
             raise ValueError("max_in_flight must be >= 1")
         self.base_url = base_url
         self.model_name = model_name
-        self.api_key_env = api_key_env
         self.timeout = timeout
         self.max_retries = max_retries
         # The HTTP stack (urllib.request, http.client, ssl, email) takes
@@ -109,14 +99,12 @@ class LlmClient:
         import http.client
         import urllib.request
 
-        api_key = os.environ.get(self.api_key_env)
+        api_key = os.environ.get(API_KEY_ENV)
         if not api_key:
-            raise AuthError(
-                f"environment variable {self.api_key_env} is not set"
-            )
+            raise AuthError(f"environment variable {API_KEY_ENV} is not set")
         if any(c in "\r\n" or ord(c) > 0xFF for c in api_key):
             raise AuthError(
-                f"environment variable {self.api_key_env} holds a key"
+                f"environment variable {API_KEY_ENV} holds a key"
                 " that cannot be sent in an HTTP header"
             )
         url = self.base_url.rstrip("/") + "/chat/completions"
@@ -348,13 +336,7 @@ class RuleBasedGenerator:
                 )
             target = nearest_instance(self.scene, category, self._pose.position)
             if ROUTE_SLOT in template:
-                clauses = plan_route(self._pose, target.id, self.scene)
-                if not clauses:
-                    # Already adjacent; a bare targeted move keeps the text a
-                    # valid route clause and the pose simulation in sync.
-                    clauses = [RouteClause(verb="walk", target_category=category)]
-                for clause in clauses:
-                    self._pose = apply_clause(self._pose, clause, self.scene)
+                clauses, self._pose = plan_route(self._pose, target.id, self.scene)
                 text = text.replace(ROUTE_SLOT, clauses_to_text(clauses))
             text = text.replace(OBJECT_SLOT, category)
         text = text.strip()

@@ -57,58 +57,55 @@ def _ends_cvc(stem: str) -> bool:
     )
 
 
-def _apply_rules(word: str, rules: list[tuple[str, str, int | None]]) -> str:
-    """Apply the longest-suffix rule whose measure condition holds.
+def _apply_rules(word: str, rules: list[tuple[str, str]]) -> str:
+    """Apply the longest-suffix (suffix, replacement) rule when its stem has m > 0.
 
-    Each rule is (suffix, replacement, min_measure); min_measure None means
-    unconditional.  ``rules`` is sorted longest suffix first and only the
-    first suffix match is considered.
+    ``rules`` is sorted longest suffix first and only the first suffix
+    match is considered.
     """
-    for suffix, replacement, min_measure in rules:
+    for suffix, replacement in rules:
         if word.endswith(suffix):
             stem = word[: len(word) - len(suffix)]
-            if min_measure is None or _measure(stem) > min_measure:
-                return stem + replacement
-            return word
+            return stem + replacement if _measure(stem) > 0 else word
     return word
 
 
 # The rule tables are sorted longest suffix first once, here; the sort is
 # stable, so rules with suffixes of one length keep their listed order.
 _STEP2_RULES = sorted([
-    ("ational", "ate", 0),
-    ("tional", "tion", 0),
-    ("enci", "ence", 0),
-    ("anci", "ance", 0),
-    ("izer", "ize", 0),
+    ("ational", "ate"),
+    ("tional", "tion"),
+    ("enci", "ence"),
+    ("anci", "ance"),
+    ("izer", "ize"),
     # "bli" (for the original "abli") and "logi" are the two departures the
     # algorithm's reference implementation makes from the published paper.
-    ("bli", "ble", 0),
-    ("logi", "log", 0),
-    ("alli", "al", 0),
-    ("entli", "ent", 0),
-    ("eli", "e", 0),
-    ("ousli", "ous", 0),
-    ("ization", "ize", 0),
-    ("ation", "ate", 0),
-    ("ator", "ate", 0),
-    ("alism", "al", 0),
-    ("iveness", "ive", 0),
-    ("fulness", "ful", 0),
-    ("ousness", "ous", 0),
-    ("aliti", "al", 0),
-    ("iviti", "ive", 0),
-    ("biliti", "ble", 0),
+    ("bli", "ble"),
+    ("logi", "log"),
+    ("alli", "al"),
+    ("entli", "ent"),
+    ("eli", "e"),
+    ("ousli", "ous"),
+    ("ization", "ize"),
+    ("ation", "ate"),
+    ("ator", "ate"),
+    ("alism", "al"),
+    ("iveness", "ive"),
+    ("fulness", "ful"),
+    ("ousness", "ous"),
+    ("aliti", "al"),
+    ("iviti", "ive"),
+    ("biliti", "ble"),
 ], key=lambda r: -len(r[0]))
 
 _STEP3_RULES = sorted([
-    ("icate", "ic", 0),
-    ("ative", "", 0),
-    ("alize", "al", 0),
-    ("iciti", "ic", 0),
-    ("ical", "ic", 0),
-    ("ful", "", 0),
-    ("ness", "", 0),
+    ("icate", "ic"),
+    ("ative", ""),
+    ("alize", "al"),
+    ("iciti", "ic"),
+    ("ical", "ic"),
+    ("ful", ""),
+    ("ness", ""),
 ], key=lambda r: -len(r[0]))
 
 _STEP4_SUFFIXES = sorted((

@@ -461,12 +461,14 @@ def path_to_clauses(
 
 def plan_route(
     start: AgentPose, target_object_id: int, scene: SceneModel
-) -> list[RouteClause]:
+) -> tuple[list[RouteClause], AgentPose]:
     """Plan clauses from ``start`` to any free cell adjacent to the target.
 
-    Requires an occupancy grid and a free start cell.  Returns [] when the
-    start cell is already adjacent to the target footprint; raises
-    :class:`UnreachableTargetError` when no adjacent cell can be reached.
+    Returns the clauses and the pose that :func:`apply_clause` ends them
+    at.  Requires an occupancy grid and a free start cell.  When the start
+    cell is already adjacent to the target footprint the route is one bare
+    targeted move; raises :class:`UnreachableTargetError` when no adjacent
+    cell can be reached.
     """
     grid = scene.occupancy
     if grid is None:
@@ -479,7 +481,8 @@ def plan_route(
         raise RouteError(f"start cell {start_cell} is blocked")
     goals = goal_cells(scene, target)
     if start_cell in goals:
-        return []
+        clauses = [RouteClause("walk", target_category=target.category)]
+        return clauses, apply_clause(start, clauses[0], scene)
     path = shortest_cell_path(grid, start_cell, goals)
     if path is None:
         raise UnreachableTargetError(
@@ -494,7 +497,7 @@ def plan_route(
         pose = apply_clause(pose, clause, scene)
     if not _within_cone(pose, target):
         clauses[-1] = replace(clauses[-1], adverb=None)
-    return clauses
+    return clauses, apply_clause(pose, clauses[-1], scene)
 
 
 def verify_route(

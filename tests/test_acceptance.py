@@ -195,7 +195,7 @@ def test_routes_round_trip_on_random_grid_worlds(announce):
             crate = scene.objects_by_id[0]
             try:
                 start = default_start_pose(scene)
-                clauses = plan_route(start, 0, scene)
+                clauses, end = plan_route(start, 0, scene)
             except (UnreachableTargetError, RouteError):
                 continue  # sealed target or blocked start; criterion covers reachable ones
             usable += 1
@@ -209,13 +209,13 @@ def test_routes_round_trip_on_random_grid_worlds(announce):
                 if grid.is_free(row, col)
             }
             bfs = oracle_bfs_length(free, start_cell, goals)
-            if not clauses:
-                assert start_cell in goals
+            if start_cell in goals:
                 assert bfs == 0
-                continue
-            path = shortest_cell_path(grid, start_cell, goals)
-            assert path is not None
-            assert len(path) - 1 == bfs
+                assert clauses == [RouteClause("walk", target_category=crate.category)]
+            else:
+                path = shortest_cell_path(grid, start_cell, goals)
+                assert path is not None
+                assert len(path) - 1 == bfs
 
             text = clauses_to_text(clauses)
             assert parse_route(text) == clauses
@@ -225,6 +225,7 @@ def test_routes_round_trip_on_random_grid_worlds(announce):
             pose = start
             for clause in clauses:
                 pose = apply_clause(pose, clause, scene)
+            assert end == pose
             landing = grid.cell_of(*pose.position)
             footprint = footprint_cells(grid, crate.aabb)
             neighborhood = {

@@ -8,7 +8,6 @@ import io
 import json
 import math
 import random
-import string
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -387,57 +386,6 @@ def test_start_heading_alone_turns_the_default_pose(capsys, argv):
     assert heading_only != capsys.readouterr().out
 
 
-# Pieces that the emitter's separators or escapes could be confused with.
-_AWKWARD = st.sampled_from(
-    ["}", "{", "]", ",\n", ",", ": ", '"', "\\", "\x00", "\x01", "\x1f", "\n", "\t",
-     "\x7f", "é", "日本", "\u2028", "\U0001f600", "\ud800", "\udfff"]
-)
-_STRINGS = st.lists(
-    _AWKWARD
-    | st.text(string.printable, max_size=4)
-    | st.text(st.characters(blacklist_categories=()), max_size=4),
-    max_size=4,
-).map("".join)
-_SCALAR_VALUES = (
-    _STRINGS
-    | st.none()
-    | st.booleans()
-    | st.integers(-3, 3)
-    | st.integers()
-    | st.integers(-(10**60), 10**60)
-    | st.floats(allow_nan=False, allow_infinity=False)
-    | st.sampled_from([-0.0, 0.0, 1e16, 5e-324, -1.7976931348623157e308])
-)
-_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
-# One key type per dict: keys of different types may not be comparable.
-_KEYS = st.sampled_from([
-    _STRINGS,
-    st.integers(),
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.booleans(),
-    st.none(),
-    st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.booleans(),
-])
-
-
-def _dicts(values, **kwargs):
-    return _KEYS.flatmap(lambda keys: st.dictionaries(keys, values, max_size=4, **kwargs))
-
-
-def _payloads(scalars):
-    flat_dicts = _dicts(scalars, min_size=1)
-    return st.recursive(
-        scalars,
-        lambda children: (
-            st.lists(children, max_size=4)
-            | st.lists(children, max_size=4).map(tuple)
-            | _dicts(children)
-            | st.lists(flat_dicts | st.just({}) | _dicts(children), max_size=4)
-        ),
-        max_leaves=24,
-    )
-
-
 def _outcome(encode):
     try:
         return encode()
@@ -460,25 +408,6 @@ def _assert_emits_like_json_dumps(payload):
 
 class TestEmitter:
     """``_emit`` prints what ``json.dumps(indent=2, sort_keys=True, allow_nan=False)`` does."""
-
-    @settings(max_examples=400, deadline=None)
-    @given(payload=_payloads(_SCALAR_VALUES))
-    def test_bytes_match_json_dumps(self, payload):
-        _assert_emits_like_json_dumps(payload)
-
-    @settings(max_examples=300, deadline=None)
-    @given(table=st.lists(_dicts(_STRINGS | _SCALAR_VALUES, min_size=1), min_size=1, max_size=6),
-           depth=st.integers(0, 3))
-    def test_tables_match_json_dumps(self, table, depth):
-        payload = table
-        for _ in range(depth):
-            payload = {"t": payload, "n": [1]}
-        _assert_emits_like_json_dumps(payload)
-
-    @settings(max_examples=200, deadline=None)
-    @given(payload=_payloads(_SCALAR_VALUES | _NON_FINITE))
-    def test_non_finite_numbers_fail_like_json_dumps(self, payload):
-        _assert_emits_like_json_dumps(payload)
 
     @pytest.mark.parametrize(
         "payload",

@@ -372,8 +372,12 @@ class TestPlanRoute:
         with pytest.raises(RouteError, match="blocked"):
             plan_route(_pose(*blocked_center), 0, kitchen)
 
-    def test_already_adjacent_returns_empty(self, kitchen):
-        assert plan_route(default_start_pose(kitchen), 10, kitchen) == []
+    def test_already_adjacent_returns_a_bare_targeted_move(self, kitchen):
+        start = default_start_pose(kitchen)
+        clauses, end = plan_route(start, 10, kitchen)
+        category = kitchen.objects_by_id[10].category
+        assert clauses == [RouteClause("walk", target_category=category)]
+        assert end == apply_clause(start, clauses[0], kitchen)
 
     def test_sealed_target_raises(self):
         scene = _sealed_scene()
@@ -390,21 +394,27 @@ class TestPlanRoute:
                 with pytest.raises(UnreachableTargetError):
                     plan_route(start, obj.id, kitchen)
                 continue
-            clauses = plan_route(start, obj.id, kitchen)
-            if not clauses:
-                continue
+            clauses, end = plan_route(start, obj.id, kitchen)
             text = clauses_to_text(clauses)
             assert parse_route(text) == clauses
             reports = verify_route([{"index": 1, "text": text}], kitchen, start)
             assert reports[0]["verdict"] == "ok", (obj.id, text, reports[0]["detail"])
+            pose = start
+            for clause in clauses:
+                pose = apply_clause(pose, clause, kitchen)
+            assert end == pose
+            final = reports[0]["final_pose"]
+            assert final == {"position": list(end.position), "heading": end.heading}
 
     def test_planned_route_ends_adjacent_to_target(self, kitchen):
         start = default_start_pose(kitchen)
         grid = kitchen.occupancy
         kettle = kitchen.objects_by_id[4]
+        clauses, end = plan_route(start, 4, kitchen)
         pose = start
-        for clause in plan_route(start, 4, kitchen):
+        for clause in clauses:
             pose = apply_clause(pose, clause, kitchen)
+        assert end == pose
         landing = grid.cell_of(*pose.position)
         footprint = footprint_cells(grid, kettle.aabb)
         assert landing in footprint | adjacent_free_cells(grid, kettle.aabb)
@@ -455,6 +465,63 @@ class TestClauseRendering:
             RouteClause("walk", target_category="stove", adverb="straight ahead"),
         ]
         assert parse_route(clauses_to_text(clauses)) == clauses
+
+
+_MIRROR_HEADING = {0: 0, 90: 270, 180: 180, 270: 90}
+_MIRROR_WORD = {"left": "right", "right": "left"}
+
+
+@st.composite
+def _mirror_worlds(draw) -> tuple[SceneModel, AgentPose, list[dict]]:
+    """A grid world, a start pose and route steps for the x-mirror check.
+
+    The grid is centred on x = 0, so the mirror is x -> -x, which every sum,
+    difference and distance in ``route`` keeps bit for bit.  Coordinates
+    are dyadic: box edges sit a quarter cell and the start 3/8 of a cell
+    from a cell edge, and untargeted moves of 1 m keep those offsets.  So
+    no pose lies on a cell edge or on a box's centre line, where
+    ``_nearest_clearance_point`` breaks a -x/+x tie toward -x and the
+    free-cell scan breaks ties by column.  Every object has its own
+    category, so no two instances tie, and the cells around each box are
+    free, so no landing point is snapped to a goal cell.
+    """
+    size = draw(st.sampled_from((0.25, 0.5)))
+    rows, cols = draw(st.integers(4, 9)), draw(st.integers(4, 9))
+    origin = (-cols * size / 2, draw(st.sampled_from((-1.0, 0.5))))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from((0.0, 0.3, 0.6)))
+    blocked = bytearray(rng.random() < density for _ in range(rows * cols))
+    categories = draw(st.permutations(("crate", "lamp", "sink", "stove")))
+    objects = []
+    for oid, category in enumerate(categories[: draw(st.integers(1, 4))]):
+        c0, r0 = draw(st.integers(1, cols - 2)), draw(st.integers(1, rows - 2))
+        c1, r1 = draw(st.integers(c0, cols - 2)), draw(st.integers(r0, rows - 2))
+        lo = (origin[0] + (c0 + 0.25) * size, origin[1] + (r0 + 0.25) * size, 0.0)
+        hi = (origin[0] + (c1 + 0.75) * size, origin[1] + (r1 + 0.75) * size, 1.0)
+        centroid = ((lo[0] + hi[0]) / 2, (lo[1] + hi[1]) / 2, 0.5)
+        objects.append(ObjectInstance(oid, category, centroid, (lo, hi)))
+        for row in range(r0 - 1, r1 + 2):
+            blocked[row * cols + c0 - 1 : row * cols + c1 + 2] = bytes(c1 - c0 + 3)
+    grid = OccupancyGrid(size, origin, rows, cols, bytes(blocked))
+    scene = SceneModel("mirror", tuple(objects), occupancy=grid, category_vocab_size=4)
+    offset = st.sampled_from((3 / 8, 5 / 8))
+    start = AgentPose(
+        (
+            origin[0] + (draw(st.integers(0, cols - 1)) + draw(offset)) * size,
+            origin[1] + (draw(st.integers(0, rows - 1)) + draw(offset)) * size,
+        ),
+        draw(st.sampled_from(HEADINGS)),
+    )
+    named = st.sampled_from((*(o.category for o in objects), "unicorn"))
+    clause = st.one_of(
+        st.sampled_from(("turn 90 degrees left", "turn 90 degrees right", "turn 180 degrees left",
+                         "walk forward", "walk quickly to the sink")),
+        named.map("walk straight ahead to the {}".format),
+        named.map("walk to the {}".format),
+    )
+    texts = draw(st.lists(st.lists(clause, min_size=1, max_size=3), min_size=1, max_size=3))
+    steps = [{"index": i, "text": " and ".join(t)} for i, t in enumerate(texts, start=1)]
+    return scene, start, steps
 
 
 class TestVerifyRoute:
@@ -532,6 +599,46 @@ class TestVerifyRoute:
         reports = verify_route(steps, kitchen, _pose(-2.75, -0.75, 0))
         assert reports[-1]["final_pose"]["position"] == pytest.approx([-1.75, -0.75])
         assert reports[-1]["final_pose"]["heading"] == 270
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(world=_mirror_worlds())
+    def test_mirrored_world_gives_mirrored_verdicts_and_poses(self, world):
+        # Mirror in the vertical line through the grid's centre: x -> cx - x,
+        # each grid row reversed, headings 90 and 270 and "left" and "right"
+        # swapped.  Here cx is 0, so the mirrored poses are exact.
+        scene, start, steps = world
+        grid = scene.occupancy
+        cx = 2 * grid.origin[0] + grid.cols * grid.cell_size
+        objects = tuple(
+            ObjectInstance(
+                o.id, o.category, (cx - o.centroid[0], *o.centroid[1:]),
+                ((cx - o.aabb[1][0], *o.aabb[0][1:]), (cx - o.aabb[0][0], *o.aabb[1][1:])),
+            )
+            for o in scene.objects
+        )
+        blocked = b"".join(
+            grid.blocked[row * grid.cols : (row + 1) * grid.cols][::-1]
+            for row in range(grid.rows)
+        )
+        mirrored_scene = replace(
+            scene, objects=objects, occupancy=replace(grid, blocked=blocked)
+        )
+        mirrored_start = AgentPose(
+            (cx - start.position[0], start.position[1]), _MIRROR_HEADING[start.heading]
+        )
+        mirrored_steps = [
+            {**step, "text": " ".join(_MIRROR_WORD.get(w, w) for w in step["text"].split(" "))}
+            for step in steps
+        ]
+        reports = verify_route(steps, scene, start)
+        mirrored = verify_route(mirrored_steps, mirrored_scene, mirrored_start)
+        assert [r["verdict"] for r in mirrored] == [r["verdict"] for r in reports]
+        for report, image in zip(reports, mirrored):
+            x, y = report["final_pose"]["position"]
+            assert image["final_pose"]["position"] == [cx - x, y]
+            assert image["final_pose"]["heading"] == _MIRROR_HEADING[
+                report["final_pose"]["heading"]
+            ]
 
     def test_drifted_pose_judged_from_nearest_free_cell(self, kitchen):
         # Heading 0 from below the counter, one untargeted move parks the

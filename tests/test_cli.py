@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sceneplan import cli, route
-from sceneplan.cli import _emit, build_parser, main
+from sceneplan.cli import _emit, _texts, build_parser, main
 from sceneplan.engine import END_TOKEN, SYSTEM_PREAMBLE, run_episode
 from sceneplan.generators import DEFAULT_RULES, RuleBasedGenerator
 from sceneplan.graph import (
@@ -440,6 +440,15 @@ class TestEmitter:
     )
     def test_edge_cases_match_json_dumps(self, payload):
         _assert_emits_like_json_dumps(payload)
+
+    def test_texts_split_only_at_the_item_mark(self):
+        # The snapshot renderer splits one C call's output at the mark; a
+        # mark or a separator inside a string must stay escaped in its text.
+        values = ["a\x00b", "x\x00\x00", ", ", "\u2028", "", 1.5, -0.0, 1e16, 10**20, None, True]
+        assert _texts(values) == [json.dumps(value) for value in values]
+        assert _texts([]) == []
+        with pytest.raises(ValueError):
+            _texts([1.0, math.nan])
 
 
 # Categories that JSON must escape, beside plain and repeated ones.

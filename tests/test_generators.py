@@ -419,6 +419,23 @@ class TestRuleBasedGenerator:
 
         assert run() == run()
 
+    def test_step_already_at_its_target_is_a_bare_targeted_move(self, kitchen):
+        # Step 2 starts where step 1 ended, next to the kettle.
+        kettle_rule = ActivityRule(
+            trigger_keywords=("kettle",),
+            activity_phrase="boil water",
+            required_categories=("kettle", "kettle"),
+            step_templates=("<route> and pick up the <object>.",
+                            "<route> and put down the <object>."),
+        )
+        generator = RuleBasedGenerator(kitchen, rules=(kettle_rule,))
+        episode = run_episode(kitchen, build_graph(kitchen), "kettle", generator)
+        steps = episode["steps"]
+        assert steps[0]["text"] != "Walk to the kettle and pick up the kettle."
+        assert steps[1]["text"] == "Walk to the kettle and put down the kettle."
+        reports = verify_route(steps, kitchen, default_start_pose(kitchen))
+        assert [r["verdict"] for r in reports] == ["ok", "ok"]
+
     def test_generic_rule_needs_no_objects(self, kitchen):
         episode = run_episode(
             kitchen, build_graph(kitchen), "entertain me", RuleBasedGenerator(kitchen)

@@ -11,7 +11,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .dataset import (
@@ -156,7 +155,7 @@ def _emit(payload: dict, snapshots: _GraphSnapshots | None = None) -> None:
 def _start_pose(args: argparse.Namespace, scene) -> AgentPose:
     heading = 0 if args.start_heading is None else args.start_heading
     if args.start_x is None and args.start_y is None:
-        return replace(default_start_pose(scene), heading=heading)
+        return AgentPose(default_start_pose(scene).position, heading)
     if args.start_x is None or args.start_y is None:
         raise RouteError("--start-x and --start-y must be given together")
     if not (math.isfinite(args.start_x) and math.isfinite(args.start_y)):

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import json
 import random
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from pathlib import Path
 
 from .route import AgentPose, default_start_pose, parse_fragments, verify_route
@@ -49,15 +48,15 @@ class DatasetError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ValidationFinding:
-    sample_key: tuple[str, int]
-    kind: str
-    detail: str
+class ValidationFinding(namedtuple("ValidationFinding", "sample_key kind detail")):
+    """A ``(scene_id, sample_id)`` key, a kind from :data:`FINDING_KINDS` and a detail text."""
 
-    def __post_init__(self) -> None:
-        if self.kind not in FINDING_KINDS:
-            raise ValueError(f"unknown finding kind {self.kind!r}")
+    __slots__ = ()
+
+    def __new__(cls, sample_key: tuple[str, int], kind: str, detail: str) -> ValidationFinding:
+        if kind not in FINDING_KINDS:
+            raise ValueError(f"unknown finding kind {kind!r}")
+        return super().__new__(cls, sample_key, kind, detail)
 
     def to_dict(self) -> dict:
         return {

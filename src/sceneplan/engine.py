@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable
 
 from .graph import DEFAULT_MODULATION_WEIGHT, SceneGraph, modulate, serialize_for_prompt
@@ -47,11 +47,10 @@ class EpisodeError(Exception):
         self.partial = partial
 
 
-@dataclass(frozen=True)
-class GeneratorRequest:
-    system_context: str
-    user_prompt: str
-    step_index: int
+class GeneratorRequest(namedtuple("GeneratorRequest", "system_context user_prompt step_index")):
+    """One step's prompt: the system context text, the user prompt text and the step index."""
+
+    __slots__ = ()
 
 
 # A generator answers a request with the raw reply text, stop token and all.

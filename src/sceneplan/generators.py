@@ -15,7 +15,7 @@ import random
 import threading
 import time
 import urllib.parse
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable
 
 from .engine import END_TOKEN, GeneratorRequest
@@ -182,8 +182,11 @@ class LlmClient:
         return text
 
 
-@dataclass(frozen=True)
-class ActivityRule:
+class ActivityRule(
+    namedtuple(
+        "ActivityRule", "trigger_keywords activity_phrase required_categories step_templates"
+    )
+):
     """Keyword-triggered activity with a fixed step script.
 
     Step s uses step_templates[s-1]; its object slot binds to the s-th
@@ -191,17 +194,23 @@ class ActivityRule:
     route from the agent's tracked pose.
     """
 
-    trigger_keywords: tuple[str, ...]
-    activity_phrase: str
-    required_categories: tuple[str, ...]
-    step_templates: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.step_templates:
+    def __new__(
+        cls,
+        trigger_keywords: tuple[str, ...],
+        activity_phrase: str,
+        required_categories: tuple[str, ...],
+        step_templates: tuple[str, ...],
+    ) -> ActivityRule:
+        if not step_templates:
             raise ValueError("a rule needs at least one step template")
-        for keyword in self.trigger_keywords:
+        for keyword in trigger_keywords:
             if keyword != keyword.lower():
                 raise ValueError(f"trigger keyword {keyword!r} must be lowercase")
+        return super().__new__(
+            cls, trigger_keywords, activity_phrase, required_categories, step_templates
+        )
 
 
 class MissingCategoryError(Exception):

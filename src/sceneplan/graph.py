@@ -11,7 +11,7 @@ factor, which in turn reorders the weight-ranked prompt serialization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import repeat
 
@@ -22,23 +22,16 @@ DEFAULT_MODULATION_WEIGHT = 2.0
 NEAR_DISTANCE = 0.15  # meters; closer than this overrides axis-based kinds
 
 
-@dataclass
-class SceneGraph:
+class SceneGraph(namedtuple("SceneGraph", "categories weights edges edge_weights k")):
     """Per object id, its category, node weight, out-edges and out-edge weight.
 
-    ``categories``, ``weights``, ``edges`` and ``edge_weights`` share their
-    keys.  ``edges[src][dst]`` is the ``(kind, distance)`` pair of
-    :func:`classify_relation`, each inner dict in ascending dst order, and
-    ``edge_weights[src]`` is the weight that every out-edge of ``src``
-    carries: :func:`modulate` scales a node's out-edges together.  Only the
-    two weight dicts change after :func:`build_graph`.
+    ``categories``, ``weights``, ``edges`` and ``edge_weights`` are dicts
+    that share their keys.  ``edges[src][dst]`` is the ``(kind, distance)``
+    pair of :func:`classify_relation`, each inner dict in ascending dst
+    order, and ``edge_weights[src]`` is the weight that every out-edge of
+    ``src`` carries: :func:`modulate` scales a node's out-edges together.
+    Only the two weight dicts change after :func:`build_graph`, in place.
     """
-
-    categories: dict[int, str]
-    weights: dict[int, float]
-    edges: dict[int, dict[int, tuple[str, float]]]
-    edge_weights: dict[int, float]
-    k: int
 
     @cached_property
     def prompt_text(self) -> tuple[dict[int, str], dict[int, str]]:
@@ -48,7 +41,7 @@ class SceneGraph:
         "\\n<cat>#<i> <kind> <cat>#<j>"; a node's lines are one string in
         ascending neighbor id order.  Neither depends on the weights, the only
         part of a graph that changes after :func:`build_graph`.  Kept in the
-        instance ``__dict__``, outside the dataclass fields, so equality still
+        instance ``__dict__``, outside the tuple fields, so equality still
         sees only the graph.
         """
         labels = {node_id: f"{category}#{node_id}" for node_id, category in self.categories.items()}
@@ -71,9 +64,10 @@ def classify_relation(a: ObjectInstance, b: ObjectInstance) -> tuple[str, float]
     ``NEAR_DISTANCE`` is "near" regardless of direction; identical centroids
     are "near" at distance 0.
     """
-    dx = b.centroid[0] - a.centroid[0]
-    dy = b.centroid[1] - a.centroid[1]
-    dz = b.centroid[2] - a.centroid[2]
+    ca, cb = a.centroid, b.centroid
+    dx = cb[0] - ca[0]
+    dy = cb[1] - ca[1]
+    dz = cb[2] - ca[2]
     distance = math.sqrt(dx * dx + dy * dy + dz * dz)
     if distance < NEAR_DISTANCE:
         return "near", distance

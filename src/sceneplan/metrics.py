@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter, deque
+from collections import Counter, deque, namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, compress, count, repeat
 from operator import add, mul
@@ -53,14 +52,17 @@ def tokenize(text: str) -> list[str]:
     return _NON_TOKEN.sub("", text.lower()).split()
 
 
-@dataclass(frozen=True)
-class TokenizedPair:
-    candidate: tuple[str, ...]
-    references: tuple[tuple[str, ...], ...]
+class TokenizedPair(namedtuple("TokenizedPair", "candidate references")):
+    """A candidate's tokens and a nonempty tuple of its references' tokens."""
 
-    def __post_init__(self) -> None:
-        if not self.references:
+    __slots__ = ()
+
+    def __new__(
+        cls, candidate: tuple[str, ...], references: tuple[tuple[str, ...], ...]
+    ) -> TokenizedPair:
+        if not references:
             raise ValueError("a pair needs at least one reference")
+        return super().__new__(cls, candidate, references)
 
 
 class NgramTable:

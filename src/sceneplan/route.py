@@ -12,8 +12,8 @@ All operations here are pure functions of their inputs.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Set as AbstractSet
-from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 
 from .scene import ObjectInstance, OccupancyGrid, SceneModel, Vec3, ring_cells
@@ -47,29 +47,31 @@ class MissingGridError(RouteError):
     pass
 
 
-@dataclass(frozen=True)
-class AgentPose:
-    position: tuple[float, float]
-    heading: int = 0
+class AgentPose(namedtuple("AgentPose", "position heading")):
+    """An (x, y) ``position`` in meters and a ``heading``, one of :data:`HEADINGS`."""
 
-    def __post_init__(self) -> None:
-        if self.heading not in HEADINGS:
-            raise ValueError(f"heading must be one of {HEADINGS}, got {self.heading}")
+    __slots__ = ()
+
+    def __new__(cls, position: tuple[float, float], heading: int = 0) -> AgentPose:
+        if heading not in HEADINGS:
+            raise ValueError(f"heading must be one of {HEADINGS}, got {heading}")
+        return super().__new__(cls, position, heading)
 
 
-@dataclass(frozen=True)
-class RouteClause:
+class RouteClause(
+    namedtuple(
+        "RouteClause",
+        "verb turn_degrees turn_direction target_category adverb",
+        defaults=(None, None, None, None),
+    )
+):
     """A parsed movement primitive.
 
     Turn clauses carry degrees and direction and never a target; movement
     clauses carry a target noun phrase and/or an adverb.
     """
 
-    verb: str
-    turn_degrees: int | None = None
-    turn_direction: str | None = None
-    target_category: str | None = None
-    adverb: str | None = None
+    __slots__ = ()
 
 
 # One clause-sized piece of step text: (text, clause or None, starts with a movement verb).
@@ -227,19 +229,20 @@ def footprint_cells(grid: OccupancyGrid, box: tuple[Vec3, Vec3]) -> set[tuple[in
     """Grid cells overlapping the box's ground-plane rectangle."""
     xmin, ymin, xmax, ymax = _footprint_rect(box)
     cells: set[tuple[int, int]] = set()
-    r0 = max(0, math.floor((ymin - grid.origin[1]) / grid.cell_size))
-    c0 = max(0, math.floor((xmin - grid.origin[0]) / grid.cell_size))
-    r1 = min(grid.rows - 1, math.ceil((ymax - grid.origin[1]) / grid.cell_size))
-    c1 = min(grid.cols - 1, math.ceil((xmax - grid.origin[0]) / grid.cell_size))
+    (origin_x, origin_y), size = grid.origin, grid.cell_size
+    r0 = max(0, math.floor((ymin - origin_y) / size))
+    c0 = max(0, math.floor((xmin - origin_x) / size))
+    r1 = min(grid.rows - 1, math.ceil((ymax - origin_y) / size))
+    c1 = min(grid.cols - 1, math.ceil((xmax - origin_x) / size))
     for row in range(r0, r1 + 1):
         for col in range(c0, c1 + 1):
-            cell_xmin = grid.origin[0] + col * grid.cell_size
-            cell_ymin = grid.origin[1] + row * grid.cell_size
+            cell_xmin = origin_x + col * size
+            cell_ymin = origin_y + row * size
             if (
                 cell_xmin < xmax
-                and cell_xmin + grid.cell_size > xmin
+                and cell_xmin + size > xmin
                 and cell_ymin < ymax
-                and cell_ymin + grid.cell_size > ymin
+                and cell_ymin + size > ymin
             ):
                 cells.add((row, col))
     return cells
@@ -309,18 +312,17 @@ def apply_clause(pose: AgentPose, clause: RouteClause, scene: SceneModel) -> Age
     untargeted move advances 1 m along the heading.
     """
     if clause.verb == TURN_VERB:
-        return replace(
-            pose,
-            heading=turn_heading(pose.heading, clause.turn_degrees, clause.turn_direction),
+        return AgentPose(
+            pose.position, turn_heading(pose.heading, clause.turn_degrees, clause.turn_direction)
         )
     if clause.target_category is None:
         dx, dy = HEADING_TO_DIR[pose.heading]
-        return replace(pose, position=(pose.position[0] + dx, pose.position[1] + dy))
+        return AgentPose((pose.position[0] + dx, pose.position[1] + dy), pose.heading)
     category = resolve_noun_phrase(clause.target_category, scene.category_matcher)
     if category is None:
         raise UnknownObjectError(clause.target_category)
     target = nearest_instance(scene, category, pose.position)
-    return replace(pose, position=_landing_point(pose, clause, target, scene))
+    return AgentPose(_landing_point(pose, clause, target, scene), pose.heading)
 
 
 def _within_cone(pose: AgentPose, target: ObjectInstance) -> bool:
@@ -496,7 +498,7 @@ def plan_route(
     for clause in clauses[:-1]:
         pose = apply_clause(pose, clause, scene)
     if not _within_cone(pose, target):
-        clauses[-1] = replace(clauses[-1], adverb=None)
+        clauses[-1] = clauses[-1]._replace(adverb=None)
     return clauses, apply_clause(pose, clauses[-1], scene)
 
 
@@ -562,7 +564,7 @@ def verify_route(
                     verdict = "unreachable-target"
                     detail = f"no path to {clause.target_category}"
                     break
-            pose = replace(pose, position=_landing_point(pose, clause, target, scene))
+            pose = AgentPose(_landing_point(pose, clause, target, scene), pose.heading)
         reports.append({
             "step_index": step["index"],
             "verdict": verdict,

@@ -5,8 +5,9 @@ On-disk formats:
   * triplet file -- JSON Lines, one instruction-plan triplet per line,
     see :func:`load_triplets`
 
-All lengths are in meters.  Loaded scenes and their objects are immutable
-and safe to share across workers.  A triplet is a plain dict, as
+All lengths are in meters.  Loaded scenes and their objects are named
+tuples: their fields cannot be reassigned, and they are safe to share
+across workers.  A triplet is a plain dict, as
 :func:`parse_triplet_record` returns it.
 """
 
@@ -16,8 +17,8 @@ import itertools
 import json
 import math
 import re
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
@@ -38,20 +39,17 @@ class SceneInvariantError(ValueError):
     """Well-formed file whose content violates a scene invariant."""
 
 
-@dataclass(frozen=True)
-class ObjectInstance:
-    """One labelled object in a scene.
+class ObjectInstance(
+    namedtuple("ObjectInstance", "id category centroid aabb mask_ref", defaults=(None,))
+):
+    """One labelled object in a scene: int ``id``, str ``category``, :data:`Vec3` centroid.
 
     ``aabb`` is the axis-aligned box as its ``(min corner, max corner)``.
     ``mask_ref`` is an opaque reference to an external segmentation asset;
     the planner itself only consumes the centroid and the bounding box.
     """
 
-    id: int
-    category: str
-    centroid: Vec3
-    aabb: tuple[Vec3, Vec3]
-    mask_ref: str | None = None
+    __slots__ = ()
 
     def validate(self) -> None:
         if self.id < 0:
@@ -69,28 +67,20 @@ class ObjectInstance:
             raise SceneInvariantError(f"object {self.id}: centroid outside aabb")
 
 
-@dataclass(frozen=True)
-class OccupancyGrid:
+class OccupancyGrid(namedtuple("OccupancyGrid", "cell_size origin rows cols blocked")):
     """2D ground-plane discretization; ``blocked`` is row-major, 1 = blocked, 0 = free.
 
     Cell (row, col) spans world x in [origin_x + col*cell, origin_x + (col+1)*cell]
     and world y in [origin_y + row*cell, origin_y + (row+1)*cell].
     """
 
-    cell_size: float
-    origin: tuple[float, float]
-    rows: int
-    cols: int
-    blocked: bytes
-
-    def in_bounds(self, row: int, col: int) -> bool:
-        return 0 <= row < self.rows and 0 <= col < self.cols
-
     def is_blocked(self, row: int, col: int) -> int:
         return self.blocked[row * self.cols + col]
 
     def is_free(self, row: int, col: int) -> bool:
-        return self.in_bounds(row, col) and not self.is_blocked(row, col)
+        # In-bounds and not blocked, each field read once: A* calls this per neighbour.
+        cols = self.cols
+        return 0 <= row < self.rows and 0 <= col < cols and not self.blocked[row * cols + col]
 
     def component_of(self, row: int, col: int) -> int:
         """Label of the cell's free-cell component (see :attr:`component_labels`)."""
@@ -128,7 +118,7 @@ class OccupancyGrid:
         Rosenfeld & Pfaltz (1966) over runs of free cells: each row's runs
         are joined by union-find to the runs they overlap in the row above,
         then every run takes its root's label.  Kept in the instance
-        ``__dict__``, outside the dataclass fields, so equality, hashing and
+        ``__dict__``, outside the tuple fields, so equality, hashing and
         serialization still see only the grid.
         """
         cols = self.cols
@@ -190,14 +180,14 @@ def ring_cells(rows: int, cols: int, row0: int, col0: int, d: int) -> list[tuple
     return cells
 
 
-@dataclass(frozen=True)
-class SceneModel:
-    """A 3D scene reduced to per-object geometry plus an optional occupancy grid."""
+class SceneModel(
+    namedtuple("SceneModel", "scene_id objects occupancy category_vocab_size", defaults=(None, 0))
+):
+    """A 3D scene reduced to per-object geometry plus an optional occupancy grid.
 
-    scene_id: str
-    objects: tuple[ObjectInstance, ...]
-    occupancy: OccupancyGrid | None = None
-    category_vocab_size: int = 0
+    ``objects`` is a tuple of :class:`ObjectInstance` and ``occupancy`` an
+    :class:`OccupancyGrid` or None.
+    """
 
     def validate(self) -> None:
         seen: set[int] = set()
@@ -234,7 +224,7 @@ class SceneModel:
     def category_matcher(self) -> CategoryMatcher:
         """The scene's categories indexed for matching in text, built on first use.
 
-        Kept in the instance ``__dict__``, outside the dataclass fields, so
+        Kept in the instance ``__dict__``, outside the tuple fields, so
         equality, hashing and serialization still see only the scene.
         """
         return CategoryMatcher(self.categories())

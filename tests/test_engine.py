@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -238,7 +237,7 @@ class TestRunEpisode:
             assert graph.edge_weights.keys() == graph.categories.keys()
             assert graph.weights != fresh.weights
             assert graph.edge_weights != fresh.edge_weights
-            assert replace(graph, weights=fresh.weights, edge_weights=fresh.edge_weights) == fresh
+            assert graph._replace(weights=fresh.weights, edge_weights=fresh.edge_weights) == fresh
 
     def test_generator_failure_preserves_partial_episode(self, kitchen):
         for failing_step in (1, 2):

@@ -374,10 +374,27 @@ class TestRuleSelection:
         assert select_rule("warm the milk", (rule,)) is not rule
 
     def test_rule_validation(self):
-        with pytest.raises(ValueError, match="lowercase"):
-            ActivityRule(("Coffee",), "x", (), ("Done.",))
-        with pytest.raises(ValueError, match="template"):
-            ActivityRule((), "x", (), ())
+        # Each check runs whether the fields are given by position or by keyword.
+        cases = (
+            (("Coffee",), ("Done.",), "trigger keyword 'Coffee' must be lowercase"),
+            (("coffee", "Tea"), ("Done.",), "trigger keyword 'Tea' must be lowercase"),
+            ((), (), "a rule needs at least one step template"),
+            (("coffee",), (), "a rule needs at least one step template"),
+        )
+        for keywords, templates, message in cases:
+            for build in (
+                lambda: ActivityRule(keywords, "x", (), templates),
+                lambda: ActivityRule(
+                    trigger_keywords=keywords,
+                    activity_phrase="x",
+                    required_categories=(),
+                    step_templates=templates,
+                ),
+            ):
+                with pytest.raises(ValueError) as excinfo:
+                    build()
+                assert excinfo.type is ValueError
+                assert str(excinfo.value) == message
 
 
 class TestRuleBasedGenerator:

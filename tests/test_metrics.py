@@ -251,7 +251,8 @@ class TestOracleAgreement:
         # fresh ones.
         assert len(tables) == 1 and tables[0]() is None
         for pair, entry in zip(pairs, GOLDEN["pairs"]):
-            assert set(vars(pair)) == {"candidate", "references"}
+            assert not hasattr(pair, "__dict__")
+            assert pair._fields == ("candidate", "references")
             fresh = pair_from_text(entry["candidate"], entry["references"])
             assert pair == fresh
             assert hash(pair) == hash(fresh)
@@ -459,8 +460,17 @@ class TestContracts:
             cider(NgramTable([_pair("a b c d", "a b c d")]))
 
     def test_pair_requires_references(self):
-        with pytest.raises(ValueError, match="reference"):
-            TokenizedPair(candidate=("a",), references=())
+        for build in (
+            lambda: TokenizedPair(("a",), ()),
+            lambda: TokenizedPair(candidate=("a",), references=()),
+        ):
+            with pytest.raises(ValueError) as excinfo:
+                build()
+            assert excinfo.type is ValueError
+            assert str(excinfo.value) == "a pair needs at least one reference"
+        assert TokenizedPair(("a",), (("a",),)) == TokenizedPair(
+            candidate=("a",), references=(("a",),)
+        )
 
     def test_empty_candidate_is_scoreable(self):
         pair = _pair("", "walk to the sink")

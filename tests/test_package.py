@@ -19,6 +19,19 @@ def test_importing_the_package_loads_no_submodule():
     assert json.loads(run_python(script).stdout) == []
 
 
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # Only what the import adds counts, so a site hook that loads either
+    # module before it cannot fail the test.
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import sceneplan.cli\n"
+        "added = set(sys.modules) - before\n"
+        "print(json.dumps(sorted({'dataclasses', 'inspect'} & added)))\n"
+    )
+    assert json.loads(run_python(script).stdout) == []
+
+
 def test_readme_minimal_call_prints_the_coffee_episode():
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     (block,) = re.findall(r"A minimal end-to-end call:\n\n```python\n(.*?)```", readme, re.S)

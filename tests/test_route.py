@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -620,8 +619,8 @@ class TestVerifyRoute:
             grid.blocked[row * grid.cols : (row + 1) * grid.cols][::-1]
             for row in range(grid.rows)
         )
-        mirrored_scene = replace(
-            scene, objects=objects, occupancy=replace(grid, blocked=blocked)
+        mirrored_scene = scene._replace(
+            objects=objects, occupancy=grid._replace(blocked=blocked)
         )
         mirrored_start = AgentPose(
             (cx - start.position[0], start.position[1]), _MIRROR_HEADING[start.heading]
@@ -824,8 +823,8 @@ class TestComponentLabels:
         # The same holds for the scene's cached category matcher.
         scene = make_random_grid_scene(4)
         grid = scene.occupancy
-        fresh = replace(grid)
-        fresh_scene = replace(scene, occupancy=fresh)
+        fresh = grid._replace()
+        fresh_scene = scene._replace(occupancy=fresh)
         assert grid.component_labels
         assert scene.category_matcher.by_first
         assert "component_labels" not in fresh.__dict__
@@ -909,5 +908,15 @@ class TestDefaultStartPose:
             default_start_pose(scene)
 
     def test_invalid_heading_rejected(self):
-        with pytest.raises(ValueError, match="heading"):
-            AgentPose((0.0, 0.0), 45)
+        # 360 and -90 face the same way as 0 and 270, but are not quantized
+        # headings.  The check runs for positional and keyword fields alike.
+        for heading in (45, 360, -90):
+            for build in (
+                lambda: AgentPose((0.0, 0.0), heading),
+                lambda: AgentPose(position=(0.0, 0.0), heading=heading),
+            ):
+                with pytest.raises(ValueError) as excinfo:
+                    build()
+                assert excinfo.type is ValueError
+                message = f"heading must be one of (0, 90, 180, 270), got {heading}"
+                assert str(excinfo.value) == message

@@ -13,14 +13,6 @@ import math
 import sys
 from pathlib import Path
 
-from .dataset import (
-    DatasetError,
-    dataset_stats,
-    findings_to_jsonl,
-    generation_prompts,
-    sample_key,
-    validate_dataset,
-)
 from .engine import DEFAULT_MAX_STEPS, EpisodeError, run_episode
 from .generators import (
     DEFAULT_RULES,
@@ -29,7 +21,6 @@ from .generators import (
     RuleBasedGenerator,
 )
 from .graph import DEFAULT_K, DEFAULT_MODULATION_WEIGHT, build_graph, graph_to_dict
-from .metrics import evaluate_pairs, pair_from_text
 from .route import (
     HEADINGS,
     AgentPose,
@@ -37,10 +28,46 @@ from .route import (
     default_start_pose,
     verify_route,
 )
-from .scene import SceneFormatError, load_scene, load_triplets, read_jsonl
+from .scene import DatasetError, SceneFormatError, load_scene, load_triplets, read_jsonl
 
 PROMPT_SEPARATOR = "\n=== PROMPT {i} ===\n"
 _START_FLAGS = ("--start-x", "--start-y")
+
+# Names that only some commands use, and the submodule each comes from.  A
+# command binds them here with :func:`_load` when it runs, so importing this
+# module loads only what ``plan`` and ``route-check`` run.
+_DEFERRED = {
+    "dataset_stats": "dataset",
+    "findings_to_jsonl": "dataset",
+    "generation_prompts": "dataset",
+    "sample_key": "dataset",
+    "validate_dataset": "dataset",
+    "evaluate_pairs": "metrics",
+    "pair_from_text": "metrics",
+}
+
+
+def _load(module: str) -> None:
+    """Import ``sceneplan.<module>`` and bind its :data:`_DEFERRED` names in this module.
+
+    A name bound here already is kept, so a value set on this module
+    (``cli.validate_dataset = wrapper``) is the one the commands call.
+    """
+    import importlib
+
+    source = importlib.import_module(f".{module}", __package__)
+    namespace = globals()
+    for name, owner in _DEFERRED.items():
+        if owner == module:
+            namespace.setdefault(name, getattr(source, name))
+
+
+def __getattr__(name: str):
+    """Resolve a :data:`_DEFERRED` name as if it had been imported with the module."""
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(_DEFERRED[name])
+    return globals()[name]
 
 
 # A control character is always escaped inside a JSON string, so in the C
@@ -194,6 +221,7 @@ def _add_start_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    _load("dataset")
     findings = validate_dataset(args.dataset_dir)
     if args.out:
         Path(args.out).write_text(findings_to_jsonl(findings), encoding="utf-8")
@@ -215,6 +243,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    _load("dataset")
     _emit(dataset_stats(args.dataset_dir))
     return 0
 
@@ -264,6 +293,7 @@ def cmd_route_check(args: argparse.Namespace) -> int:
 
 
 def _read_keyed_texts(path: str, allow_multi: bool) -> dict[tuple[str, int], list[str]]:
+    _load("dataset")
     keyed: dict[tuple[str, int], list[str]] = {}
     for _, where, data in read_jsonl(path):
         if isinstance(data, SceneFormatError):
@@ -286,6 +316,7 @@ def _read_keyed_texts(path: str, allow_multi: bool) -> dict[tuple[str, int], lis
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    _load("metrics")
     predictions = _read_keyed_texts(args.predictions, allow_multi=False)
     references = _read_keyed_texts(args.references, allow_multi=True)
     missing = sorted(set(references) - set(predictions))
@@ -303,6 +334,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_prompts(args: argparse.Namespace) -> int:
+    _load("dataset")
     scene = load_scene(args.scene)
     prompts = generation_prompts(scene, args.n, seed=args.seed)
     if args.out:

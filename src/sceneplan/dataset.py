@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .route import AgentPose, default_start_pose, parse_fragments, verify_route
 from .scene import (
+    DatasetError,
     SceneFormatError,
     SceneModel,
     load_scene,
@@ -42,10 +43,6 @@ _ROUTE_VERDICT_TO_KIND = {
     "direction-inconsistent": "direction-inconsistent",
     "unreachable-target": "unreachable-target",
 }
-
-
-class DatasetError(Exception):
-    pass
 
 
 class ValidationFinding(namedtuple("ValidationFinding", "sample_key kind detail")):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from collections import namedtuple
-from typing import Callable
+from collections.abc import Callable
 
 from .graph import DEFAULT_MODULATION_WEIGHT, SceneGraph, modulate, serialize_for_prompt
 from .scene import SceneModel

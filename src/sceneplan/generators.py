@@ -16,7 +16,7 @@ import threading
 import time
 import urllib.parse
 from collections import namedtuple
-from typing import Callable
+from collections.abc import Callable
 
 from .engine import END_TOKEN, GeneratorRequest
 from .route import AgentPose, clauses_to_text, default_start_pose, nearest_instance, plan_route

@@ -504,6 +504,10 @@ def triplet_warnings(triplet: dict, scene: SceneModel) -> list[tuple[str, str]]:
     return warnings
 
 
+class DatasetError(Exception):
+    """A dataset or JSON Lines file that a command cannot use as a whole."""
+
+
 def read_jsonl(path: str | Path) -> list[tuple[int, str, dict | SceneFormatError]]:
     """Parse every nonblank line of a JSON Lines file.
 

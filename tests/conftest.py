@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import subprocess
@@ -31,6 +32,22 @@ def kitchen_path() -> Path:
 @pytest.fixture()
 def kitchen(kitchen_path) -> SceneModel:
     return load_scene(kitchen_path)
+
+
+@pytest.fixture(scope="session")
+def golden_corpus_files(tmp_path_factory) -> Path:
+    """The metrics golden corpus as prediction and reference JSONL files."""
+    root = tmp_path_factory.mktemp("cli-corpus")
+    pairs = json.loads((FIXTURES / "golden_corpus.json").read_text(encoding="utf-8"))["pairs"]
+    for name, field, pick in [("predictions", "text", "candidate"), ("references", "texts", "references")]:
+        (root / f"{name}.jsonl").write_text(
+            "".join(
+                json.dumps({"scene_id": "g", "sample_id": i, field: pair[pick]}) + "\n"
+                for i, pair in enumerate(pairs)
+            ),
+            encoding="utf-8",
+        )
+    return root
 
 
 def make_random_scene(seed: int, n_objects: int | None = None) -> SceneModel:

@@ -323,22 +323,6 @@ class TestRouteCheckCommand:
 GOLDEN = FIXTURES / "cli_golden"
 
 
-@pytest.fixture(scope="module")
-def golden_corpus_files(tmp_path_factory):
-    """The metrics golden corpus as prediction and reference JSONL files."""
-    root = tmp_path_factory.mktemp("cli-corpus")
-    pairs = json.loads((FIXTURES / "golden_corpus.json").read_text(encoding="utf-8"))["pairs"]
-    for name, field, pick in [("predictions", "text", "candidate"), ("references", "texts", "references")]:
-        (root / f"{name}.jsonl").write_text(
-            "".join(
-                json.dumps({"scene_id": "g", "sample_id": i, field: pair[pick]}) + "\n"
-                for i, pair in enumerate(pairs)
-            ),
-            encoding="utf-8",
-        )
-    return root
-
-
 COFFEE_PLAN = ["plan", "--scene", KITCHEN, "--instruction", "I am tired and want coffee"]
 
 

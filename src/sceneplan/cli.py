@@ -28,7 +28,7 @@ from .route import (
     default_start_pose,
     verify_route,
 )
-from .scene import DatasetError, SceneFormatError, load_scene, load_triplets, read_jsonl
+from .scene import DatasetError, SceneFormatError, load_scene, load_triplets, read_jsonl, sample_key
 
 PROMPT_SEPARATOR = "\n=== PROMPT {i} ===\n"
 _START_FLAGS = ("--start-x", "--start-y")
@@ -38,9 +38,7 @@ _START_FLAGS = ("--start-x", "--start-y")
 # module loads only what ``plan`` and ``route-check`` run.
 _DEFERRED = {
     "dataset_stats": "dataset",
-    "findings_to_jsonl": "dataset",
     "generation_prompts": "dataset",
-    "sample_key": "dataset",
     "validate_dataset": "dataset",
     "evaluate_pairs": "metrics",
     "pair_from_text": "metrics",
@@ -223,16 +221,14 @@ def _add_start_flags(parser: argparse.ArgumentParser) -> None:
 def cmd_validate(args: argparse.Namespace) -> int:
     _load("dataset")
     findings = validate_dataset(args.dataset_dir)
+    rows = [f._asdict() for f in findings]
     if args.out:
-        Path(args.out).write_text(findings_to_jsonl(findings), encoding="utf-8")
-    for finding in findings:
-        print(
-            f"{finding.sample_key[0]}/{finding.sample_key[1]}: "
-            f"{finding.kind}: {finding.detail}",
-            file=sys.stderr,
-        )
+        text = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+        Path(args.out).write_text(text, encoding="utf-8")
+    for f in findings:
+        print(f"{f.scene_id}/{f.sample_id}: {f.kind}: {f.detail}", file=sys.stderr)
     _emit({
-        "findings": [f.to_dict() for f in findings],
+        "findings": rows,
         "count": len(findings),
         "strict": args.strict,
     })
@@ -293,7 +289,6 @@ def cmd_route_check(args: argparse.Namespace) -> int:
 
 
 def _read_keyed_texts(path: str, allow_multi: bool) -> dict[tuple[str, int], list[str]]:
-    _load("dataset")
     keyed: dict[tuple[str, int], list[str]] = {}
     for _, where, data in read_jsonl(path):
         if isinstance(data, SceneFormatError):

@@ -9,7 +9,6 @@ corpus composition the same way regardless of sample order.
 
 from __future__ import annotations
 
-import json
 import random
 from collections import Counter, namedtuple
 from pathlib import Path
@@ -22,6 +21,7 @@ from .scene import (
     load_scene,
     parse_triplet_record,
     read_jsonl,
+    sample_key,
     triplet_warnings,
 )
 from .textmatch import find_category_spans, words_of
@@ -45,36 +45,18 @@ _ROUTE_VERDICT_TO_KIND = {
 }
 
 
-class ValidationFinding(namedtuple("ValidationFinding", "sample_key kind detail")):
-    """A ``(scene_id, sample_id)`` key, a kind from :data:`FINDING_KINDS` and a detail text."""
+class ValidationFinding(namedtuple("ValidationFinding", "scene_id sample_id kind detail")):
+    """A sample's key, a kind from :data:`FINDING_KINDS` and a detail text.
+
+    ``_asdict()`` is the finding as ``validate`` prints it.
+    """
 
     __slots__ = ()
 
-    def __new__(cls, sample_key: tuple[str, int], kind: str, detail: str) -> ValidationFinding:
+    def __new__(cls, scene_id: str, sample_id: int, kind: str, detail: str) -> ValidationFinding:
         if kind not in FINDING_KINDS:
             raise ValueError(f"unknown finding kind {kind!r}")
-        return super().__new__(cls, sample_key, kind, detail)
-
-    def to_dict(self) -> dict:
-        return {
-            "scene_id": self.sample_key[0],
-            "sample_id": self.sample_key[1],
-            "kind": self.kind,
-            "detail": self.detail,
-        }
-
-
-def sample_key(
-    record: dict, where: str, default_sample_id: int | None = None
-) -> tuple[str, int]:
-    """A record's (scene_id, sample_id): a string and an integer that is not a bool."""
-    scene_id = record.get("scene_id")
-    sample_id = record.get("sample_id", default_sample_id)
-    if not isinstance(scene_id, str):
-        raise DatasetError(f"{where}: scene_id must be a string")
-    if not isinstance(sample_id, int) or isinstance(sample_id, bool):
-        raise DatasetError(f"{where}: sample_id must be an integer")
-    return scene_id, sample_id
+        return super().__new__(cls, scene_id, sample_id, kind, detail)
 
 
 def load_dataset(
@@ -137,14 +119,14 @@ def validate_sample(
 ) -> list[ValidationFinding]:
     """All findings for sample ``key``: structure, ids, implicitness, routes from ``start``."""
     findings = [
-        ValidationFinding(key, kind, detail) for kind, detail in triplet_warnings(triplet, scene)
+        ValidationFinding(*key, kind, detail) for kind, detail in triplet_warnings(triplet, scene)
     ]
     for report in verify_route(triplet["steps"], scene, start):
         if report["verdict"] == "ok":
             continue
         findings.append(
             ValidationFinding(
-                key,
+                *key,
                 _ROUTE_VERDICT_TO_KIND[report["verdict"]],
                 f"step {report['step_index']}: {report['detail']}",
             )
@@ -279,7 +261,3 @@ def generation_prompts(scene: SceneModel, n: int, seed: int = 0) -> list[str]:
             f"make it distinct from the others.\n"
         )
     return prompts
-
-
-def findings_to_jsonl(findings: list[ValidationFinding]) -> str:
-    return "".join(json.dumps(f.to_dict(), sort_keys=True) + "\n" for f in findings)

@@ -508,6 +508,19 @@ class DatasetError(Exception):
     """A dataset or JSON Lines file that a command cannot use as a whole."""
 
 
+def sample_key(
+    record: dict, where: str, default_sample_id: int | None = None
+) -> tuple[str, int]:
+    """A record's (scene_id, sample_id): a string and an integer that is not a bool."""
+    scene_id = record.get("scene_id")
+    sample_id = record.get("sample_id", default_sample_id)
+    if not isinstance(scene_id, str):
+        raise DatasetError(f"{where}: scene_id must be a string")
+    if not isinstance(sample_id, int) or isinstance(sample_id, bool):
+        raise DatasetError(f"{where}: sample_id must be an integer")
+    return scene_id, sample_id
+
+
 def read_jsonl(path: str | Path) -> list[tuple[int, str, dict | SceneFormatError]]:
     """Parse every nonblank line of a JSON Lines file.
 

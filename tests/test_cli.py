@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from sceneplan import cli, route
 from sceneplan.cli import _emit, _texts, build_parser, main
+from sceneplan.dataset import FINDING_KINDS
 from sceneplan.engine import END_TOKEN, SYSTEM_PREAMBLE, run_episode
 from sceneplan.generators import DEFAULT_RULES, RuleBasedGenerator
 from sceneplan.graph import (
@@ -126,6 +127,19 @@ class TestValidateCommand:
         lines = out.read_text(encoding="utf-8").strip().splitlines()
         assert len(lines) == 5
         assert all("kind" in json.loads(line) for line in lines)
+
+    def test_out_holds_the_printed_findings_in_order(self, capsys, faulty_dir, clean_dir, tmp_path):
+        for root, count in ((faulty_dir[0], 5), (clean_dir, 0)):
+            out = tmp_path / f"{root.name}.jsonl"
+            _, payload, _ = _run(capsys, ["validate", str(root), "--out", str(out)])
+            text = out.read_text(encoding="utf-8")
+            findings = payload["findings"]
+            assert text == "".join(json.dumps(f, sort_keys=True) + "\n" for f in findings)
+            rows = [json.loads(line) for line in text.splitlines()]
+            assert len(rows) == count
+            for row in rows:
+                assert list(row) == ["detail", "kind", "sample_id", "scene_id"]
+                assert row["kind"] in FINDING_KINDS
 
     def test_missing_dataset_fails_with_path(self, capsys, tmp_path):
         ghost = tmp_path / "missing"

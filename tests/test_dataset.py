@@ -14,7 +14,6 @@ from sceneplan.dataset import (
     ValidationFinding,
     compute_stats,
     dataset_stats,
-    findings_to_jsonl,
     generation_prompts,
     load_dataset,
     validate_dataset,
@@ -174,18 +173,18 @@ class TestValidation:
         root, plan = faulty_dir
         findings = validate_dataset(root)
         assert len(findings) == 5
-        got = {f.sample_key[1]: f.kind for f in findings}
+        got = {f.sample_id: f.kind for f in findings}
         assert got == plan["expected_kinds"]
 
     def test_findings_sorted_by_sample_key(self, faulty_dir):
         root, _ = faulty_dir
         findings = validate_dataset(root)
-        keys = [f.sample_key for f in findings]
+        keys = [(f.scene_id, f.sample_id) for f in findings]
         assert keys == sorted(keys)
 
     def test_finding_details_name_the_problem(self, faulty_dir):
         root, _ = faulty_dir
-        by_id = {f.sample_key[1]: f for f in validate_dataset(root)}
+        by_id = {f.sample_id: f for f in validate_dataset(root)}
         assert "99" in by_id[46].detail
         assert "refrigerator" in by_id[47].detail
         assert "oven" in by_id[48].detail
@@ -213,19 +212,15 @@ class TestValidation:
         assert sorted(calls) == ["kitchen-01", "kitchen-02"]
 
     def test_finding_kind_is_constrained(self):
-        with pytest.raises(ValueError, match="unknown finding kind"):
-            ValidationFinding(("s", 1), "made-up-kind", "detail")
+        for build in (
+            lambda: ValidationFinding("s", 1, "made-up-kind", "detail"),
+            lambda: ValidationFinding(scene_id="s", sample_id=1, kind="made-up-kind", detail="d"),
+        ):
+            with pytest.raises(ValueError) as excinfo:
+                build()
+            assert excinfo.type is ValueError
+            assert str(excinfo.value) == "unknown finding kind 'made-up-kind'"
         assert "unparsed-route" in FINDING_KINDS
-
-    def test_findings_round_trip_to_jsonl(self, faulty_dir):
-        root, _ = faulty_dir
-        findings = validate_dataset(root)
-        text = findings_to_jsonl(findings)
-        lines = text.strip().splitlines()
-        assert len(lines) == len(findings)
-        parsed = [json.loads(line) for line in lines]
-        assert parsed[0].keys() == {"scene_id", "sample_id", "kind", "detail"}
-        assert {p["kind"] for p in parsed} <= set(FINDING_KINDS)
 
 
 def _synthetic_sample(key_id: int, steps: list[str], activity: str = "do a thing"):

@@ -64,8 +64,7 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
         ("validate", ["sceneplan.dataset"]),
         ("stats", ["sceneplan.dataset"]),
         ("gen-prompts", ["sceneplan.dataset"]),
-        # sample_key, which reads each record's key, lives in dataset.
-        ("evaluate", ["sceneplan.dataset", "sceneplan.metrics", "sceneplan.porter"]),
+        ("evaluate", ["sceneplan.metrics", "sceneplan.porter"]),
     ],
 )
 def test_each_command_loads_only_the_submodules_it_runs(command_inputs, command, loaded):
@@ -84,6 +83,11 @@ def test_each_command_loads_only_the_submodules_it_runs(command_inputs, command,
 def test_dataset_error_is_one_class():
     # main catches the class from scene, so it need not import dataset.
     assert dataset.DatasetError is scene.DatasetError
+
+
+def test_sample_key_is_one_function():
+    # evaluate reads record keys with it from scene, without loading dataset.
+    assert dataset.sample_key is scene.sample_key
 
 
 # What a caller outside the package may rely on, as the benchmark's tracer

@@ -343,44 +343,60 @@ def shortest_cell_path(
     """A* over free cells, 4-connected, Manhattan heuristic, ties by (row, col).
 
     Returns the cell path from ``start`` to the first goal reached, start
-    included, or None when no goal is reachable.
+    included, or None when no goal is reachable.  Goals outside the grid
+    are never reached; a start outside it raises :class:`ValueError`.
+
+    The heuristic, the Manhattan distance to the nearest goal, first clamps
+    the cell into the goals' bounding box.  Every goal lies in the box, so
+    none is nearer than the clamped cell; when that cell is a goal its
+    distance is exact, and only otherwise are all goals scanned.  Cells are
+    keyed by row-major index, so ``(f, index)`` orders as ``(f, row, col)``.
     """
-    if not goals:
+    rows, cols, blocked = grid.rows, grid.cols, grid.blocked
+    row, col = start
+    if not (0 <= row < rows and 0 <= col < cols):
+        raise ValueError(f"start cell {start} is outside the {rows}x{cols} grid")
+    # Only in-grid goals get an index: an out-of-grid cell's would alias an in-grid one.
+    goal_ids = {r * cols + c for r, c in goals if 0 <= r < rows and 0 <= c < cols}
+    if not goal_ids:
         return None
-    if start in goals:
+    index = row * cols + col
+    if index in goal_ids:
         return [start]
+    top, bottom = min(r for r, _ in goals), max(r for r, _ in goals)
+    left, right = min(c for _, c in goals), max(c for _, c in goals)
 
-    def heuristic(cell: tuple[int, int]) -> int:
-        return min(abs(cell[0] - g[0]) + abs(cell[1] - g[1]) for g in goals)
+    def heuristic(row: int, col: int) -> int:
+        r = top if row < top else bottom if row > bottom else row
+        c = left if col < left else right if col > right else col
+        if (r, c) in goals:
+            return abs(row - r) + abs(col - c)
+        return min(abs(row - g[0]) + abs(col - g[1]) for g in goals)
 
-    frontier: list[tuple[int, int, int, tuple[int, int]]] = []
-    heappush(frontier, (heuristic(start), start[0], start[1], start))
-    best_g = {start: 0}
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-    closed: set[tuple[int, int]] = set()
+    frontier = [(heuristic(row, col), index)]
+    best_g = {index: 0}
+    parent: dict[int, int] = {}
+    closed: set[int] = set()
     while frontier:
-        _, _, _, cell = heappop(frontier)
-        if cell in closed:
+        index = heappop(frontier)[-1]
+        if index in closed:
             continue
-        closed.add(cell)
-        if cell in goals:
-            path = [cell]
-            while cell in parent:
-                cell = parent[cell]
-                path.append(cell)
-            return path[::-1]
-        row, col = cell
-        g = best_g[cell]
-        for neighbor in ((row - 1, col), (row + 1, col), (row, col - 1), (row, col + 1)):
-            if not grid.is_free(*neighbor):
-                continue
-            ng = g + 1
-            if ng < best_g.get(neighbor, math.inf):
+        closed.add(index)
+        if index in goal_ids:
+            path = [index]
+            while index in parent:
+                index = parent[index]
+                path.append(index)
+            return [divmod(i, cols) for i in reversed(path)]
+        row, col = divmod(index, cols)
+        ng = best_g[index] + 1
+        for nrow, ncol in ((row - 1, col), (row + 1, col), (row, col - 1), (row, col + 1)):
+            neighbor = nrow * cols + ncol
+            inside = 0 <= nrow < rows and 0 <= ncol < cols
+            if inside and not blocked[neighbor] and ng < best_g.get(neighbor, math.inf):
                 best_g[neighbor] = ng
-                parent[neighbor] = cell
-                heappush(
-                    frontier, (ng + heuristic(neighbor), neighbor[0], neighbor[1], neighbor)
-                )
+                parent[neighbor] = index
+                heappush(frontier, (ng + heuristic(nrow, ncol), neighbor))
     return None
 
 

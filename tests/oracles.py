@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from functools import lru_cache
+from heapq import heappop, heappush
 
 from sceneplan.graph import classify_relation
 from sceneplan.scene import ObjectInstance, SceneFormatError, SceneInvariantError
@@ -87,6 +88,53 @@ def oracle_bfs_length(
                 return dist + 1
             seen.add(cell)
             queue.append((cell, dist + 1))
+    return None
+
+
+def oracle_astar_path(grid, start, goals) -> list[tuple[int, int]] | None:
+    """A* over free cells, 4-connected, Manhattan heuristic, ties by (row, col).
+
+    The planner's earlier body, kept as its exact-path reference: the
+    heuristic scans every goal, and cells are keyed by ``(row, col)``.
+    Returns the cell path from ``start`` to the first goal reached, start
+    included, or None when no goal is reachable.
+    """
+    if not goals:
+        return None
+    if start in goals:
+        return [start]
+
+    def heuristic(cell: tuple[int, int]) -> int:
+        return min(abs(cell[0] - g[0]) + abs(cell[1] - g[1]) for g in goals)
+
+    frontier: list[tuple[int, int, int, tuple[int, int]]] = []
+    heappush(frontier, (heuristic(start), start[0], start[1], start))
+    best_g = {start: 0}
+    parent: dict[tuple[int, int], tuple[int, int]] = {}
+    closed: set[tuple[int, int]] = set()
+    while frontier:
+        _, _, _, cell = heappop(frontier)
+        if cell in closed:
+            continue
+        closed.add(cell)
+        if cell in goals:
+            path = [cell]
+            while cell in parent:
+                cell = parent[cell]
+                path.append(cell)
+            return path[::-1]
+        row, col = cell
+        g = best_g[cell]
+        for neighbor in ((row - 1, col), (row + 1, col), (row, col - 1), (row, col + 1)):
+            if not grid.is_free(*neighbor):
+                continue
+            ng = g + 1
+            if ng < best_g.get(neighbor, math.inf):
+                best_g[neighbor] = ng
+                parent[neighbor] = cell
+                heappush(
+                    frontier, (ng + heuristic(neighbor), neighbor[0], neighbor[1], neighbor)
+                )
     return None
 
 

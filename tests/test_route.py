@@ -48,6 +48,7 @@ from sceneplan.textmatch import CategoryMatcher
 from tests.conftest import FIXTURES, make_random_grid_scene
 from tests.dataset_builder import build_faulty_dataset, scene_to_dict
 from tests.oracles import (
+    oracle_astar_path,
     oracle_bfs_length,
     oracle_component_labels,
     oracle_nearest_free_cell,
@@ -287,6 +288,10 @@ class TestFootprints:
         assert len(scenes) > 2
 
 
+OPEN_3X3 = OccupancyGrid(cell_size=1.0, origin=(0.0, 0.0), rows=3, cols=3, blocked=bytes(9))
+CORNER_PATH = [(0, 0), (0, 1), (0, 2), (1, 2), (2, 2)]  # (0, 0) to (2, 2) on OPEN_3X3
+
+
 class TestShortestPath:
     def test_matches_bfs_oracle_on_random_grids(self):
         for seed in range(20):
@@ -310,6 +315,77 @@ class TestShortestPath:
                 else:
                     assert path is not None
                     assert len(path) - 1 == expected
+
+    def test_paths_match_the_astar_oracle_exactly(self):
+        # Equal lengths are not enough: a heuristic that drops the goal check
+        # after clamping still finds shortest paths, but breaks ties elsewhere.
+        searches = unreachable = inside_box = 0
+        branches = {"clamped": 0, "scan": 0}
+        for seed in range(36):
+            scene = make_random_grid_scene(seed)
+            grid = scene.occupancy
+            rows, cols = grid.rows, grid.cols
+            cells = [(r, c) for r in range(rows) for c in range(cols)]
+            free = sorted(_free_cells(grid))
+            edge = [(r, c) for r, c in cells if r in (0, rows - 1) or c in (0, cols - 1)]
+            outside = [(-1, 0), (rows, cols - 1), (2, -1), (3, cols), (rows // 2, cols + 2)]
+            rng = random.Random(seed + 2000)
+            goal_sets = [
+                adjacent_free_cells(grid, scene.objects[0].aabb),
+                set(rng.sample(free, rng.randint(2, 6))),
+                set(rng.sample(free, rng.randint(2, 6))),
+                set(rng.sample(edge, rng.randint(1, 5))),
+                set(rng.sample(outside, rng.randint(1, 3))) | set(rng.sample(free, 2)),
+                set(rng.sample(outside, 2)),
+            ]
+            for goals in goal_sets:
+                top, bottom = min(r for r, _ in goals), max(r for r, _ in goals)
+                left, right = min(c for _, c in goals), max(c for _, c in goals)
+                in_box = [
+                    (r, c) for r, c in free if top <= r <= bottom and left <= c <= right
+                ]
+                labels = {grid.component_of(*g) for g in goals if g in free}
+                cut_off = [cell for cell in free if grid.component_of(*cell) not in labels]
+                starts = rng.sample(free, 3) + rng.sample(cells, 1)
+                starts += rng.sample(in_box, min(1, len(in_box)))
+                starts += rng.sample(cut_off, min(1, len(cut_off)))
+                for start in starts:
+                    expected = oracle_astar_path(grid, start, goals)
+                    assert shortest_cell_path(grid, start, goals) == expected, (seed, start)
+                    searches += 1
+                    unreachable += expected is None
+                    inside_box += start in in_box
+                    # The heuristic ran on every cell of the path, on the start
+                    # unless it is a goal: count which branch each took.
+                    for row, col in (expected or [start])[start in goals:]:
+                        clamped = (min(max(row, top), bottom), min(max(col, left), right))
+                        branches["clamped" if clamped in goals else "scan"] += 1
+        assert searches >= 1000
+        assert unreachable >= 50 and inside_box >= 50
+        assert min(branches.values()) >= 100, branches
+
+    def test_ties_break_by_row_then_col(self):
+        # (0, 0) to {(2, 2)} on the open 3x3 grid has six shortest paths.  A
+        # cell (r, c) first reached at g = r + c has h = 4 - r - c, so every
+        # push has f = 4 and cells pop in (row, col) order: (0,0) pushes
+        # (0,1) and (1,0); (0,1) pushes (0,2) and (1,1); (0,2) pushes (1,2)
+        # and becomes its parent; (1,0) pushes (2,0); (1,1) pushes (2,1), and
+        # its g for (1,2) is no better; (1,2) pushes (2,2) and becomes its
+        # parent; then (2,0), (2,1) and the goal (2,2) pop.
+        assert shortest_cell_path(OPEN_3X3, (0, 0), {(2, 2)}) == CORNER_PATH
+        assert oracle_astar_path(OPEN_3X3, (0, 0), {(2, 2)}) == CORNER_PATH
+
+    def test_goal_outside_the_grid_is_never_reached(self):
+        # By row-major index (0, 3) would be cell (1, 0), and (1, -1) cell (0, 2).
+        assert shortest_cell_path(OPEN_3X3, (0, 0), {(0, 3)}) is None
+        assert shortest_cell_path(OPEN_3X3, (0, 0), {(1, -1), (-1, 0), (3, 2)}) is None
+        assert shortest_cell_path(OPEN_3X3, (0, 0), {(0, 3), (2, 2)}) == CORNER_PATH
+
+    @pytest.mark.parametrize("start", [(0, -1), (-1, 0), (3, 0), (0, 3), (5, 7)])
+    def test_start_outside_the_grid_raises(self, start):
+        with pytest.raises(ValueError) as excinfo:
+            shortest_cell_path(OPEN_3X3, start, {(2, 2), start})
+        assert str(excinfo.value) == f"start cell {start} is outside the 3x3 grid"
 
     def test_path_is_valid_and_deterministic(self):
         scene = make_random_grid_scene(3)

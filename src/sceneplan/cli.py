@@ -80,12 +80,30 @@ def _texts(values: list) -> list[str]:
     return _encode(values)[1:-1].split(_MARK) if values else []
 
 
+# Where a line of a top-level key's value starts, at each depth of a graph
+# snapshot: the value's own closing bracket, a snapshot, a snapshot's keys,
+# an edge or node row, a row's fields.
+_OUTER, _ITEM, _KEY, _ROW, _FIELD = ("\n" + " " * n for n in (2, 4, 6, 8, 10))
+
+
+def _rows(lead: str, count: int) -> tuple[list[str], str]:
+    """The text before each of ``count`` rows of a list after ``lead``, and after the last row.
+
+    Each row is a dict: the text before it ends where its first key starts,
+    and the text after the last row closes the list.
+    """
+    if not count:
+        return [], lead + "[]"
+    before = [lead + "[" + _ROW + "{"] + [_ROW + "}," + _ROW + "{"] * (count - 1)
+    return before, _ROW + "}" + _KEY + "]"
+
+
 class _GraphSnapshots:
     """The ``graph_snapshots`` of ``plan --dump-graph``: one graph, its weights at each step.
 
-    :meth:`render` prints the list of :func:`graph_to_dict` snapshots of the
-    graph under each recorded pair of weight dicts; only the weights change
-    after :func:`build_graph`.  The weights must be positive floats, as
+    :meth:`render` writes the list of :func:`graph_to_dict` snapshots of
+    the graph under each recorded pair of weight dicts; only the weights
+    change after :func:`build_graph`.  The weights must be positive floats, as
     :func:`modulate` keeps them, so that equal weights print alike.
     """
 
@@ -97,65 +115,72 @@ class _GraphSnapshots:
         """Keep a copy of the graph's node and out-edge weights as they are now."""
         self.weights.append((self.graph.weights.copy(), self.graph.edge_weights.copy()))
 
-    def render(self) -> str:
-        """The snapshots as ``json.dumps(indent=2, sort_keys=True)`` prints a top-level key's value.
+    def _pieces(self) -> tuple[list[str], list[int], list[int]]:
+        """One snapshot's text around its weights, and whose weight goes between each two pieces.
 
-        Built from one :func:`graph_to_dict` call.  Everything but the
-        weights is the same in every snapshot, so one snapshot's text is
-        written once with ``_MARK`` where each weight goes: the edge rows,
-        then ``k``, then the node rows, ``"weight"`` last in a row.  Each
-        snapshot fills in its own weights, formatting each distinct value
-        once.  Ids and ``k`` are ints; strings and floats go through the C
-        encoder, so a non-finite distance raises ``ValueError``.
+        In :func:`graph_to_dict`'s order: the edge rows by ascending src, then
+        dst, then ``k``, then the node rows by ascending id, ``"weight"`` last
+        in a row.  Returns the text before each weight and, last, the text
+        after the last one; the src of each edge; the node ids.  Ids and
+        ``k`` are ints; strings and floats go through the C encoder, and a
+        non-finite distance raises what ``json.dumps`` raises on
+        :func:`graph_to_dict`.
         """
-        snapshot = graph_to_dict(self.graph)
-        edges, nodes = snapshot["edges"], snapshot["nodes"]
+        graph = self.graph
+        ids = sorted(graph.categories)
+        edges = [(src, dst, kind, distance)
+                 for src in ids for dst, (kind, distance) in graph.edges[src].items()]
         try:
-            distances = _texts([edge["distance"] for edge in edges])
+            distances = _texts([edge[3] for edge in edges])
         except ValueError:
             # The C encoder's message leaves out the value on Python 3.10
             # and 3.11; the standard library's own encoder names it.
-            json.dumps(edges, indent=2, allow_nan=False)
+            json.dumps(graph_to_dict(graph), indent=2, allow_nan=False)
             raise
-        outer = "\n  "
-        item, key, row, field = outer + "  ", outer + "    ", outer + "      ", outer + "        "
+        kinds = _texts([edge[2] for edge in edges])
+        categories = _texts([graph.categories[node_id] for node_id in ids])
+        before, after = _rows("{" + _KEY + '"edges": ', len(edges))
+        pieces = [
+            f'{lead}{_FIELD}"distance": {distance},{_FIELD}"dst": {dst},{_FIELD}"kind": {kind},'
+            f'{_FIELD}"src": {src},{_FIELD}"weight": '
+            for lead, (src, dst, _, _), distance, kind in zip(before, edges, distances, kinds)
+        ]
+        before, after = _rows(f'{after},{_KEY}"k": {graph.k},{_KEY}"nodes": ', len(ids))
+        pieces += [
+            f'{lead}{_FIELD}"category": {category},{_FIELD}"id": {node_id},{_FIELD}"weight": '
+            for lead, node_id, category in zip(before, ids, categories)
+        ]
+        pieces.append(after + _ITEM + "}")
+        return pieces, [edge[0] for edge in edges], ids
 
-        def rows(texts: list[str]) -> str:
-            return "[" + row + ("," + row).join(texts) + key + "]" if texts else "[]"
+    def render(self, head: str, tail: str) -> str:
+        """``head``, then the snapshots, then ``tail``, as one string.
 
-        kinds = _texts([edge["kind"] for edge in edges])
-        categories = _texts([node["category"] for node in nodes])
-        # One snapshot's text with _MARK where each weight goes, split there
-        # in one expression, so that only the pieces stay alive.
-        pieces = "".join([
-            f'{{{key}"edges": ',
-            rows([
-                f'{{{field}"distance": {distance},{field}"dst": {edge["dst"]},{field}"kind": {kind},'
-                f'{field}"src": {edge["src"]},{field}"weight": {_MARK}{row}}}'
-                for edge, distance, kind in zip(edges, distances, kinds)
-            ]),
-            f',{key}"k": {snapshot["k"]},{key}"nodes": ',
-            rows([
-                f'{{{field}"category": {category},{field}"id": {node["id"]},'
-                f'{field}"weight": {_MARK}{row}}}'
-                for node, category in zip(nodes, categories)
-            ]),
-            item + "}",
-        ]).split(_MARK)
+        The snapshots print as ``json.dumps(indent=2, sort_keys=True)``
+        prints a top-level key's value.  The text around the weights is
+        built once, by :meth:`_pieces`.  Each snapshot's weights, each
+        distinct value formatted once, go between those pieces in one list
+        that also holds ``head`` and ``tail``, and the list is joined once.
+        """
+        # Built in its own call, so that the rows and texts it builds the
+        # pieces from are freed before the document is.
+        pieces, edge_srcs, node_ids = self._pieces()
         # The text around the weights in the even slots, the weights in the odd ones.
         slots = [""] * (2 * len(pieces) - 1)
         slots[0::2] = pieces
-        edge_srcs = [edge["src"] for edge in edges]
-        node_ids = [node["id"] for node in nodes]
-        rendered = []
+        document = [head]
+        lead = "[" + _ITEM
         for weights, edge_weights in self.weights:
             distinct = [*{*weights.values(), *edge_weights.values()}]
             texts = dict(zip(distinct, _texts(distinct)))
             slots[1::2] = map(texts.__getitem__, [
                 *map(edge_weights.__getitem__, edge_srcs), *map(weights.__getitem__, node_ids)
             ])
-            rendered.append("".join(slots))
-        return "[" + item + ("," + item).join(rendered) + outer + "]"
+            document.append(lead)
+            document += slots
+            lead = "," + _ITEM
+        document += [_OUTER + "]" if self.weights else "[]", tail]
+        return "".join(document)
 
 
 def _emit(payload: dict, snapshots: _GraphSnapshots | None = None) -> None:
@@ -163,7 +188,8 @@ def _emit(payload: dict, snapshots: _GraphSnapshots | None = None) -> None:
 
     Given ``snapshots``, the payload prints with them as its
     ``graph_snapshots``: the standard library prints it with a null there,
-    and the null is replaced by :meth:`_GraphSnapshots.render`.
+    and :meth:`_GraphSnapshots.render` puts the snapshots between the text
+    before and after that top-level null.
     """
     if snapshots is None:
         print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
@@ -174,7 +200,8 @@ def _emit(payload: dict, snapshots: _GraphSnapshots | None = None) -> None:
     # Quotes and newlines are escaped inside JSON strings, so this text is
     # found only where the payload's own top-level key is.
     slot = '\n  "graph_snapshots": '
-    print(text.replace(slot + "null", slot + snapshots.render(), 1))
+    at = text.index(slot + "null") + len(slot)
+    print(snapshots.render(text[:at], text[at + len("null"):]))
 
 
 def _start_pose(args: argparse.Namespace, scene) -> AgentPose:

@@ -81,11 +81,12 @@ def make_random_scene(seed: int, n_objects: int | None = None) -> SceneModel:
     return scene
 
 
-def make_random_grid_scene(seed: int) -> SceneModel | None:
-    """Occupancy-grid scene with one boxed target; None when the target is sealed.
+def make_random_grid_scene(seed: int) -> SceneModel:
+    """Occupancy-grid scene with one boxed target, returned even when blocked cells seal it off.
 
     Grid sizes span 10x10 to 40x40 with up to 25% blocked cells; the
     target's footprint cells are blocked as well (objects occupy space).
+    Callers that need a reachable target skip the sealed worlds.
     """
     rng = random.Random(seed)
     rows = rng.randint(10, 40)

@@ -9,6 +9,7 @@ import json
 import math
 import random
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -524,26 +525,58 @@ class TestGraphSnapshots:
         assert code == 0
         assert capsys.readouterr().out == _old_plan_stdout(KITCHEN, instruction, DEFAULT_K)
 
+    def test_no_recorded_step_prints_an_empty_list(self, kitchen):
+        snapshots = cli._GraphSnapshots(build_graph(kitchen))
+        payload = {"a": 1, "z": [2]}
+        assert _emitted(payload, snapshots) == json.dumps(
+            {**payload, "graph_snapshots": []}, indent=2, sort_keys=True
+        ) + "\n"
+
     def test_large_scene_prints_the_graph_to_dict_document(self, capsys, tmp_path):
         """A 240-object kitchen, the four-step coffee rule, ``--k 4``."""
-        data = json.loads(Path(KITCHEN).read_text(encoding="utf-8"))
-        rng = random.Random(20)
-        categories = sorted({obj["category"] for obj in data["objects"]}) + ["lamp", "plant"]
-        for oid in range(len(data["objects"]), 240):
-            centroid = [rng.uniform(-3.0, 3.0), rng.uniform(-1.0, 5.0), rng.uniform(0.0, 2.0)]
-            data["objects"].append({
-                "id": oid, "category": rng.choice(categories), "centroid": centroid,
-                "aabb": {"min": [c - 0.05 for c in centroid], "max": [c + 0.05 for c in centroid]},
-            })
-        scene_path = tmp_path / "scene.json"
-        scene_path.write_text(json.dumps(data), encoding="utf-8")
-        instruction = "I am tired and want coffee"
-        code = main(["plan", "--scene", str(scene_path), "--instruction", instruction,
-                     "--k", "4", "--dump-graph"])
+        code = main(_large_dump_argv(tmp_path))
         out = capsys.readouterr().out
         assert code == 0
         assert len(json.loads(out)["graph_snapshots"]) == 4
-        assert out == _old_plan_stdout(str(scene_path), instruction, 4)
+        assert out == _old_plan_stdout(str(tmp_path / "scene.json"), _LARGE_INSTRUCTION, 4)
+
+    def test_large_dump_peaks_under_three_times_its_output(self, monkeypatch, tmp_path):
+        """``_emit`` holds the printed document about once, not once per stage of building it."""
+        emitted = []
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_emit", lambda *args: emitted.append(args))
+            assert main(_large_dump_argv(tmp_path)) == 0
+        [(payload, snapshots)] = emitted
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            tracemalloc.start()
+            try:
+                _emit(payload, snapshots)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(json.loads(out.getvalue())["graph_snapshots"]) == 4
+        assert peak <= 3 * len(out.getvalue())
+
+
+_LARGE_INSTRUCTION = "I am tired and want coffee"
+
+
+def _large_dump_argv(tmp_path: Path) -> list[str]:
+    """``plan --dump-graph`` argv on a 240-object kitchen written to ``tmp_path``."""
+    data = json.loads(Path(KITCHEN).read_text(encoding="utf-8"))
+    rng = random.Random(20)
+    categories = sorted({obj["category"] for obj in data["objects"]}) + ["lamp", "plant"]
+    for oid in range(len(data["objects"]), 240):
+        centroid = [rng.uniform(-3.0, 3.0), rng.uniform(-1.0, 5.0), rng.uniform(0.0, 2.0)]
+        data["objects"].append({
+            "id": oid, "category": rng.choice(categories), "centroid": centroid,
+            "aabb": {"min": [c - 0.05 for c in centroid], "max": [c + 0.05 for c in centroid]},
+        })
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text(json.dumps(data), encoding="utf-8")
+    return ["plan", "--scene", str(scene_path), "--instruction", _LARGE_INSTRUCTION,
+            "--k", "4", "--dump-graph"]
 
 
 class TestEvaluateCommand:

@@ -279,7 +279,7 @@ class TestFootprints:
     def test_goal_cells_are_memoized_adjacent_free_cells(self, tmp_path):
         build_faulty_dataset(tmp_path)
         scenes = [load_scene(path) for path in sorted((tmp_path / "scenes").glob("*.json"))]
-        scenes += filter(None, map(make_random_grid_scene, range(20)))
+        scenes += map(make_random_grid_scene, range(20))
         for scene in scenes:
             for obj in scene.objects:
                 cells = goal_cells(scene, obj)

@@ -129,7 +129,8 @@ class _GraphSnapshots:
         graph = self.graph
         ids = sorted(graph.categories)
         edges = [(src, dst, kind, distance)
-                 for src in ids for dst, (kind, distance) in graph.edges[src].items()]
+                 for src, out in sorted(graph.edges.items())
+                 for dst, (kind, distance) in out.items()]
         try:
             distances = _texts([edge[3] for edge in edges])
         except ValueError:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections import namedtuple
 from collections.abc import Callable
 
 from .graph import DEFAULT_MODULATION_WEIGHT, SceneGraph, modulate, serialize_for_prompt
@@ -47,10 +46,34 @@ class EpisodeError(Exception):
         self.partial = partial
 
 
-class GeneratorRequest(namedtuple("GeneratorRequest", "system_context user_prompt step_index")):
-    """One step's prompt: the system context text, the user prompt text and the step index."""
+class GeneratorRequest:
+    """One step's prompt: the system context text, the user prompt text and the step index.
 
-    __slots__ = ()
+    ``system_context`` may be given as the scene graph instead of its text,
+    as :func:`run_episode` does.  The request then keeps a copy of the
+    graph's node weights as they are now, and renders the context from that
+    copy the first time :attr:`system_context` is read, so a generator that
+    never reads it costs no render.
+    """
+
+    __slots__ = ("_context", "_weights", "user_prompt", "step_index")
+
+    def __init__(self, system_context: str | SceneGraph, user_prompt: str, step_index: int):
+        self._context = system_context
+        self._weights = (
+            system_context.weights.copy() if isinstance(system_context, SceneGraph) else None
+        )
+        self.user_prompt = user_prompt
+        self.step_index = step_index
+
+    @property
+    def system_context(self) -> str:
+        """:data:`SYSTEM_PREAMBLE` and the graph's prompt rendering, under this step's weights."""
+        if self._weights is not None:
+            graph = self._context.reweighted(self._weights)
+            self._context = SYSTEM_PREAMBLE + "\n" + serialize_for_prompt(graph)
+            self._weights = None
+        return self._context
 
 
 # A generator answers a request with the raw reply text, stop token and all.
@@ -118,7 +141,8 @@ def run_episode(
     stripped from the step text, and a copy between two spaces leaves one.
     The graph is modulated in place once per generated step (empty mention
     sets still produce a record), so build a fresh graph per episode, as
-    ``cmd_plan`` does.
+    ``cmd_plan`` does.  Each step's :class:`GeneratorRequest` is given the
+    graph and renders its ``system_context`` only when the generator reads it.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
@@ -130,16 +154,11 @@ def run_episode(
         "instruction": instruction, "activity": "", "steps": steps, "modulations": modulations
     }
     for step_index in range(1, max_steps + 1):
-        system_context = SYSTEM_PREAMBLE + "\n" + serialize_for_prompt(graph)
         if step_index == 1:
             user_prompt = instruction
         else:
             user_prompt = render_history_prompt(instruction, steps)
-        request = GeneratorRequest(
-            system_context=system_context,
-            user_prompt=user_prompt,
-            step_index=step_index,
-        )
+        request = GeneratorRequest(graph, user_prompt, step_index)
         try:
             raw = generator(request)
             if not isinstance(raw, str):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Mapping
 from functools import cached_property
 from itertools import repeat
 
@@ -25,12 +26,13 @@ NEAR_DISTANCE = 0.15  # meters; closer than this overrides axis-based kinds
 class SceneGraph(namedtuple("SceneGraph", "categories weights edges edge_weights k")):
     """Per object id, its category, node weight, out-edges and out-edge weight.
 
-    ``categories``, ``weights``, ``edges`` and ``edge_weights`` are dicts
-    that share their keys.  ``edges[src][dst]`` is the ``(kind, distance)``
-    pair of :func:`classify_relation`, each inner dict in ascending dst
-    order, and ``edge_weights[src]`` is the weight that every out-edge of
-    ``src`` carries: :func:`modulate` scales a node's out-edges together.
-    Only the two weight dicts change after :func:`build_graph`, in place.
+    ``categories``, ``weights`` and ``edge_weights`` are dicts, and
+    ``edges`` an :class:`OutEdges` mapping, all four keyed by object id in
+    scene order.  ``edges[src][dst]`` is the ``(kind, distance)`` pair of
+    :func:`classify_relation`, each inner dict in ascending dst order, and
+    ``edge_weights[src]`` is the weight that every out-edge of ``src``
+    carries: :func:`modulate` scales a node's out-edges together.  Only the
+    two weight dicts change after :func:`build_graph`, in place.
     """
 
     @cached_property
@@ -48,12 +50,17 @@ class SceneGraph(namedtuple("SceneGraph", "categories weights edges edge_weights
         prefixes = {node_id: label + " (w=" for node_id, label in labels.items()}
         edge_lines = {
             node_id: "".join(
-                f"\n{label} {kind} {labels[dst]}"
-                for dst, (kind, _) in self.edges[node_id].items()
+                f"\n{labels[node_id]} {kind} {labels[dst]}" for dst, (kind, _) in out.items()
             )
-            for node_id, label in labels.items()
+            for node_id, out in self.edges.items()
         }
         return prefixes, edge_lines
+
+    def reweighted(self, weights: dict[int, float]) -> SceneGraph:
+        """This graph with ``weights`` as its node weights, sharing its :attr:`prompt_text`."""
+        graph = self._replace(weights=weights)
+        graph.__dict__["prompt_text"] = self.prompt_text
+        return graph
 
 
 def classify_relation(a: ObjectInstance, b: ObjectInstance) -> tuple[str, float]:
@@ -81,97 +88,183 @@ def classify_relation(a: ObjectInstance, b: ObjectInstance) -> tuple[str, float]
     return kind, distance
 
 
+class _BucketGrid:
+    """The objects of a scene in a uniform grid of square buckets over their centroids' x/y.
+
+    Buckets are sized for about two objects each (Cleary 1979); one bucket
+    holds them all when the x/y extent is zero or overflows.
+    :meth:`nearest` ranks one object's neighbours by ``(math.dist, id)``
+    against the objects of its bucket's 3 x 3 neighbourhood (rings 0 and 1
+    around it, clipped to the grid), gathered by :meth:`near`.  Every
+    centroid in ring ``d`` is at least ``(d - 1)`` bucket sizes away in x
+    or y, so the neighbourhood's k best are final once the k-th lies
+    strictly under ``ring_bound``, one bucket size less a rounding margin.
+    Otherwise the object scans rings of growing ``d`` from 2 and stops by
+    the same bound once it holds k.  Both tests are strict because the
+    bound only says that no later object is closer: at equality one may tie
+    the k-th best and win it with a lower id.
+    """
+
+    def __init__(self, objects: tuple[ObjectInstance, ...]) -> None:
+        n = len(objects)
+        xs = [obj.centroid[0] for obj in objects]
+        ys = [obj.centroid[1] for obj in objects]
+        x0, y0 = min(xs), min(ys)
+        width, height = max(xs) - x0, max(ys) - y0
+        # Square buckets of area width*height/(n/2), but no fewer than n/2 along
+        # the longer side, so a colinear layout still spreads out.
+        size = max(math.sqrt(width / n * 2) * math.sqrt(height), max(width, height) / n * 2)
+        if 0 < size < math.inf:
+            cols, rows = max(1, int(width / size)), max(1, int(height / size))
+            cells = [
+                (min(int((y - y0) / size), rows - 1), min(int((x - x0) / size), cols - 1))
+                for x, y in zip(xs, ys)
+            ]
+        else:
+            cols = rows = 1
+            cells = [(0, 0)] * n
+        self.rows, self.cols = rows, cols
+        self.cell_of = {obj.id: cell for obj, cell in zip(objects, cells)}
+        self.buckets: dict[tuple[int, int], list[ObjectInstance]] = {}
+        for obj, cell in zip(objects, cells):
+            self.buckets.setdefault(cell, []).append(obj)
+        # Bucket indices come from rounded float division, so a centroid may sit
+        # a few ulps of the extent past its bucket's edge; shrinking the ring
+        # bound by more than that keeps it a true lower bound on math.dist.
+        self.ring_bound = size * (1 - (cols + rows + 4) * 2.0**-50)
+
+    def near(self, cell: tuple[int, int]) -> tuple[list[tuple[float, float, float]], list[int]]:
+        """The centroids and the ids of the objects in the 3 x 3 neighbourhood of ``cell``."""
+        row0, col0 = cell
+        near_cols = range(max(col0 - 1, 0), min(col0 + 2, self.cols))
+        near = [
+            other
+            for row in range(max(row0 - 1, 0), min(row0 + 2, self.rows))
+            for col in near_cols
+            for other in self.buckets.get((row, col), ())
+        ]
+        return [other.centroid for other in near], [other.id for other in near]
+
+    def nearest(self, obj: ObjectInstance, k: int, near: tuple | None = None) -> list[int]:
+        """The ids of the k other objects nearest ``obj``, nearest first, ties by lower id.
+
+        ``near`` is :meth:`near` of ``obj``'s bucket, gathered here if not given.
+        """
+        rows, cols, ring_bound = self.rows, self.cols, self.ring_bound
+        row0, col0 = cell = self.cell_of[obj.id]
+        centroids, ids = near or self.near(cell)
+        best = sorted(zip(map(math.dist, repeat(obj.centroid), centroids), ids))
+        best.remove((0.0, obj.id))
+        del best[k:]
+        if len(best) < k or best[-1][0] >= ring_bound:
+            last_ring = max(row0, rows - 1 - row0, col0, cols - 1 - col0)
+            for d in range(2, last_ring + 1):
+                if len(best) == k and (d - 1) * ring_bound > best[-1][0]:
+                    break
+                for ring_cell in ring_cells(rows, cols, row0, col0, d):
+                    for other in self.buckets.get(ring_cell, ()):
+                        best.append((math.dist(obj.centroid, other.centroid), other.id))
+                best.sort()
+                del best[k:]
+        return [other_id for _, other_id in best]
+
+
 def knn_ids(scene: SceneModel, k: int) -> dict[int, list[int]]:
     """The k nearest neighbor ids of every object (3-D distance, then lower id).
 
-    Objects go into a uniform grid of square buckets over their centroids'
-    x/y, sized for about two objects per bucket (Cleary 1979); one bucket
-    holds them all when the x/y extent is zero or overflows.  Each bucket
-    gathers the objects of its 3 x 3 neighbourhood (rings 0 and 1 around
-    it, clipped to the grid) once, and ranks every member against that list
-    by ``(math.dist, id)``.  Every centroid in ring ``d`` is at least
-    ``(d - 1)`` bucket sizes away in x or y, so the neighbourhood's k best
-    are final once the k-th lies strictly under ``ring_bound``, one bucket
-    size less a rounding margin.  Otherwise the member scans rings of
-    growing ``d`` from 2 and stops by the same bound once it holds k.  Both
-    tests are strict because the bound only says that no later object is
-    closer: at equality one may tie the k-th best and win it with a lower id.
+    Each object is ranked by :meth:`_BucketGrid.nearest`, the search that
+    :class:`OutEdges` ranks with.
     """
-    objects = scene.objects
-    if not objects:
+    if not scene.objects:
         return {}
-    n = len(objects)
-    xs = [obj.centroid[0] for obj in objects]
-    ys = [obj.centroid[1] for obj in objects]
-    x0, y0 = min(xs), min(ys)
-    width, height = max(xs) - x0, max(ys) - y0
-    # Square buckets of area width*height/(n/2), but no fewer than n/2 along
-    # the longer side, so a colinear layout still spreads out.
-    size = max(math.sqrt(width / n * 2) * math.sqrt(height), max(width, height) / n * 2)
-    if 0 < size < math.inf:
-        cols, rows = max(1, int(width / size)), max(1, int(height / size))
-        cells = [
-            (min(int((y - y0) / size), rows - 1), min(int((x - x0) / size), cols - 1))
-            for x, y in zip(xs, ys)
-        ]
-    else:
-        cols = rows = 1
-        cells = [(0, 0)] * n
-    buckets: dict[tuple[int, int], list[ObjectInstance]] = {}
-    for obj, cell in zip(objects, cells):
-        buckets.setdefault(cell, []).append(obj)
-    # Bucket indices come from rounded float division, so a centroid may sit
-    # a few ulps of the extent past its bucket's edge; shrinking the ring
-    # bound by more than that keeps it a true lower bound on math.dist.
-    ring_bound = size * (1 - (cols + rows + 4) * 2.0**-50)
-    # Keyed in scene order, though filled bucket by bucket.
-    result: dict[int, list[int]] = dict.fromkeys(obj.id for obj in objects)
-    for (row0, col0), members in buckets.items():
-        near_cols = range(max(col0 - 1, 0), min(col0 + 2, cols))
-        near = [
-            other
-            for row in range(max(row0 - 1, 0), min(row0 + 2, rows))
-            for col in near_cols
-            for other in buckets.get((row, col), ())
-        ]
-        centroids = [other.centroid for other in near]
-        ids = [other.id for other in near]
-        last_ring = max(row0, rows - 1 - row0, col0, cols - 1 - col0)
-        for obj in members:
-            best = sorted(zip(map(math.dist, repeat(obj.centroid), centroids), ids))
-            best.remove((0.0, obj.id))
-            del best[k:]
-            if len(best) < k or best[-1][0] >= ring_bound:
-                for d in range(2, last_ring + 1):
-                    if len(best) == k and (d - 1) * ring_bound > best[-1][0]:
-                        break
-                    for cell in ring_cells(rows, cols, row0, col0, d):
-                        for other in buckets.get(cell, ()):
-                            best.append((math.dist(obj.centroid, other.centroid), other.id))
-                    best.sort()
-                    del best[k:]
-            result[obj.id] = [other_id for _, other_id in best]
-    return result
+    grid = _BucketGrid(scene.objects)
+    return {obj.id: grid.nearest(obj, k) for obj in scene.objects}
+
+
+class OutEdges(Mapping):
+    """The out-edges of every object, each source's ranked and classified when first read.
+
+    Read-only.  The keys are the scene's object ids in scene order, and
+    ``edges[src]`` is ``{dst: classify_relation(src, dst)}`` over the k
+    nearest neighbours of ``src`` in ascending dst order.  Looking up one
+    source ranks that object alone and keeps the result; ``in``, ``len``
+    and iterating the keys rank nothing.  :meth:`items`, :meth:`values`
+    and ``==`` read the whole graph, so they first fill every source not
+    yet read, bucket by bucket, each bucket's neighbourhood gathered once.
+    """
+
+    def __init__(self, scene: SceneModel, k: int) -> None:
+        self.scene, self.k = scene, k
+        self._out: dict[int, dict[int, tuple[str, float]] | None] = dict.fromkeys(
+            obj.id for obj in scene.objects
+        )
+
+    @cached_property
+    def _grid(self) -> _BucketGrid:
+        return _BucketGrid(self.scene.objects)
+
+    def _edges_of(self, obj: ObjectInstance, near: tuple | None = None) -> dict:
+        """Rank and classify the out-edges of ``obj``, and keep them."""
+        by_id = self.scene.objects_by_id
+        out = self._out[obj.id] = {
+            dst: classify_relation(obj, by_id[dst])
+            for dst in sorted(self._grid.nearest(obj, self.k, near))
+        }
+        return out
+
+    def __getitem__(self, src: int) -> dict[int, tuple[str, float]]:
+        out = self._out[src]
+        if out is None:
+            out = self._edges_of(self.scene.objects_by_id[src])
+        return out
+
+    def __contains__(self, src: object) -> bool:
+        return src in self._out
+
+    def __iter__(self):
+        return iter(self._out)
+
+    def __len__(self) -> int:
+        return len(self._out)
+
+    def _filled(self) -> dict[int, dict[int, tuple[str, float]]]:
+        """Every source's out-edges, ranking those not yet read bucket by bucket."""
+        out = self._out
+        if None in out.values():
+            grid = self._grid
+            for cell, members in grid.buckets.items():
+                todo = [obj for obj in members if out[obj.id] is None]
+                if todo:
+                    near = grid.near(cell)
+                    for obj in todo:
+                        self._edges_of(obj, near)
+        return out
+
+    def items(self):
+        return self._filled().items()
+
+    def values(self):
+        return self._filled().values()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._filled()!r})"
 
 
 def build_graph(scene: SceneModel, k: int = DEFAULT_K) -> SceneGraph:
-    """Build the directed KNN scene graph; all weights start at 1.0.
+    """The directed KNN scene graph; all weights start at 1.0.
 
     Every node has out-degree min(k, n-1).  The edge i->j carries the
-    relation of j relative to i.
+    relation of j relative to i.  The edges are ranked as they are read:
+    see :class:`OutEdges`.
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     if not scene.objects:
         raise ValueError("scene has no objects")
-    by_id = scene.objects_by_id
-    edges = {
-        src: {dst: classify_relation(by_id[src], by_id[dst]) for dst in sorted(dsts)}
-        for src, dsts in knn_ids(scene, k).items()
-    }
     categories = {obj.id: obj.category for obj in scene.objects}
     return SceneGraph(
-        categories, dict.fromkeys(categories, 1.0), edges, dict.fromkeys(categories, 1.0), k
+        categories, dict.fromkeys(categories, 1.0), OutEdges(scene, k),
+        dict.fromkeys(categories, 1.0), k,
     )
 
 

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sceneplan import cli, route
+from sceneplan import cli, engine, route
+from sceneplan import graph as graph_module
 from sceneplan.cli import _emit, _texts, build_parser, main
 from sceneplan.dataset import FINDING_KINDS
 from sceneplan.engine import END_TOKEN, SYSTEM_PREAMBLE, run_episode
@@ -562,12 +563,12 @@ class TestGraphSnapshots:
 _LARGE_INSTRUCTION = "I am tired and want coffee"
 
 
-def _large_dump_argv(tmp_path: Path) -> list[str]:
-    """``plan --dump-graph`` argv on a 240-object kitchen written to ``tmp_path``."""
+def _large_dump_argv(tmp_path: Path, objects: int = 240) -> list[str]:
+    """``plan --dump-graph`` argv on a kitchen of ``objects`` objects written to ``tmp_path``."""
     data = json.loads(Path(KITCHEN).read_text(encoding="utf-8"))
     rng = random.Random(20)
     categories = sorted({obj["category"] for obj in data["objects"]}) + ["lamp", "plant"]
-    for oid in range(len(data["objects"]), 240):
+    for oid in range(len(data["objects"]), objects):
         centroid = [rng.uniform(-3.0, 3.0), rng.uniform(-1.0, 5.0), rng.uniform(0.0, 2.0)]
         data["objects"].append({
             "id": oid, "category": rng.choice(categories), "centroid": centroid,
@@ -577,6 +578,62 @@ def _large_dump_argv(tmp_path: Path) -> list[str]:
     scene_path.write_text(json.dumps(data), encoding="utf-8")
     return ["plan", "--scene", str(scene_path), "--instruction", _LARGE_INSTRUCTION,
             "--k", "4", "--dump-graph"]
+
+
+class TestPlanComputesWhatItReads:
+    """``plan`` ranks and classifies the out-edges it reads, and renders the prompts read."""
+
+    OBJECTS, K = 400, 4
+
+    def _plan(self, capsys, argv: list[str]) -> tuple[dict, int, int]:
+        """The printed document, and how many edges were classified and prompts rendered."""
+        with mock.patch.object(
+            graph_module, "classify_relation", wraps=graph_module.classify_relation
+        ) as classified, mock.patch.object(
+            engine, "serialize_for_prompt", wraps=engine.serialize_for_prompt
+        ) as rendered:
+            code, payload, err = _run(capsys, argv)
+        assert (code, err) == (0, "")
+        return payload, classified.call_count, rendered.call_count
+
+    def test_rules_plan_classifies_only_the_mentioned_sources_and_renders_nothing(
+        self, capsys, tmp_path
+    ):
+        argv = _large_dump_argv(tmp_path, self.OBJECTS)
+        assert argv[-3:] == ["--k", str(self.K), "--dump-graph"]
+        payload, classified, rendered = self._plan(capsys, argv[:-1])
+        sources = {i for record in payload["modulations"] for i in record["mentioned_ids"]}
+        assert 0 < len(sources) < self.OBJECTS
+        assert classified == len(sources) * self.K
+        assert rendered == 0
+
+    def test_dump_graph_classifies_every_edge_once(self, capsys, tmp_path):
+        payload, classified, rendered = self._plan(
+            capsys, _large_dump_argv(tmp_path, self.OBJECTS)
+        )
+        assert len(payload["graph_snapshots"][-1]["edges"]) == self.OBJECTS * self.K
+        assert classified == self.OBJECTS * self.K
+        assert rendered == 0
+
+    def test_a_generator_that_reads_the_context_renders_it_once_per_step(
+        self, capsys, tmp_path
+    ):
+        contexts = []
+
+        def reading_generator(scene, rules, start):
+            rules_generator = RuleBasedGenerator(scene, rules, start)
+
+            def generate(request):
+                contexts.append(request.system_context)
+                assert request.system_context is contexts[-1]
+                return rules_generator(request)
+
+            return generate
+
+        with mock.patch.object(cli, "RuleBasedGenerator", reading_generator):
+            payload, _, rendered = self._plan(capsys, _large_dump_argv(tmp_path, self.OBJECTS))
+        assert rendered == len(payload["steps"]) == len(contexts) == 4
+        assert all(context.startswith(SYSTEM_PREAMBLE + "\n") for context in contexts)
 
 
 class TestEvaluateCommand:

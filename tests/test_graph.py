@@ -290,6 +290,54 @@ class TestKnnConstruction:
         assert build_graph(mirrored_scene, k=k).edges == mirrored_edges
 
 
+class TestLazyEdges:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 10**6), k=st.integers(1, 5))
+    def test_lookups_in_any_order_give_the_oracle_graph(self, data, seed, k):
+        scene = make_random_scene(seed)
+        ids = [obj.id for obj in scene.objects]
+        by_id = scene.objects_by_id
+        knn = oracle_knn({obj.id: obj.centroid for obj in scene.objects}, k)
+        expected = {
+            src: {dst: classify_relation(by_id[src], by_id[dst]) for dst in sorted(knn[src])}
+            for src in ids
+        }
+        looked_up = data.draw(st.lists(st.sampled_from(ids), unique=True))
+        full_read = data.draw(st.sampled_from(["dict", "items", "values", "=="]))
+        edges = build_graph(scene, k=k).edges
+        ranked = mock.patch.object(
+            graph._BucketGrid, "nearest", autospec=True, side_effect=graph._BucketGrid.nearest
+        )
+        with ranked as nearest:
+            # Membership, size and the keys rank nothing.
+            assert max(ids) + 1 not in edges
+            assert (len(edges), list(edges), list(edges.keys())) == (len(ids), ids, ids)
+            assert nearest.call_count == 0
+            for count, src in enumerate(looked_up, start=1):
+                assert edges[src] == expected[src]
+                assert edges[src] is edges[src]
+                assert nearest.call_count == count
+            # Each way of reading the whole graph ranks every source not yet read, once.
+            if full_read == "dict":
+                assert dict(edges) == expected
+            elif full_read == "items":
+                assert list(edges.items()) == list(expected.items())
+            elif full_read == "values":
+                assert list(edges.values()) == list(expected.values())
+            else:
+                assert edges == expected
+            assert nearest.call_count == len(ids)
+        assert dict(edges) == expected
+        assert list(edges) == ids
+        assert len(edges) == len(ids)
+
+    def test_unknown_source_raises_key_error(self):
+        edges = build_graph(make_random_scene(4, n_objects=6)).edges
+        with pytest.raises(KeyError):
+            edges[99]
+        assert edges.get(99) is None
+
+
 class TestModulation:
     def test_touched_sets_match_oracle(self):
         scene = make_random_scene(7, n_objects=12)

@@ -11,6 +11,8 @@ is also a lazy attribute of the package: ``sceneplan.metrics`` imports
 ``sceneplan.metrics`` when it is first read.
 """
 
+import sys
+
 _SUBMODULES = (
     "cli", "dataset", "engine", "generators", "graph",
     "metrics", "porter", "route", "scene", "textmatch",
@@ -21,6 +23,6 @@ def __getattr__(name: str):
     """Import the submodule ``name`` on first access; any other name is missing."""
     if name not in _SUBMODULES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return importlib.import_module(f".{name}", __name__)
+    # ``__import__``, as an import statement runs it, so ``python -X importtime`` lists it.
+    __import__(f"{__name__}.{name}")
+    return sys.modules[f"{__name__}.{name}"]

@@ -33,9 +33,10 @@ from .scene import DatasetError, SceneFormatError, load_scene, load_triplets, re
 PROMPT_SEPARATOR = "\n=== PROMPT {i} ===\n"
 _START_FLAGS = ("--start-x", "--start-y")
 
-# Names that only some commands use, and the submodule each comes from.  A
-# command binds them here with :func:`_load` when it runs, so importing this
-# module loads only what ``plan`` and ``route-check`` run.
+# Names that only some commands use, and the submodule each comes from.  Each
+# resolves as an attribute of this module when read, so importing the module
+# loads only what ``plan`` and ``route-check`` run.  The commands read them, and
+# ``main`` its ``cmd_*``, from ``_cli``, so a value set there is the one that runs.
 _DEFERRED = {
     "dataset_stats": "dataset",
     "generation_prompts": "dataset",
@@ -43,29 +44,15 @@ _DEFERRED = {
     "evaluate_pairs": "metrics",
     "pair_from_text": "metrics",
 }
-
-
-def _load(module: str) -> None:
-    """Import ``sceneplan.<module>`` and bind its :data:`_DEFERRED` names in this module.
-
-    A name bound here already is kept, so a value set on this module
-    (``cli.validate_dataset = wrapper``) is the one the commands call.
-    """
-    import importlib
-
-    source = importlib.import_module(f".{module}", __package__)
-    namespace = globals()
-    for name, owner in _DEFERRED.items():
-        if owner == module:
-            namespace.setdefault(name, getattr(source, name))
+# This module as it was imported: ``sceneplan.cli``, or ``__main__`` under ``-m``.
+_cli = sys.modules[__name__]
 
 
 def __getattr__(name: str):
-    """Resolve a :data:`_DEFERRED` name as if it had been imported with the module."""
+    """Resolve a :data:`_DEFERRED` name from its submodule, importing it on first use."""
     if name not in _DEFERRED:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load(_DEFERRED[name])
-    return globals()[name]
+    return getattr(getattr(sys.modules[__package__], _DEFERRED[name]), name)
 
 
 # A control character is always escaped inside a JSON string, so in the C
@@ -247,8 +234,7 @@ def _add_start_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    _load("dataset")
-    findings = validate_dataset(args.dataset_dir)
+    findings = _cli.validate_dataset(args.dataset_dir)
     rows = [f._asdict() for f in findings]
     if args.out:
         text = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
@@ -267,8 +253,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    _load("dataset")
-    _emit(dataset_stats(args.dataset_dir))
+    _emit(_cli.dataset_stats(args.dataset_dir))
     return 0
 
 
@@ -339,7 +324,6 @@ def _read_keyed_texts(path: str, allow_multi: bool) -> dict[tuple[str, int], lis
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    _load("metrics")
     predictions = _read_keyed_texts(args.predictions, allow_multi=False)
     references = _read_keyed_texts(args.references, allow_multi=True)
     missing = sorted(set(references) - set(predictions))
@@ -348,18 +332,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise DatasetError(
             f"prediction/reference key mismatch: missing={missing} extra={extra}"
         )
+    pair_from_text = _cli.pair_from_text
     pairs = [
         pair_from_text(predictions[key][0], references[key])
         for key in sorted(predictions)
     ]
-    _emit(evaluate_pairs(pairs))
+    _emit(_cli.evaluate_pairs(pairs))
     return 0
 
 
 def cmd_gen_prompts(args: argparse.Namespace) -> int:
-    _load("dataset")
     scene = load_scene(args.scene)
-    prompts = generation_prompts(scene, args.n, seed=args.seed)
+    prompts = _cli.generation_prompts(scene, args.n, seed=args.seed)
     if args.out:
         rendered = "".join(
             PROMPT_SEPARATOR.format(i=i) + p for i, p in enumerate(prompts, start=1)
@@ -433,8 +417,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on a usage error; the contract is 0 or 1.
         return 1 if exc.code else 0
-    # Looked up by name at each call, so a rebound ``cmd_*`` is the one that runs.
-    command = globals()["cmd_" + args.command.replace("-", "_")]
+    # Looked up at each call, so a rebound ``cmd_*`` is the one that runs.
+    command = getattr(_cli, "cmd_" + args.command.replace("-", "_"))
     try:
         return command(args)
     except (

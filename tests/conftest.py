@@ -144,14 +144,24 @@ def run_python(
     Raises ``subprocess.TimeoutExpired`` when it runs longer than ``timeout``
     seconds, and ``CalledProcessError`` when it exits non-zero.
     """
+    return run_interpreter(["-c", script], timeout, cwd)
+
+
+def run_interpreter(
+    args: list[str], timeout: float = 30.0, cwd: Path | None = None, check: bool = True
+) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a fresh interpreter that imports this ``sceneplan``.
+
+    As :func:`run_python`; with ``check`` false, a non-zero exit is returned, not raised.
+    """
     src = str(Path(sceneplan.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
         cwd=cwd,
-        check=True,
+        check=check,
         timeout=timeout,
     )

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from sceneplan import dataset, scene
-from tests.conftest import FIXTURES, run_python
+from sceneplan import cli, dataset, scene
+from tests.conftest import FIXTURES, run_interpreter, run_python
 from tests.dataset_builder import build_faulty_dataset
 
 REPO = Path(__file__).resolve().parent.parent
@@ -92,7 +92,8 @@ def test_sample_key_is_one_function():
 
 # What a caller outside the package may rely on, as the benchmark's tracer
 # does: submodules read as package attributes, the deferred cli names read
-# as cli attributes, and a function set on cli is the one its command calls.
+# as cli attributes, a function set on cli is the one its command calls, and
+# running a command binds none of those names in cli.
 _HOOK_CONTRACT = """
 import contextlib, io, json, sys
 import sceneplan
@@ -101,12 +102,13 @@ from sceneplan import cli
 report = {
     "submodules": [getattr(sceneplan, name) is sys.modules["sceneplan." + name]
                    for name in ("dataset", "metrics")],
-    "cli_names": [getattr(cli, "validate_dataset") is sceneplan.dataset.validate_dataset,
-                  getattr(cli, "pair_from_text") is sceneplan.metrics.pair_from_text],
+    "cli_names": {name: getattr(cli, name) is getattr(getattr(sceneplan, module), name)
+                  for name, module in cli._DEFERRED.items()},
+    "bound": {"reads": sorted(set(cli._DEFERRED) & set(vars(cli)))},
     "runs": {},
     "missing": [],
 }
-for command, name in (("validate", "validate_dataset"), ("evaluate", "pair_from_text")):
+for command, name in HOOKED:
     original = getattr(cli, name)
     calls = []
 
@@ -118,7 +120,9 @@ for command, name in (("validate", "validate_dataset"), ("evaluate", "pair_from_
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(ARGV[command])
+    delattr(cli, name)
     report["runs"][command] = [code, len(calls), out.getvalue()]
+    report["bound"][command] = sorted(set(cli._DEFERRED) & set(vars(cli)))
 for owner in (sceneplan, cli):
     try:
         owner.no_such_name
@@ -127,20 +131,51 @@ for owner in (sceneplan, cli):
 print(json.dumps(report))
 """
 
+# (command, the deferred name it calls, its exit code, its golden stdout file).
+_HOOKED = (
+    ("validate", "validate_dataset", 1, "validate_faulty_dataset"),
+    ("evaluate", "pair_from_text", 0, "evaluate_golden_corpus"),
+    ("stats", "dataset_stats", 0, "stats_faulty_dataset"),
+    ("gen-prompts", "generation_prompts", 0, "gen_prompts_kitchen"),
+)
+
 
 def test_hooked_names_resolve_and_a_rebound_function_runs(command_inputs):
-    argv = {command: command_inputs[command] for command in ("validate", "evaluate")}
-    report = json.loads(run_python(f"ARGV = {argv!r}\n" + _HOOK_CONTRACT).stdout)
+    hooked = [(command, name) for command, name, _, _ in _HOOKED]
+    argv = {command: command_inputs[command] for command, _ in hooked}
+    report = json.loads(run_python(f"ARGV = {argv!r}\nHOOKED = {hooked!r}\n" + _HOOK_CONTRACT).stdout)
     assert report["submodules"] == [True, True]
-    assert report["cli_names"] == [True, True]
-    validate_code, validate_calls, validate_out = report["runs"]["validate"]
-    assert (validate_code, validate_calls) == (1, 1)
-    assert validate_out == (GOLDEN / "validate_faulty_dataset.json").read_text(encoding="utf-8")
-    evaluate_code, evaluate_calls, evaluate_out = report["runs"]["evaluate"]
+    assert report["cli_names"] == {name: True for name in cli._DEFERRED}
+    assert report["bound"] == {"reads": [], **{command: [] for command, _ in hooked}}
     pairs = json.loads((FIXTURES / "golden_corpus.json").read_text(encoding="utf-8"))["pairs"]
-    assert (evaluate_code, evaluate_calls) == (0, len(pairs))
-    assert evaluate_out == (GOLDEN / "evaluate_golden_corpus.json").read_text(encoding="utf-8")
+    for command, _, code, golden in _HOOKED:
+        calls = len(pairs) if command == "evaluate" else 1
+        assert report["runs"][command][:2] == [code, calls], command
+        assert report["runs"][command][2] == (GOLDEN / f"{golden}.json").read_text(encoding="utf-8")
     assert report["missing"] == ["sceneplan", "sceneplan.cli"]
+
+
+@pytest.mark.parametrize("command, code, golden", [
+    (command, code, golden) for command, _, code, golden in _HOOKED[:2]
+])
+def test_module_entry_point_prints_the_golden_stdout(command_inputs, command, code, golden):
+    # Under ``python -m sceneplan.cli`` the commands run in ``__main__``.
+    done = run_interpreter(["-m", "sceneplan.cli", *command_inputs[command]], check=False)
+    assert done.returncode == code
+    assert done.stdout == (GOLDEN / f"{golden}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command, module", [
+    ("validate", "sceneplan.dataset"),
+    ("evaluate", "sceneplan.metrics"),
+])
+def test_importtime_lists_the_submodule_a_command_loads(command_inputs, command, module):
+    done = run_interpreter(["-X", "importtime", "-m", "sceneplan.cli", *command_inputs[command]],
+                           check=False)
+    assert done.returncode in (0, 1)
+    imported = [line.rsplit("|", 1)[1].strip()
+                for line in done.stderr.splitlines() if line.startswith("import time:")]
+    assert module in imported
 
 
 def test_a_submodule_attribute_keeps_an_import_error_from_inside():

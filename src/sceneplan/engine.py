@@ -99,8 +99,9 @@ def detect_mentions(step_text: str, scene: SceneModel) -> list[int]:
     ("mugs" matches category "mug"); every instance of a mentioned category
     counts.
     """
+    by_category = scene.instances_by_category
     categories = mentioned_categories(step_text, scene.category_matcher)
-    return sorted(o.id for o in scene.objects if o.category in categories)
+    return sorted(o.id for category in categories for o in by_category[category])
 
 
 def parse_activity_header(first_reply: str) -> tuple[str, str]:

@@ -339,7 +339,7 @@ class RuleBasedGenerator:
                     f"rule {rule.activity_phrase!r} has no required category for step {step}"
                 )
             category = rule.required_categories[step - 1]
-            if not self.scene.instances_of(category):
+            if category not in self.scene.instances_by_category:
                 raise MissingCategoryError(
                     f"category {category!r} absent from scene {self.scene.scene_id}"
                 )

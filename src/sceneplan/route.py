@@ -181,7 +181,7 @@ def nearest_instance(
 ) -> ObjectInstance:
     """Closest instance of a category by ground-plane centroid distance, ties by id."""
     return min(
-        scene.instances_of(category),
+        scene.instances_by_category.get(category, ()),
         key=lambda o: (math.dist(position, (o.centroid[0], o.centroid[1])), o.id),
     )
 
@@ -573,9 +573,9 @@ def verify_route(
                     # checks, so the simulated pose can sit inside furniture;
                     # route reachability is judged from the nearest free cell.
                     start_cell = nearest_free_cell(grid, pose.position)
-                goals = goal_cells(scene, target)
-                if start_cell is None or not any(
-                    grid.component_of(*goal) == grid.component_of(*start_cell) for goal in goals
+                start_label = None if start_cell is None else grid.component_of(*start_cell)
+                if start_label is None or not any(
+                    grid.component_of(*goal) == start_label for goal in goal_cells(scene, target)
                 ):
                     verdict = "unreachable-target"
                     detail = f"no path to {clause.target_category}"

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import re
 from collections import namedtuple
 from collections.abc import Mapping
@@ -190,6 +191,15 @@ class SceneModel(
     """
 
     def validate(self) -> None:
+        """Raise :class:`SceneInvariantError` if the scene breaks an invariant.
+
+        The whole scene is checked on columns first (see
+        :meth:`_holds_on_columns`).  Only when that check fails do the
+        objects go through the loop below, so the error still names the
+        first faulty object in scene order.
+        """
+        if self.objects and self._holds_on_columns():
+            return
         seen: set[int] = set()
         for obj in self.objects:
             obj.validate()
@@ -209,6 +219,41 @@ class SceneModel(
                         f"object {obj.id}: centroid projects outside occupancy grid"
                     )
 
+    def _holds_on_columns(self) -> bool:
+        """True if every invariant holds, checked on whole columns of a nonempty scene.
+
+        Ids are checked by their minimum and their distinct count, the
+        categories once each, the boxes by one comparison of the flattened
+        vectors and the grid extent by the minimum and maximum of x and y.
+        False means that some object is at fault, not which one.
+        """
+        ids, categories, centroids, boxes, _ = zip(*self.objects)
+        if min(ids) < 0 or len(set(ids)) != len(ids):
+            return False
+        distinct = list(set(categories))
+        if (
+            self.category_vocab_size < len(distinct)
+            or not all(map(str.split, distinct))
+            or list(map(str.lower, distinct)) != distinct
+        ):
+            return False
+        mins, maxes = zip(*boxes)
+        center = list(itertools.chain.from_iterable(centroids))
+        if not (
+            all(map(operator.le, itertools.chain.from_iterable(mins), center))
+            and all(map(operator.le, center, itertools.chain.from_iterable(maxes)))
+        ):
+            return False
+        grid = self.occupancy
+        if grid is None:
+            return True
+        xs, ys = center[0::3], center[1::3]
+        (x0, y0), cell = grid.origin, grid.cell_size
+        return (
+            x0 <= min(xs) and max(xs) <= x0 + grid.cols * cell
+            and y0 <= min(ys) and max(ys) <= y0 + grid.rows * cell
+        )
+
     @cached_property
     def objects_by_id(self) -> Mapping[int, ObjectInstance]:
         """The objects by id, read-only, built on first use.
@@ -217,8 +262,19 @@ class SceneModel(
         """
         return MappingProxyType({o.id: o for o in self.objects})
 
+    @cached_property
+    def instances_by_category(self) -> Mapping[str, tuple[ObjectInstance, ...]]:
+        """Each category's instances in scene order, read-only, built on first use.
+
+        Kept in the instance ``__dict__`` like :attr:`category_matcher`.
+        """
+        by_category: dict[str, list[ObjectInstance]] = {}
+        for obj in self.objects:
+            by_category.setdefault(obj.category, []).append(obj)
+        return MappingProxyType({c: tuple(objs) for c, objs in by_category.items()})
+
     def categories(self) -> set[str]:
-        return {o.category for o in self.objects}
+        return set(self.instances_by_category)
 
     @cached_property
     def category_matcher(self) -> CategoryMatcher:
@@ -238,7 +294,7 @@ class SceneModel(
         return {}
 
     def instances_of(self, category: str) -> list[ObjectInstance]:
-        return [o for o in self.objects if o.category == category]
+        return list(self.instances_by_category.get(category, ()))
 
 
 # JSON numbers load as exactly these types; a string or a boolean is not a number.
@@ -301,10 +357,12 @@ def _parse_objects(records: list) -> tuple[ObjectInstance, ...]:
     """The ``objects`` array of a scene file, every record checked in one pass.
 
     Each field is gathered into one column, and each column's types are
-    checked as a set, with the numbers converted by one ``map(float, ...)``
-    and their finiteness by one ``all(map(math.isfinite, ...))``.  On any
-    miss the records go through :func:`_parse_object` one by one, which
-    reports the first fault of the file.
+    checked as a set.  When every number is a float and their sum is
+    finite, each vector's tuple is built straight from its JSON list.
+    Otherwise the numbers are converted by one ``map(float, ...)`` and their
+    finiteness checked by one ``all(map(math.isfinite, ...))``.  On any miss
+    the records go through :func:`_parse_object` one by one, which reports
+    the first fault of the file.
     """
     try:
         ids, categories, centroids, mins, maxes, mask_refs = zip(*[
@@ -321,6 +379,12 @@ def _parse_objects(records: list) -> tuple[ObjectInstance, ...]:
             and set(map(len, vectors)) == {3}
         ):
             numbers = list(itertools.chain.from_iterable(vectors))
+            if set(map(type, numbers)) == {float} and math.isfinite(sum(numbers)):
+                # Finite floats already: a sum of numbers is finite only if
+                # each one is, and each vector becomes its tuple as it is.
+                boxes = zip(map(tuple, mins), map(tuple, maxes))
+                rows = zip(ids, categories, map(tuple, centroids), boxes, mask_refs)
+                return tuple(map(tuple.__new__, itertools.repeat(ObjectInstance), rows))
             values = list(map(float, numbers))
             if _NUMBER_TYPES.issuperset(map(type, numbers)) and all(map(math.isfinite, values)):
                 triples = list(zip(*[iter(values)] * 3))

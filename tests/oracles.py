@@ -326,8 +326,16 @@ def oracle_validate_object(obj: ObjectInstance) -> None:
         raise SceneInvariantError(f"object {obj.id}: centroid outside aabb")
 
 
-def oracle_load_objects(records: list) -> tuple[ObjectInstance, ...]:
-    """The objects of a gridless scene file: every format error before any invariant error."""
+def oracle_load_objects(
+    records: list, occupancy: dict | None = None, category_vocab_size: int | None = None
+) -> tuple[ObjectInstance, ...]:
+    """The objects of a scene file: every format error before any invariant error.
+
+    ``occupancy`` is the file's well-formed grid record, if it has one, and
+    ``category_vocab_size`` its vocabulary size, if it gives one.  The
+    objects are checked one by one, then the vocabulary size, then each
+    centroid against the grid's extent.
+    """
     objects = tuple(oracle_parse_object(raw, f"objects[{i}]") for i, raw in enumerate(records))
     seen: set[int] = set()
     for obj in objects:
@@ -335,6 +343,20 @@ def oracle_load_objects(records: list) -> tuple[ObjectInstance, ...]:
         if obj.id in seen:
             raise SceneInvariantError(f"duplicate object id {obj.id}")
         seen.add(obj.id)
+    distinct = len({obj.category for obj in objects})
+    if category_vocab_size is not None and category_vocab_size < distinct:
+        raise SceneInvariantError(
+            f"category_vocab_size {category_vocab_size} < {distinct} distinct categories present"
+        )
+    if occupancy is not None:
+        (x0, y0), size = occupancy["origin"], occupancy["cell_size"]
+        width, height = occupancy["cols"] * size, occupancy["rows"] * size
+        for obj in objects:
+            x, y = obj.centroid[0], obj.centroid[1]
+            if not (x0 <= x <= x0 + width and y0 <= y <= y0 + height):
+                raise SceneInvariantError(
+                    f"object {obj.id}: centroid projects outside occupancy grid"
+                )
     return objects
 
 

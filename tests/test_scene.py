@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sceneplan.engine import detect_mentions
+from sceneplan.route import nearest_instance
 from sceneplan.scene import (
     ObjectInstance,
     OccupancyGrid,
@@ -24,9 +26,9 @@ from sceneplan.scene import (
     read_jsonl,
     triplet_warnings,
 )
-from tests.conftest import FIXTURES, make_random_scene
+from tests.conftest import CATEGORY_POOL, FIXTURES, make_random_scene
 from tests.dataset_builder import scene_to_dict, serialize_scene
-from tests.oracles import oracle_load_objects
+from tests.oracles import oracle_find_category_spans, oracle_load_objects
 
 
 _UNIT_BOX = ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
@@ -378,6 +380,109 @@ class TestObjectParsingAgainstOracle:
         expected = _outcome(lambda: oracle_load_objects(records))
         assert expected[0] is SceneFormatError
         assert _outcome(lambda: load_scene(path).objects) == expected
+
+
+# A 20 x 20 grid of 0.5 m cells over the 10 m x 10 m floor of make_random_scene.
+_FLOOR_GRID = {"cell_size": 0.5, "origin": [0.0, 0.0], "rows": 20, "cols": 20,
+               "blocked": [0] * 400}
+_WHOLE_SCENE_FAULTS = _INVARIANT_FAULTS + ("centroid outside grid", "vocab too small")
+
+
+def _break_invariant(records: list[dict], index: int, fault: str) -> None:
+    """Give object record ``index`` of a clean, all-float scene file one invariant fault."""
+    record = records[index]
+    centroid, aabb = record["centroid"], record["aabb"]
+    if fault == "negative id":
+        record["id"] = -1
+    elif fault == "duplicate id":
+        record["id"] = records[index - 1 if index else 1]["id"]
+    elif fault == "blank category":
+        record["category"] = " "
+    elif fault == "uppercase category":
+        record["category"] = "Mug"
+    elif fault == "inverted aabb":
+        aabb["min"][0], aabb["max"][0] = aabb["max"][0] + 1.0, aabb["min"][0]
+    elif fault == "centroid outside aabb":
+        centroid[2] = aabb["max"][2] + 0.5
+    elif fault == "centroid outside grid":
+        # The whole object moves 15 m along x, so only the grid check fails.
+        for vector in (centroid, aabb["min"], aabb["max"]):
+            vector[0] += 15.0
+    else:
+        record["category"] = "zebra rug"
+
+
+class TestWholeSceneInvariantsAt1000Objects:
+    @staticmethod
+    def _scene_file(tmp_path: Path, fault: str | None, index: int = 0):
+        """A 1000-object scene file with a grid, and its records and vocab size."""
+        records = scene_to_dict(make_random_scene(3, n_objects=1000))["objects"]
+        # Room for two more categories, so that only "vocab too small" fails the vocab check.
+        vocab = len({record["category"] for record in records})
+        vocab += 0 if fault == "vocab too small" else 2
+        if fault is not None:
+            _break_invariant(records, index, fault)
+        path = tmp_path / "scene.json"
+        path.write_text(
+            json.dumps({"scene_id": "s", "objects": records, "occupancy": _FLOOR_GRID,
+                        "category_vocab_size": vocab}),
+            encoding="utf-8",
+        )
+        return path, records, vocab
+
+    def test_clean_scene_loads_the_oracle_objects(self, tmp_path):
+        path, records, vocab = self._scene_file(tmp_path, None)
+        assert {type(v) for r in records for v in r["centroid"] + r["aabb"]["max"]} == {float}
+        assert load_scene(path).objects == oracle_load_objects(records, _FLOOR_GRID, vocab)
+
+    @pytest.mark.parametrize("index", [0, 500, 999])
+    @pytest.mark.parametrize("fault", _WHOLE_SCENE_FAULTS)
+    def test_one_faulty_object_of_1000_is_reported_as_the_oracle_reports_it(
+        self, tmp_path, index, fault
+    ):
+        path, records, vocab = self._scene_file(tmp_path, fault, index)
+        expected = _outcome(lambda: oracle_load_objects(records, _FLOOR_GRID, vocab))
+        assert expected[0] is SceneInvariantError
+        assert _outcome(lambda: load_scene(path).objects) == expected
+
+
+class TestCategoryIndex:
+    def test_index_is_cached_read_only_and_outside_equality(self, kitchen, kitchen_path):
+        fresh_hash = hash(kitchen)
+        index = kitchen.instances_by_category
+        assert index is kitchen.instances_by_category
+        with pytest.raises(TypeError):
+            index["mug"] = ()  # type: ignore[index]
+        assert kitchen == load_scene(kitchen_path)
+        assert hash(kitchen) == fresh_hash == hash(load_scene(kitchen_path))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        n_objects=st.integers(1, 60),
+        words=st.lists(
+            st.sampled_from(CATEGORY_POOL + ("tables", "lamps", "walk", "to", "the")), max_size=8
+        ),
+        position=st.tuples(st.floats(-2, 12), st.floats(-2, 12)),
+    )
+    def test_lookups_match_scans_of_the_objects(self, seed, n_objects, words, position):
+        """On scenes whose 15 categories mostly repeat, each lookup equals a scan."""
+        scene = make_random_scene(seed, n_objects)
+        for category in CATEGORY_POOL:
+            scanned = [o for o in scene.objects if o.category == category]
+            assert scene.instances_of(category) == scanned
+            if not scanned:
+                with pytest.raises(ValueError):
+                    nearest_instance(scene, category, position)
+                continue
+            assert nearest_instance(scene, category, position) == min(
+                scanned, key=lambda o: (math.dist(position, o.centroid[:2]), o.id)
+            )
+        text = " ".join(words)
+        named = {c for _, c in oracle_find_category_spans(text, {o.category for o in scene.objects})}
+        assert detect_mentions(text, scene) == sorted(
+            o.id for o in scene.objects if o.category in named
+        )
 
 
 def _triplet(*steps: dict, instruction: str = "I am tired") -> dict:

@@ -70,8 +70,8 @@ class GeneratorRequest:
     def system_context(self) -> str:
         """:data:`SYSTEM_PREAMBLE` and the graph's prompt rendering, under this step's weights."""
         if self._weights is not None:
-            graph = self._context.reweighted(self._weights)
-            self._context = SYSTEM_PREAMBLE + "\n" + serialize_for_prompt(graph)
+            rendered = serialize_for_prompt(self._context, self._weights)
+            self._context = SYSTEM_PREAMBLE + "\n" + rendered
             self._weights = None
         return self._context
 

@@ -56,12 +56,6 @@ class SceneGraph(namedtuple("SceneGraph", "categories weights edges edge_weights
         }
         return prefixes, edge_lines
 
-    def reweighted(self, weights: dict[int, float]) -> SceneGraph:
-        """This graph with ``weights`` as its node weights, sharing its :attr:`prompt_text`."""
-        graph = self._replace(weights=weights)
-        graph.__dict__["prompt_text"] = self.prompt_text
-        return graph
-
 
 def classify_relation(a: ObjectInstance, b: ObjectInstance) -> tuple[str, float]:
     """(kind, distance) of ``b`` relative to ``a``: the dominant centroid-difference axis.
@@ -304,21 +298,22 @@ def modulate(
     return frozenset(touched_nodes), frozenset(touched_edges)
 
 
-def serialize_for_prompt(graph: SceneGraph) -> str:
-    """Weight-ranked text rendering of every node and edge of the graph.
+def serialize_for_prompt(graph: SceneGraph, weights: dict[int, float]) -> str:
+    """Text rendering of every node and edge of the graph, ranked by ``weights``.
 
-    Nodes are ordered by descending weight, ties by ascending id, each as
-    "<category>#<id> (w=<weight>)".  Edge lines follow in the same node
-    order, each node's out-edges by ascending neighbor id, as "<cat>#<i>
-    <kind> <cat>#<j>".  Pure function of the weights: identical inputs
-    give byte-identical output.  The node-line prefixes and the edge lines
-    come from :attr:`SceneGraph.prompt_text`; per call, each distinct weight
-    is formatted once.  Both rely on the weights being positive and finite,
-    as :func:`modulate` keeps them: no NaN upsets the sort, and no -0.0
-    shares a format with 0.0.
+    ``weights`` holds a node weight per object id of the graph: its live
+    ``graph.weights`` or a copy taken earlier.  Nodes are ordered by
+    descending weight, ties by ascending id, each as "<category>#<id>
+    (w=<weight>)".  Edge lines follow in the same node order, each node's
+    out-edges by ascending neighbor id, as "<cat>#<i> <kind> <cat>#<j>".
+    Pure function of the graph and the weights: identical inputs give
+    byte-identical output.  The node-line prefixes and the edge lines come
+    from :attr:`SceneGraph.prompt_text`; per call, each distinct weight is
+    formatted once.  Both rely on the weights being positive and finite, as
+    :func:`modulate` keeps them: no NaN upsets the sort, and no -0.0 shares
+    a format with 0.0.
     """
     prefixes, edge_lines = graph.prompt_text
-    weights = graph.weights
     # Ascending ids, then a stable sort by descending weight: ties stay in id order.
     ranked = sorted(sorted(weights), key=weights.__getitem__, reverse=True)
     suffixes = {weight: format(weight, "g") + ")" for weight in set(weights.values())}

@@ -273,9 +273,6 @@ class SceneModel(
             by_category.setdefault(obj.category, []).append(obj)
         return MappingProxyType({c: tuple(objs) for c, objs in by_category.items()})
 
-    def categories(self) -> set[str]:
-        return set(self.instances_by_category)
-
     @cached_property
     def category_matcher(self) -> CategoryMatcher:
         """The scene's categories indexed for matching in text, built on first use.
@@ -283,7 +280,7 @@ class SceneModel(
         Kept in the instance ``__dict__``, outside the tuple fields, so
         equality, hashing and serialization still see only the scene.
         """
-        return CategoryMatcher(self.categories())
+        return CategoryMatcher(self.instances_by_category)
 
     @cached_property
     def goal_cell_memo(self) -> dict[int, frozenset[tuple[int, int]]]:
@@ -292,9 +289,6 @@ class SceneModel(
         Kept in the instance ``__dict__`` like :attr:`category_matcher`.
         """
         return {}
-
-    def instances_of(self, category: str) -> list[ObjectInstance]:
-        return list(self.instances_by_category.get(category, ()))
 
 
 # JSON numbers load as exactly these types; a string or a boolean is not a number.
@@ -359,10 +353,9 @@ def _parse_objects(records: list) -> tuple[ObjectInstance, ...]:
     Each field is gathered into one column, and each column's types are
     checked as a set.  When every number is a float and their sum is
     finite, each vector's tuple is built straight from its JSON list.
-    Otherwise the numbers are converted by one ``map(float, ...)`` and their
-    finiteness checked by one ``all(map(math.isfinite, ...))``.  On any miss
-    the records go through :func:`_parse_object` one by one, which reports
-    the first fault of the file.
+    Otherwise, an integer coordinate among them, say, the records go
+    through :func:`_parse_object` one by one, which converts each number to
+    a float and reports the first fault of the file.
     """
     try:
         ids, categories, centroids, mins, maxes, mask_refs = zip(*[
@@ -385,15 +378,9 @@ def _parse_objects(records: list) -> tuple[ObjectInstance, ...]:
                 boxes = zip(map(tuple, mins), map(tuple, maxes))
                 rows = zip(ids, categories, map(tuple, centroids), boxes, mask_refs)
                 return tuple(map(tuple.__new__, itertools.repeat(ObjectInstance), rows))
-            values = list(map(float, numbers))
-            if _NUMBER_TYPES.issuperset(map(type, numbers)) and all(map(math.isfinite, values)):
-                triples = list(zip(*[iter(values)] * 3))
-                n = len(ids)
-                boxes = zip(triples[n : 2 * n], triples[2 * n :])
-                return tuple(map(ObjectInstance, ids, categories, triples[:n], boxes, mask_refs))
-    except (KeyError, TypeError, ValueError, OverflowError):
-        # A missing field, a value of the wrong kind, an empty array (nothing
-        # to unzip), a string number or an integer too large for a float.
+    except (KeyError, TypeError, ValueError):
+        # A missing field, a value of the wrong kind or an empty array
+        # (nothing to unzip).
         pass
     return tuple(_parse_object(raw, f"objects[{i}]") for i, raw in enumerate(records))
 
@@ -450,11 +437,14 @@ def load_scene(path: str | Path) -> SceneModel:
     and ``category_vocab_size`` are integers, and each ``blocked`` flag is
     0, 1, true or false.  ``category_vocab_size`` defaults to the number of
     distinct categories present.  Raises :class:`SceneFormatError` with a
-    line/field locus on syntax problems and :class:`SceneInvariantError`
-    naming the offending object id on semantic ones; every format error
-    comes before any invariant error.  The object records are checked in one
-    pass over all of them; on any miss they are parsed one by one, and the
-    first fault in file order is reported (see :func:`_parse_objects`).
+    line/field locus on syntax problems, or with the path alone when the
+    JSON nests too deeply or holds an integer longer than ``int()`` may
+    convert, and :class:`SceneInvariantError` naming the offending object id
+    on semantic ones; every format error comes before any invariant error.
+    The object records are checked in one pass over all of them when every
+    coordinate is a JSON float; otherwise, or on any miss, they are parsed
+    one by one, each number converted to a float, and the first fault in
+    file order is reported (see :func:`_parse_objects`).
     """
     path = Path(path)
     try:
@@ -465,7 +455,8 @@ def load_scene(path: str | Path) -> SceneModel:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SceneFormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except RecursionError as exc:
+    except (RecursionError, ValueError) as exc:
+        # Nested too deeply, or an integer longer than int() may convert.
         raise SceneFormatError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise SceneFormatError(f"{path}: top level must be a JSON object")
@@ -601,7 +592,9 @@ def read_jsonl(path: str | Path) -> list[tuple[int, str, dict | SceneFormatError
             continue
         try:
             record = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers json.JSONDecodeError and an integer longer
+            # than int() may convert.
             record = SceneFormatError(str(exc))
         if not isinstance(record, (dict, SceneFormatError)):
             record = SceneFormatError("record must be a JSON object")

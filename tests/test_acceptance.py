@@ -139,7 +139,7 @@ def test_knn_matches_brute_force(announce):
 
 def test_progressive_prompting_contract(announce, kitchen):
     with announce("50 scripted episodes: verbatim history, end-marker stripping, 8-step cap"):
-        categories = sorted(kitchen.categories())
+        categories = sorted(kitchen.instances_by_category)
         for episode_index in range(50):
             rng = Random(episode_index)
             planned = rng.randint(1, 11)

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import random
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -754,6 +755,15 @@ class TestGenPromptsCommand:
         assert "positive" in err
 
 
+def _kitchen_with_text(tmp_path, old: str, new: str) -> str:
+    """The kitchen scene file with its one ``old`` text replaced by ``new``, as written."""
+    text = Path(KITCHEN).read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    path = tmp_path / "scene.json"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    return str(path)
+
+
 def _kitchen_with(tmp_path, **occupancy) -> str:
     data = json.loads(Path(KITCHEN).read_text(encoding="utf-8"))
     data["occupancy"].update(occupancy)
@@ -901,6 +911,10 @@ HOSTILE_INPUTS = {
     "stats-whitespace-category": lambda tmp: _blank_category_dataset(tmp, "stats"),
     "validate-step-index-bool": lambda tmp: _dataset_with_first_step(tmp, index=True),
     "validate-is-final-string": lambda tmp: _dataset_with_first_step(tmp, is_final="false"),
+    # json.loads raises a plain ValueError for it, not a JSONDecodeError.
+    "plan-integer-beyond-digit-limit": lambda tmp: PLAN + ["--scene", _kitchen_with_text(
+        tmp, '"cell_size": 0.5', '"cell_size": ' + "9" * (sys.get_int_max_str_digits() + 1)
+    )],
     # classify_relation's distance overflows to inf, which JSON cannot hold.
     "plan-dump-graph-distance-overflows": lambda tmp: [
         "plan", "--scene", _far_apart_scene(tmp), "--instruction", "a cup of tea would be lovely",
@@ -927,6 +941,18 @@ class TestHostileInputs:
         assert "Traceback" not in captured.err
         if case in HOSTILE_ERRORS:
             assert captured.err == HOSTILE_ERRORS[case]
+
+    def test_integer_beyond_digit_limit_drops_only_its_triplet_line(self, capsys, tmp_path):
+        first = (FIXTURES / "triplets_valid.jsonl").read_text(encoding="utf-8").split("\n")[0]
+        huge = "9" * (sys.get_int_max_str_digits() + 1)
+        path = tmp_path / "huge.jsonl"
+        path.write_text(f'{first}\n{{"scene_id": {huge}}}\n', encoding="utf-8")
+        code, payload, err = _run(
+            capsys, ["route-check", "--scene", KITCHEN, "--triplets", str(path)]
+        )
+        assert (code, len(payload["routes"])) == (0, 1)
+        assert err.startswith("line 2: syntax: Exceeds the limit")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", [PLAN, ROUTE_CHECK], ids=["plan", "route-check"])
     @pytest.mark.parametrize("x,y", [("1e308", "0"), ("-1e308", "1e308")])

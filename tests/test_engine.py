@@ -221,7 +221,7 @@ class TestRunEpisode:
     def test_episode_changes_only_the_weights(self, kitchen, k):
         # Edges are fixed by build_graph; an episode scales only the two weight dicts.
         generated = make_random_scene(12, n_objects=30)
-        first, second, third = sorted(generated.categories())[:3]
+        first, second, third = sorted(generated.instances_by_category)[:3]
         script = [
             f"Plan. Step 1: Walk to the {first}.",
             f"Step 2: Put the {second} by the {third}. {END_TOKEN}",

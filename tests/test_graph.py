@@ -423,7 +423,7 @@ class TestSerialization:
     def test_prompt_ranking_weight_desc_then_id_asc(self, kitchen):
         graph = build_graph(kitchen)
         modulate(graph, [4])  # kettle
-        text = serialize_for_prompt(graph)
+        text = serialize_for_prompt(graph, graph.weights)
         node_lines = [l for l in text.splitlines() if "(w=" in l]
         weights = []
         for line in node_lines:
@@ -435,7 +435,7 @@ class TestSerialization:
     def test_one_line_per_node_and_per_edge(self, kitchen):
         graph = build_graph(kitchen)
         modulate(graph, [4])
-        lines = serialize_for_prompt(graph).splitlines()
+        lines = serialize_for_prompt(graph, graph.weights).splitlines()
         assert len(lines) == len(graph.weights) + sum(map(len, graph.edges.values()))
         assert len([l for l in lines if "(w=" in l]) == len(graph.weights)
 
@@ -444,8 +444,17 @@ class TestSerialization:
         b = build_graph(kitchen)
         modulate(a, [2, 8])
         modulate(b, [2, 8])
-        assert serialize_for_prompt(a) == serialize_for_prompt(b)
+        assert serialize_for_prompt(a, a.weights) == serialize_for_prompt(b, b.weights)
         assert graph_to_dict(a) == graph_to_dict(b)
+
+    def test_ranks_by_the_weights_given_not_the_graphs(self, kitchen):
+        modulated = build_graph(kitchen)
+        modulate(modulated, [4])
+        fresh = build_graph(kitchen)
+        text = serialize_for_prompt(fresh, modulated.weights)
+        assert text == serialize_for_prompt(modulated, modulated.weights)
+        assert text != serialize_for_prompt(fresh, fresh.weights)
+        assert set(fresh.weights.values()) == {1.0}
 
     def test_graph_to_dict_sorted_and_complete(self, kitchen):
         graph = build_graph(kitchen)
@@ -481,7 +490,7 @@ class TestOracleAgreement:
         graph = build_graph(scene, k=k)
 
         def check() -> None:
-            assert serialize_for_prompt(graph) == oracle_serialize_for_prompt(
+            assert serialize_for_prompt(graph, graph.weights) == oracle_serialize_for_prompt(
                 scene.objects, k, node_weights
             )
             edges = []

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -120,8 +121,8 @@ class TestSceneIo:
         assert kitchen.scene_id == "kitchen-01"
         assert kitchen.occupancy is not None
         assert len(kitchen.objects) == 12
-        assert "kitchen counter" in kitchen.categories()
-        assert len(kitchen.instances_of("mug")) == 2
+        assert "kitchen counter" in kitchen.instances_by_category
+        assert len(kitchen.instances_by_category["mug"]) == 2
 
     def test_round_trip_preserves_scene(self, kitchen, tmp_path):
         out = tmp_path / "copy.json"
@@ -151,6 +152,16 @@ class TestSceneIo:
         out = tmp_path / "bad.json"
         out.write_text("{not json", encoding="utf-8")
         with pytest.raises(SceneFormatError, match=r"bad\.json:1:"):
+            load_scene(out)
+
+    def test_integer_beyond_the_digit_limit_reports_the_path(self, tmp_path):
+        # json.loads raises a plain ValueError here, not a JSONDecodeError.
+        huge = "9" * (sys.get_int_max_str_digits() + 1)
+        out = tmp_path / "huge.json"
+        out.write_text(
+            f'{{"scene_id": "s", "objects": [], "category_vocab_size": {huge}}}', encoding="utf-8"
+        )
+        with pytest.raises(SceneFormatError, match=rf"^{re.escape(str(out))}: Exceeds the limit"):
             load_scene(out)
 
     @pytest.mark.parametrize(
@@ -435,6 +446,38 @@ class TestWholeSceneInvariantsAt1000Objects:
         assert {type(v) for r in records for v in r["centroid"] + r["aabb"]["max"]} == {float}
         assert load_scene(path).objects == oracle_load_objects(records, _FLOOR_GRID, vocab)
 
+    def test_integer_coordinates_load_as_the_floats_they_equal(self, tmp_path):
+        """Whole-metre boxes written as JSON integers load as their all-float twin does."""
+        _, records, vocab = self._scene_file(tmp_path, None)
+        for record in records:
+            aabb = record["aabb"]
+            aabb["min"] = [math.floor(v) for v in aabb["min"]]
+            aabb["max"] = [math.ceil(v) for v in aabb["max"]]
+        twin = [
+            {**r, "aabb": {end: list(map(float, r["aabb"][end])) for end in ("min", "max")}}
+            for r in records
+        ]
+        assert {type(v) for r in records for v in r["aabb"]["min"] + r["aabb"]["max"]} == {int}
+
+        def load(name: str, objects: list[dict]) -> SceneModel:
+            path = tmp_path / name
+            path.write_text(
+                json.dumps({"scene_id": "s", "objects": objects, "occupancy": _FLOOR_GRID,
+                            "category_vocab_size": vocab}),
+                encoding="utf-8",
+            )
+            return load_scene(path)
+
+        scene = load("integers.json", records)
+        assert scene == load("floats.json", twin)
+        assert scene.objects == oracle_load_objects(records, _FLOOR_GRID, vocab)
+        # 1 == 1.0, so equality alone would pass integer coordinates.
+        assert all(
+            type(v) is float
+            for obj in scene.objects
+            for v in obj.centroid + obj.aabb[0] + obj.aabb[1]
+        )
+
     @pytest.mark.parametrize("index", [0, 500, 999])
     @pytest.mark.parametrize("fault", _WHOLE_SCENE_FAULTS)
     def test_one_faulty_object_of_1000_is_reported_as_the_oracle_reports_it(
@@ -469,8 +512,8 @@ class TestCategoryIndex:
         """On scenes whose 15 categories mostly repeat, each lookup equals a scan."""
         scene = make_random_scene(seed, n_objects)
         for category in CATEGORY_POOL:
-            scanned = [o for o in scene.objects if o.category == category]
-            assert scene.instances_of(category) == scanned
+            scanned = tuple(o for o in scene.objects if o.category == category)
+            assert scene.instances_by_category.get(category, ()) == scanned
             if not scanned:
                 with pytest.raises(ValueError):
                     nearest_instance(scene, category, position)

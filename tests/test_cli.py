@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import gc
 import io
 import json
 import math
@@ -44,6 +45,7 @@ from tests.oracles import (
     oracle_serialize_for_prompt,
 )
 from tests.dataset_builder import build_clean_dataset, build_faulty_dataset
+from tests.test_generators import StubEndpoint
 
 KITCHEN = str(FIXTURES / "kitchen.json")
 PLAN = ["plan", "--instruction", "make tea"]
@@ -1079,6 +1081,144 @@ class TestParserReuse:
         at_import, after_first_use = map(int, done.stdout.split())
         assert at_import == 0
         assert after_first_use > 0  # the counter sees the parser when it is built
+
+
+@pytest.fixture()
+def restored_collector():
+    """Leave the cyclic collector as the test found it, even when the test fails."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.usefixtures("restored_collector")
+class TestCollectorPause:
+    """``main`` runs a command with the cyclic collector paused, then restores it as found."""
+
+    OUTCOMES = {
+        "success": (COFFEE_PLAN, 0),
+        "handled-error": (PLAN + ["--scene", str(FIXTURES / "no-such-scene.json")], 1),
+        "usage-error": (PLAN, 1),
+    }
+
+    def test_the_command_runs_with_the_collector_paused(self, monkeypatch):
+        seen = []
+
+        def traced_cmd_stats(args):
+            seen.append(gc.isenabled())
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_stats", traced_cmd_stats)
+        gc.enable()
+        assert main(["stats", "unused"]) == 0
+        assert seen == [False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["caller-on", "caller-off"])
+    @pytest.mark.parametrize("argv, code", OUTCOMES.values(), ids=OUTCOMES)
+    def test_the_collector_ends_as_the_caller_left_it(self, capsys, argv, code, enabled):
+        threshold = gc.get_threshold()
+        (gc.enable if enabled else gc.disable)()
+        assert main(argv) == code
+        assert gc.isenabled() is enabled
+        assert gc.get_threshold() == threshold
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["caller-on", "caller-off"])
+    def test_an_exception_escaping_main_restores_the_collector(self, monkeypatch, enabled):
+        def failing_cmd_stats(args):
+            raise RuntimeError("not one of the errors main reports")
+
+        monkeypatch.setattr(cli, "cmd_stats", failing_cmd_stats)
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(RuntimeError, match="not one of the errors"):
+            main(["stats", "unused"])
+        assert gc.isenabled() is enabled
+
+    def test_importing_the_cli_leaves_the_collector_on(self):
+        assert run_python("import gc, sceneplan.cli\nprint(gc.isenabled())").stdout == "True\n"
+
+
+def _garbage_after(argv: list[str]) -> int:
+    """How many unreachable objects ``gc.collect()`` frees right after ``main(argv)`` exits 0."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 0, (argv, err.getvalue())
+    return gc.collect()
+
+
+def _evaluate_corpus_argv(tmp_path: Path, count: int) -> list[str]:
+    """``evaluate`` argv on ``count`` pairs of varied texts, three references each."""
+    rng = random.Random(count)
+    words = "walk to the sink kettle turn left right and pick up a mug from stove".split()
+
+    def text() -> str:
+        return " ".join(rng.choices(words, k=12))
+
+    def write(name: str, field: str, value) -> str:
+        path = tmp_path / f"{name}-{count}.jsonl"
+        path.write_text("".join(
+            json.dumps({"scene_id": "s", "sample_id": i, field: value()}) + "\n"
+            for i in range(count)
+        ), encoding="utf-8")
+        return str(path)
+
+    return ["evaluate", "--predictions", write("predictions", "text", text),
+            "--references", write("references", "texts", lambda: [text() for _ in range(3)])]
+
+
+class TestCollectorPauseIsSafe:
+    """A command leaves no more cyclic garbage on a large input than on a small one.
+
+    While ``main`` pauses the collector, a reference cycle made per object,
+    sample, pair, prompt or step would pile up until the command returns.
+    Each case first runs the small input once, which builds the parser and
+    imports what the command uses, then counts what ``gc.collect()`` frees
+    after the small and after the large input.  The count itself is not
+    pinned: before Python 3.13 the standard library's indenting JSON
+    encoder leaves its closures in a cycle, and from 3.13 nothing is left.
+    """
+
+    @staticmethod
+    def _argvs(case: str, tmp_path: Path) -> tuple[list[str], list[str]]:
+        if case == "plan":
+            return COFFEE_PLAN, _large_dump_argv(tmp_path, 1000)
+        if case in ("validate", "stats"):
+            for count in (1, 18):
+                build_clean_dataset(tmp_path / str(count), count)
+            return [case, str(tmp_path / "1")], [case, str(tmp_path / "18")]
+        if case == "evaluate":
+            return _evaluate_corpus_argv(tmp_path, 2), _evaluate_corpus_argv(tmp_path, 100)
+        gen_prompts = ["gen-prompts", "--scene", KITCHEN, "--n"]
+        return gen_prompts + ["2"], gen_prompts + ["50"]
+
+    @pytest.mark.parametrize("case", ["plan", "validate", "stats", "evaluate", "gen-prompts"])
+    def test_garbage_does_not_grow_with_the_input(self, tmp_path, case):
+        small, large = self._argvs(case, tmp_path)
+        _garbage_after(small)
+        assert _garbage_after(small) == _garbage_after(large)
+
+    def test_llm_episodes_of_2_and_8_steps_leave_the_same_garbage(self, monkeypatch):
+        monkeypatch.setenv("SHARP_API_KEY", "test-key")
+
+        def replies(steps: int) -> list[dict]:
+            return [{"text": f"Step {i}: walk to the kettle."} for i in range(1, steps)] + [
+                {"text": f"Step {steps}: pick up the kettle. {END_TOKEN}"}
+            ]
+
+        # One endpoint for every call: a new one would leave its own
+        # handler class behind, counted after whichever call came next.
+        with StubEndpoint() as stub:
+            argv = COFFEE_PLAN + ["--backend", "llm", "--endpoint", stub.base_url, "--model", "m"]
+            counts = []
+            for steps in (2, 2, 8):
+                stub.responses = replies(steps)
+                counts.append(_garbage_after(argv))
+            assert len(stub.requests) == 12
+        assert counts[1] == counts[2]
 
 
 _JUNK = st.recursive(

@@ -13,7 +13,8 @@ import random
 from collections import Counter, namedtuple
 from pathlib import Path
 
-from .route import AgentPose, default_start_pose, parse_fragments, verify_route
+from . import route
+from .route import AgentPose, default_start_pose, verify_route
 from .scene import (
     DatasetError,
     SceneFormatError,
@@ -180,16 +181,18 @@ def compute_stats(
     for triplet in triplets:
         total_steps += len(triplet["steps"])
         total_words += _sample_word_count(triplet)
-        matcher = scenes[triplet["scene_id"]].category_matcher
+        scene = scenes[triplet["scene_id"]]
         for step in triplet["steps"]:
-            for text, clause, is_movement in parse_fragments(step["text"]):
+            for text, clause, is_movement in route.parse_fragments(
+                step["text"], scene.fragment_memo
+            ):
                 if clause is not None:
                     verb_histogram[clause.verb] += 1
                     continue
                 if is_movement:
                     continue
                 tokens = words_of(text)
-                spans = find_category_spans(text, matcher)
+                spans = find_category_spans(text, scene.category_matcher)
                 if tokens and spans:
                     action_object[(tokens[0], spans[0][1])] += 1
     n = len(samples)

@@ -81,7 +81,7 @@ _SENTENCE_BREAKS = ".?!;,"
 
 
 def split_fragments(text: str) -> list[str]:
-    """Split step text on sentence punctuation and "and" conjunctions."""
+    """Split step text on line breaks, sentence punctuation and "and" conjunctions."""
     for ch in _SENTENCE_BREAKS:
         text = text.replace(ch, "\n")
     pieces: list[str] = []
@@ -139,23 +139,39 @@ def _match_fragment(tokens: list[str]) -> RouteClause | None:
     return RouteClause(verb=verb, target_category=target, adverb=adverb)
 
 
-def parse_fragments(step_text: str) -> list[Fragment]:
+def _parse_piece(piece: str) -> Fragment | None:
+    """One piece's fragment, or None for a piece with no words."""
+    tokens = words_of(piece)
+    if not tokens:
+        return None
+    if tokens[0] not in MOVE_VERBS and tokens[0] != TURN_VERB:
+        return (piece, None, False)
+    return (piece, _match_fragment(tokens), True)
+
+
+def parse_fragments(
+    step_text: str, memo: dict[str, Fragment | None] | None = None
+) -> list[Fragment]:
     """Classify every fragment of a step: route clause, failed movement, or other.
 
     Fragments that do not begin with a movement verb (e.g. "pick up the
     water kettle") are not route material and parse to nothing; fragments
     that begin with one but do not fit the grammar are flagged so a
     downstream check can report them.
+
+    With a ``memo`` (``SceneModel.fragment_memo``), each distinct piece is
+    parsed once and kept there, keyed by its exact text.
     """
     fragments: list[Fragment] = []
     for piece in split_fragments(step_text):
-        tokens = words_of(piece)
-        if not tokens:
-            continue
-        if tokens[0] not in MOVE_VERBS and tokens[0] != TURN_VERB:
-            fragments.append((piece, None, False))
-            continue
-        fragments.append((piece, _match_fragment(tokens), True))
+        if memo is None:
+            fragment = _parse_piece(piece)
+        elif piece in memo:
+            fragment = memo[piece]
+        else:
+            fragment = memo[piece] = _parse_piece(piece)
+        if fragment is not None:
+            fragments.append(fragment)
     return fragments
 
 
@@ -545,7 +561,7 @@ def verify_route(
     reports: list[dict] = []
     pose = start
     for step in steps:
-        fragments = parse_fragments(step["text"])
+        fragments = parse_fragments(step["text"], scene.fragment_memo)
         verdict, detail = "ok", ""
         for text, clause, is_movement in fragments:
             if clause is None:

@@ -290,6 +290,14 @@ class SceneModel(
         """
         return {}
 
+    @cached_property
+    def fragment_memo(self) -> dict[str, tuple | None]:
+        """``route.parse_fragments``' fragment of each distinct piece of step text, filled on use.
+
+        Kept in the instance ``__dict__`` like :attr:`category_matcher`.
+        """
+        return {}
+
 
 # JSON numbers load as exactly these types; a string or a boolean is not a number.
 _NUMBER_TYPES = frozenset((int, float))

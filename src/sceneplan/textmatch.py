@@ -39,8 +39,10 @@ class CategoryMatcher:
     first entry of a bucket that matches is the longest, then
     lexicographically first, category starting with that word.  A second
     index by last word serves :func:`resolve_noun_phrase`'s head-noun
-    fallback.  A category with no words is left out: it matches nowhere.
-    Build one per category set and reuse it (``SceneModel.category_matcher``).
+    fallback, and ``resolved`` keeps that function's answer for each noun
+    phrase it has seen.  A category with no words is left out: it matches
+    nowhere.  Build one per category set and reuse it
+    (``SceneModel.category_matcher``).
     """
 
     def __init__(self, categories: Iterable[str]) -> None:
@@ -54,6 +56,7 @@ class CategoryMatcher:
             by_last.setdefault(words[-1], []).append(name)
         self.by_first = {word: sorted(bucket) for word, bucket in by_first.items()}
         self.by_last = by_last
+        self.resolved: dict[str, str | None] = {}
 
 
 def find_category_spans(text: str, matcher: CategoryMatcher) -> list[tuple[int, str]]:
@@ -93,11 +96,18 @@ def mentioned_categories(text: str, matcher: CategoryMatcher) -> set[str]:
 
 
 def resolve_noun_phrase(noun_phrase: str, matcher: CategoryMatcher) -> str | None:
-    """Best category named by a noun phrase.
+    """Best category named by a noun phrase, kept in ``matcher.resolved``.
 
     "the water kettle" resolves to "kettle", and a bare head noun reaches a
     multi-word category: "counter" resolves to "kitchen counter".
     """
+    resolved = matcher.resolved
+    if noun_phrase not in resolved:
+        resolved[noun_phrase] = _resolve(noun_phrase, matcher)
+    return resolved[noun_phrase]
+
+
+def _resolve(noun_phrase: str, matcher: CategoryMatcher) -> str | None:
     spans = find_category_spans(noun_phrase, matcher)
     if spans:
         # Prefer the longest match anywhere in the phrase, then the latest

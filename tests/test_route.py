@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sceneplan import cli
+from sceneplan import cli, route, textmatch
+from sceneplan.dataset import compute_stats, dataset_stats, load_dataset, validate_sample
 from sceneplan.route import (
     ADJACENCY_CLEARANCE,
     HEADING_TO_DIR,
@@ -44,7 +45,7 @@ from sceneplan.scene import (
     SceneModel,
     load_scene,
 )
-from sceneplan.textmatch import CategoryMatcher
+from sceneplan.textmatch import CategoryMatcher, resolve_noun_phrase
 from tests.conftest import FIXTURES, make_random_grid_scene
 from tests.dataset_builder import build_faulty_dataset, scene_to_dict
 from tests.oracles import (
@@ -53,6 +54,7 @@ from tests.oracles import (
     oracle_component_labels,
     oracle_nearest_free_cell,
     oracle_ray_hits_rect,
+    oracle_resolve_noun_phrase,
 )
 
 
@@ -71,6 +73,13 @@ class TestFragmentSplitting:
 
     def test_and_at_edges_does_not_emit_empty_pieces(self):
         assert split_fragments("and walk forward and") == ["walk forward"]
+
+    def test_line_break_splits_like_punctuation(self):
+        assert split_fragments("a\na") == ["a", "a"]
+        assert split_fragments("walk to the sink\nturn 90 degrees left") == [
+            "walk to the sink",
+            "turn 90 degrees left",
+        ]
 
 
 class TestRouteGrammar:
@@ -640,6 +649,15 @@ class TestVerifyRoute:
         assert reports[0]["verdict"] == "unreachable-target"
         assert "crate" in reports[0]["detail"]
 
+    def test_unparsed_detail_quotes_each_casing(self, kitchen):
+        # Pieces that differ only in case parse alike but are quoted as written.
+        texts = ["Walk quickly toward the sink", "WALK QUICKLY toward the sink"]
+        steps = [{"index": i, "text": text} for i, text in enumerate(texts, start=1)]
+        reports = verify_route(steps, kitchen, _pose(0.0, 0.0))
+        assert [(r["verdict"], r["detail"]) for r in reports] == [
+            ("unparsed", text) for text in texts
+        ]
+
     def test_first_failing_fragment_decides(self, kitchen):
         reports = verify_route(
             [{"index": 1, "text": "walk fastly to the sink and walk to the unicorn"}],
@@ -728,6 +746,160 @@ class TestVerifyRoute:
         assert not grid.is_free(*grid.cell_of(*inside.position))
         reports = verify_route(steps, kitchen, pose)
         assert reports[0]["verdict"] == "ok"
+
+
+_MOVE_VERBS = st.sampled_from(("walk", "Walk", "WALK", "go", "Head", "proceed"))
+_ADVERBS = st.sampled_from(("", "straight ahead ", "forward ", "Back "))
+# Kitchen categories, a head noun, a plural, other casings and unknown targets.
+_TARGETS = st.sampled_from((
+    "the sink", "the kitchen counter", "counter", "the mugs", "kettle", "the Coffee Machine",
+    "DINING TABLE", "the unicorn", "purple elephant",
+))
+_ROUTE_PIECES = st.one_of(
+    st.builds("{} {}to {}".format, _MOVE_VERBS, _ADVERBS, _TARGETS),
+    _MOVE_VERBS.map("{} forward".format),
+    st.sampled_from((
+        "turn 90 degrees left", "Turn 180 degrees right", "TURN 90 DEGREES RIGHT",
+        "walk quickly toward the sink", "WALK QUICKLY toward the sink",
+        "pick up the mug", "Open the refrigerator", "wait",
+    )),
+)
+_SEPARATORS = st.sampled_from((", ", ". ", "\n", " and ", " AND ", "; ", "! "))
+
+
+@st.composite
+def _step_lists(draw) -> list[dict]:
+    """Steps of one to four pieces each, joined by punctuation, line breaks or "and"."""
+    steps = []
+    for index in range(1, draw(st.integers(1, 5)) + 1):
+        pieces = draw(st.lists(_ROUTE_PIECES, min_size=1, max_size=4))
+        text = pieces[0]
+        for piece in pieces[1:]:
+            text += draw(_SEPARATORS) + piece
+        steps.append({"index": index, "text": text})
+    return steps
+
+
+# One scene object for every example, so its memos fill up across them.
+_SHARED_KITCHEN = load_scene(FIXTURES / "kitchen.json")
+
+
+def _module_state(module) -> dict[str, int | None]:
+    """Each module-level name, with its size when it holds a container."""
+    return {
+        name: len(value) if isinstance(value, (dict, list, set)) else None
+        for name, value in vars(module).items()
+        if not name.startswith("__")
+    }
+
+
+class TestPerSceneMemos:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(steps=_step_lists(), heading=st.sampled_from(HEADINGS))
+    def test_a_reused_scene_answers_as_a_fresh_one(self, steps, heading):
+        scene = _SHARED_KITCHEN
+        fresh = load_scene(FIXTURES / "kitchen.json")
+        samples = {("kitchen-01", 1): {
+            "scene_id": "kitchen-01", "activity": "tidy up",
+            "steps": [{**step, "object_ids": [], "is_final": False} for step in steps],
+        }}
+        stats = compute_stats(samples, {"kitchen-01": fresh})
+        start = AgentPose(default_start_pose(scene).position, heading)
+        assert verify_route(steps, scene, start) == verify_route(steps, fresh, start)
+        assert compute_stats(samples, {"kitchen-01": scene}) == stats
+        categories = set(scene.instances_by_category)
+        for step in steps:
+            fragments = parse_fragments(step["text"])
+            assert parse_fragments(step["text"], scene.fragment_memo) == fragments
+            for _, clause, _ in fragments:
+                if clause is not None and clause.target_category is not None:
+                    phrase = clause.target_category
+                    assert resolve_noun_phrase(
+                        phrase, scene.category_matcher
+                    ) == oracle_resolve_noun_phrase(phrase, categories)
+
+    def test_stats_hold_after_the_scenes_were_validated(self, tmp_path):
+        build_faulty_dataset(tmp_path)
+        samples, scenes = load_dataset(tmp_path)
+        before = compute_stats(samples, scenes)
+        for key, triplet in samples.items():
+            scene = scenes[key[0]]
+            validate_sample(key, triplet, scene, default_start_pose(scene))
+        assert all(scene.fragment_memo for scene in scenes.values())
+        assert compute_stats(samples, scenes) == before == dataset_stats(tmp_path)
+
+    def test_each_distinct_piece_is_parsed_once_per_scene(self, kitchen, monkeypatch):
+        parsed = []
+        parse_piece = route._parse_piece
+
+        def counting_parse(piece):
+            parsed.append(piece)
+            return parse_piece(piece)
+
+        monkeypatch.setattr(route, "_parse_piece", counting_parse)
+        text = "walk to the sink and Walk to the sink, pick up the mug"
+        steps = [{"index": i, "text": text, "object_ids": []} for i in (1, 2, 3)]
+        verify_route(steps, kitchen, default_start_pose(kitchen))
+        assert sorted(parsed) == ["Walk to the sink", "pick up the mug", "walk to the sink"]
+        triplet = {"scene_id": "kitchen-01", "activity": "wash up", "steps": steps}
+        compute_stats({("kitchen-01", 1): triplet}, {"kitchen-01": kitchen})
+        assert len(parsed) == 3
+
+    def test_each_target_phrase_is_resolved_once_per_scene(self, kitchen, monkeypatch):
+        searched = []
+        find_spans = textmatch.find_category_spans
+
+        def counting_find(text, matcher):
+            searched.append(text)
+            return find_spans(text, matcher)
+
+        monkeypatch.setattr(textmatch, "find_category_spans", counting_find)
+        texts = ["walk to the sink", "walk to the unicorn", "walk to the sink"]
+        steps = [{"index": i, "text": text} for i, text in enumerate(texts, start=1)]
+        verify_route(steps, kitchen, default_start_pose(kitchen))
+        assert searched == ["sink", "unicorn"]
+        clause = RouteClause("walk", target_category="sink")
+        for _ in range(2):
+            apply_clause(default_start_pose(kitchen), clause, kitchen)
+        assert searched == ["sink", "unicorn"]
+
+    def test_memos_belong_to_one_scene_and_one_matcher(self, kitchen_path):
+        first, second = load_scene(kitchen_path), load_scene(kitchen_path)
+        verify_route([{"index": 1, "text": "walk to the sink"}], first, _pose(0.0, 0.0))
+        assert first.fragment_memo and first.category_matcher.resolved
+        assert second.fragment_memo == {} and second.category_matcher.resolved == {}
+        kitchen, bar = CategoryMatcher({"kitchen counter"}), CategoryMatcher({"bar counter"})
+        assert resolve_noun_phrase("the counter", kitchen) == "kitchen counter"
+        assert resolve_noun_phrase("the counter", bar) == "bar counter"
+        assert kitchen.resolved is not bar.resolved
+
+    def test_validate_leaves_no_module_level_cache(self, tmp_path, capsys):
+        build_faulty_dataset(tmp_path)
+        modules = (route, textmatch)
+        before = [_module_state(module) for module in modules]
+        assert cli.main(["validate", str(tmp_path)]) == 1  # the dataset's faults were found
+        assert json.loads(capsys.readouterr().out)["findings"]
+        assert [_module_state(module) for module in modules] == before
+        for module in modules:
+            assert not [name for name, value in vars(module).items() if hasattr(value, "cache_info")]
+
+    def test_parse_hook_sees_one_call_per_step(self, kitchen, monkeypatch):
+        # Bound as the benchmark's tracer binds it: in place of the module attribute.
+        seen = []
+        parse = route.parse_fragments
+
+        def hook(*args, **kwargs):
+            seen.append(args[0])
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(route, "parse_fragments", hook)
+        texts = ["walk to the sink", "pick up the mug and turn 90 degrees left", "walk to the sink"]
+        steps = [{"index": i, "text": text, "object_ids": []} for i, text in enumerate(texts, 1)]
+        verify_route(steps, kitchen, default_start_pose(kitchen))
+        assert seen == texts
+        triplet = {"scene_id": "kitchen-01", "activity": "wash up", "steps": steps}
+        compute_stats({("kitchen-01", 1): triplet}, {"kitchen-01": kitchen})
+        assert seen == texts * 2
 
 
 def _coordinate(data, low: float, size: float, cells: int) -> float:

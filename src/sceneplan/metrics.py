@@ -22,17 +22,22 @@ Each corpus counts its n-grams once, for BLEU and CIDEr together, into an
 ``NgramTable`` keyed by integers: ``bleu`` and ``cider`` read the table,
 ``rouge_l`` and ``meteor`` the pairs.  ``evaluate_pairs`` builds the table
 once per call and keeps it only until scoring returns.
+
+Within a pair, ``rouge_l`` and ``meteor`` each index the candidate once (LCS
+bit masks; each token's ascending positions) and walk each reference once
+against that index.  METEOR counts chunks by adjacency: the matches less
+the links (i, j) whose (i + 1, j + 1) is also a link.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import Counter, deque, namedtuple
-from collections.abc import Sequence
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from functools import reduce
-from itertools import chain, compress, count, repeat
-from operator import add, mul
+from itertools import chain, compress, count, filterfalse, repeat
+from operator import add, floordiv, mod, mul
 
 from .porter import stem
 
@@ -108,10 +113,12 @@ class NgramTable:
                 # holds it; a repeated one clips to its largest count in a
                 # single reference.
                 clipped = len(in_references.intersection(grams))
-                for gram in compress(grams, map((1).__lt__, grams.values())):
-                    most = max(ref.get(gram, 0) for ref in references)
-                    if most > 1:
-                        clipped += min(grams[gram], most) - 1
+                # Each repeated gram adds min(count, most) - 1 to that 1; a
+                # gram that no reference holds counts as held once, adding 0.
+                repeated = list(compress(grams, map((1).__lt__, grams.values())))
+                in_each = (map(ref.get, repeated, repeat(1)) for ref in references)
+                most = map(max, zip(*in_each))
+                clipped += sum(map(min, map(grams.__getitem__, repeated), most)) - len(repeated)
                 self.clipped[order] += clipped
                 self.total[order] += max(0, length - order)
             self.term_frequency.append(by_order)
@@ -155,44 +162,61 @@ def bleu(table: NgramTable, max_n: int) -> float:
     return brevity * math.exp(log_precision_sum / max_n)
 
 
-def lcs_length(a: tuple[str, ...], b: tuple[str, ...]) -> int:
-    """Length of a longest common subsequence, one big-int step per token of ``a``.
-
-    Bit-parallel LCS (Allison & Dix, 1986; Hyyrö, 2004): bit j of ``v`` is 0
-    where the DP row steps up at column j of ``b``, so the LCS is the count
-    of zero bits among the ``len(b)`` low bits.
-    """
+def _lcs_masks(tokens: Sequence[str]) -> dict[str, int]:
+    """Each distinct token's bit mask of its positions in ``tokens``."""
     masks: dict[str, int] = {}
-    for j, token in enumerate(b):
+    for j, token in enumerate(tokens):
         masks[token] = masks.get(token, 0) | (1 << j)
-    full = (1 << len(b)) - 1
+    return masks
+
+
+def _lcs_scan(masks: dict[str, int], width: int, tokens: Sequence[str]) -> int:
+    """LCS length of ``tokens`` against the ``width`` tokens whose masks are ``masks``.
+
+    Bit-parallel LCS (Allison & Dix, 1986; Hyyrö, 2004), one big-int step
+    per token scanned: bit j of ``v`` is 0 where the DP row steps up at
+    column j of the masked sequence, so the LCS is the count of zero bits
+    among the ``width`` low bits.
+    """
+    full = (1 << width) - 1
     v = full
-    for token in a:
+    for token in tokens:
         m = masks.get(token)
         if m:
             u = v & m
             v = ((v + u) | (v - u)) & full
-    return len(b) - v.bit_count()
+    return width - v.bit_count()
 
 
-def _rouge_pair(candidate: tuple[str, ...], reference: tuple[str, ...]) -> float:
-    if not candidate or not reference:
-        return 0.0
-    lcs = lcs_length(candidate, reference)
-    recall = lcs / len(reference)
-    precision = lcs / len(candidate)
+def lcs_length(a: tuple[str, ...], b: tuple[str, ...]) -> int:
+    """Length of a longest common subsequence: masks over ``b``, one step per token of ``a``."""
+    return _lcs_scan(_lcs_masks(b), len(b), a)
+
+
+def _rouge_scores(
+    candidate: tuple[str, ...], references: tuple[tuple[str, ...], ...]
+) -> Iterator[float]:
+    """The candidate's ROUGE-L F-score against each reference, masks built once."""
+    width = len(candidate)
+    # LCS length is symmetric, so the candidate's masks serve every reference.
+    masks = _lcs_masks(candidate)
     beta_sq = ROUGE_BETA * ROUGE_BETA
-    denominator = recall + beta_sq * precision
-    if denominator == 0:
-        return 0.0
-    return (1 + beta_sq) * recall * precision / denominator
+    for reference in references:
+        if not width or not reference:
+            yield 0.0
+            continue
+        lcs = _lcs_scan(masks, width, reference)
+        recall = lcs / len(reference)
+        precision = lcs / width
+        denominator = recall + beta_sq * precision
+        yield (1 + beta_sq) * recall * precision / denominator if denominator else 0.0
 
 
 def rouge_l(pairs: Sequence[TokenizedPair]) -> float:
     if not pairs:
         raise ValueError("rouge_l requires at least one pair")
     return reduce(
-        add, (max(_rouge_pair(p.candidate, ref) for ref in p.references) for p in pairs), 0
+        add, (max(_rouge_scores(p.candidate, p.references)) for p in pairs), 0
     ) / len(pairs)
 
 
@@ -210,74 +234,98 @@ def align_unigrams(
     differ from a chunk-minimal alignment, whose computation is
     exponential in repeated tokens.
     """
-    alignment: list[tuple[int, int]] = []
-    cand_left, ref_left = _match_stage(
-        list(enumerate(candidate)), list(enumerate(reference)), alignment
-    )
-    if cand_left and ref_left:
-        _match_stage(
-            [(i, stem(token)) for i, token in cand_left],
-            [(j, stem(token)) for j, token in ref_left],
-            alignment,
-        )
-    alignment.sort()
-    return alignment
+    width = len(candidate) + 1
+    links = _align(candidate, _positions(candidate, range(len(candidate))), width, reference)
+    return sorted((i, j) for j, i in map(divmod, links, repeat(width)))
 
 
-def _match_stage(
-    cand_keys: list[tuple[int, str]],
-    ref_keys: list[tuple[int, str]],
-    alignment: list[tuple[int, int]],
-) -> tuple[list[tuple[int, str]], list[tuple[int, str]]]:
-    """Match each candidate key to the lowest free reference position with that key.
-
-    Takes and returns (position, key) lists; appends the matches to
-    ``alignment`` and returns the candidate and reference entries left over.
-    """
-    free: dict[str, deque[int]] = {}
-    for j, key in ref_keys:
-        free.setdefault(key, deque()).append(j)
-    cand_left = []
-    taken = set()
-    for i, key in cand_keys:
-        positions = free.get(key)
-        if positions:
-            j = positions.popleft()
-            alignment.append((i, j))
-            taken.add(j)
+def _positions(keys: Iterable[str], positions: Iterable[int]) -> dict[str, list[int]]:
+    """Each key's positions, ascending, from ``keys`` read beside ``positions``."""
+    index: dict[str, list[int]] = {}
+    for i, key in zip(positions, keys):
+        if key in index:
+            index[key].append(i)
         else:
-            cand_left.append((i, key))
-    return cand_left, [(j, key) for j, key in ref_keys if j not in taken]
+            index[key] = [i]
+    return index
 
 
-def _chunk_count(alignment: list[tuple[int, int]]) -> int:
-    chunks = 0
-    previous: tuple[int, int] | None = None
-    for ci, ri in alignment:
-        if previous is None or ci != previous[0] + 1 or ri != previous[1] + 1:
-            chunks += 1
-        previous = (ci, ri)
-    return chunks
+def _align(
+    candidate: tuple[str, ...],
+    index: dict[str, list[int]],
+    width: int,
+    reference: tuple[str, ...],
+) -> list[int]:
+    """``align_unigrams``'s links, unsorted, each (i, j) coded as j * width + i.
+
+    ``index`` holds the candidate's token positions and ``width`` exceeds
+    the candidate's length.  The lowest-free-position rule pairs the m-th
+    candidate occurrence of a key with its m-th reference occurrence, so one
+    walk of the reference per stage makes the same links.
+    """
+    links: list[int] = []
+    rows = range(0, len(reference) * width, width)
+    ref_left = _link(index, zip(rows, reference), links)
+    if ref_left and len(links) < len(candidate):
+        linked = set(map(mod, links, repeat(width)))
+        cand_left = list(filterfalse(linked.__contains__, range(len(candidate))))
+        stems = _positions(map(stem, map(candidate.__getitem__, cand_left)), cand_left)
+        ref_stems = map(stem, map(reference.__getitem__, map(floordiv, ref_left, repeat(width))))
+        _link(stems, zip(ref_left, ref_stems), links)
+    return links
 
 
-def _meteor_pair(candidate: tuple[str, ...], reference: tuple[str, ...]) -> float:
-    alignment = align_unigrams(candidate, reference)
-    matches = len(alignment)
-    if matches == 0:
-        return 0.0
-    precision = matches / len(candidate)
-    recall = matches / len(reference)
-    f_mean = 10 * precision * recall / (recall + 9 * precision)
-    chunks = _chunk_count(alignment)
-    penalty = METEOR_PENALTY_WEIGHT * (chunks / matches) ** METEOR_PENALTY_POWER
-    return f_mean * (1 - penalty)
+def _link(
+    index: dict[str, list[int]], keyed: Iterable[tuple[int, str]], links: list[int]
+) -> list[int]:
+    """Give each (row, key) of ``keyed``, in order, its key's next position in ``index``.
+
+    Appends row + position to ``links`` for each match and returns the rows
+    that found no position left.
+    """
+    # Each key hands out its positions in order; a key the index lacks gets
+    # the exhausted iterator.
+    unused = dict(zip(index, map(iter, index.values())))
+    none_left = iter(())
+    left = []
+    for row, key in keyed:
+        i = next(unused.get(key, none_left), None)
+        if i is None:
+            left.append(row)
+        else:
+            links.append(row + i)
+    return left
+
+
+def _meteor_scores(
+    candidate: tuple[str, ...], references: tuple[tuple[str, ...], ...]
+) -> Iterator[float]:
+    """The candidate's METEOR-es score against each reference, candidate indexed once."""
+    index = _positions(candidate, range(len(candidate)))
+    width = len(candidate) + 1
+    for reference in references:
+        links = _align(candidate, index, width, reference)
+        matches = len(links)
+        if matches == 0:
+            yield 0.0
+            continue
+        precision = matches / len(candidate)
+        recall = matches / len(reference)
+        f_mean = 10 * precision * recall / (recall + 9 * precision)
+        # Links sorted by candidate position fall into chunks, runs adjacent
+        # in both texts, so each link (i, j) whose (i + 1, j + 1) is also a
+        # link extends a chunk.  That link's code is width + 1 higher; as
+        # i + 1 stays below width, no code of another row matches.
+        chunks = matches - len(set(links).intersection(map(add, links, repeat(width + 1))))
+        penalty = METEOR_PENALTY_WEIGHT * (chunks / matches) ** METEOR_PENALTY_POWER
+        yield f_mean * (1 - penalty)
 
 
 def meteor(pairs: Sequence[TokenizedPair]) -> float:
     if not pairs:
         raise ValueError("meteor requires at least one pair")
     return reduce(
-        add, (max(_meteor_pair(p.candidate, ref) for ref in p.references) for p in pairs), 0
+        add, (max(_meteor_scores(p.candidate, p.references)) for p in pairs), 0
     ) / len(pairs)
 
 

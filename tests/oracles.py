@@ -414,14 +414,14 @@ def oracle_lcs(a: tuple[str, ...], b: tuple[str, ...]) -> int:
     return go(0, 0)
 
 
-def oracle_rouge_l(candidates, references, beta: float = 1.2) -> float:
+def oracle_rouge_l(candidates, references, beta: float = 1.2, lcs_fn=oracle_lcs) -> float:
     total = 0.0
     for cand, refs in zip(candidates, references):
         best = 0.0
         for ref in refs:
             if not cand or not ref:
                 continue
-            lcs = oracle_lcs(tuple(cand), tuple(ref))
+            lcs = lcs_fn(tuple(cand), tuple(ref))
             r = lcs / len(ref)
             p = lcs / len(cand)
             denom = r + beta * beta * p
@@ -482,21 +482,30 @@ def oracle_meteor_pair(cand: list[str], ref: list[str], stem_fn) -> float:
     for alignment in best_alignments:
         if len(alignment) != top_matches:
             continue
-        m = len(alignment)
-        if m == 0:
-            continue
-        chunks = 0
-        prev = None
-        for ci, ri in alignment:
-            if prev is None or ci != prev[0] + 1 or ri != prev[1] + 1:
-                chunks += 1
-            prev = (ci, ri)
-        p = m / len(cand)
-        r = m / len(ref)
-        f = 10 * p * r / (r + 9 * p)
-        score = f * (1 - 0.5 * (chunks / m) ** 3)
-        best_score = max(best_score, score)
+        if alignment:
+            best_score = max(best_score, _oracle_meteor_score(alignment, cand, ref))
     return best_score
+
+
+def oracle_chunk_count(alignment: list[tuple[int, int]]) -> int:
+    """Chunks of a sorted alignment: a new one starts wherever the next link
+    is not one step on in both the candidate and the reference."""
+    chunks = 0
+    prev = None
+    for ci, ri in alignment:
+        if prev is None or ci != prev[0] + 1 or ri != prev[1] + 1:
+            chunks += 1
+        prev = (ci, ri)
+    return chunks
+
+
+def _oracle_meteor_score(alignment, cand, ref) -> float:
+    """METEOR of a nonempty sorted alignment, in the package's float operation order."""
+    m = len(alignment)
+    p = m / len(cand)
+    r = m / len(ref)
+    f = 10 * p * r / (r + 9 * p)
+    return f * (1 - 0.5 * (oracle_chunk_count(alignment) / m) ** 3)
 
 
 def oracle_greedy_alignment(cand, ref, stem_fn) -> list[tuple[int, int]]:
@@ -520,6 +529,21 @@ def oracle_greedy_alignment(cand, ref, stem_fn) -> list[tuple[int, int]]:
                     alignment.append((i, j))
                     break
     return sorted(alignment)
+
+
+def oracle_greedy_meteor(candidates, references, stem_fn) -> float:
+    """METEOR-es as the package scores it, recomputed per reference: the
+    rescanning greedy alignment, its chunks by the sorted walk, the best
+    reference per pair, and the pairs' mean summed left to right."""
+    total = 0.0
+    for cand, refs in zip(candidates, references):
+        best = 0.0
+        for ref in refs:
+            alignment = oracle_greedy_alignment(cand, ref, stem_fn)
+            if alignment:
+                best = max(best, _oracle_meteor_score(alignment, cand, ref))
+        total += best
+    return total / len(candidates)
 
 
 def oracle_meteor(candidates, references, stem_fn) -> float:

@@ -32,6 +32,7 @@ from tests.oracles import (
     oracle_bleu,
     oracle_cider,
     oracle_greedy_alignment,
+    oracle_greedy_meteor,
     oracle_lcs,
     oracle_meteor,
     oracle_rouge_l,
@@ -100,6 +101,11 @@ class TestPinnedExamples:
     def test_meteor_transposition_penalty(self):
         # "b a" vs "a b": 2 matches in 2 chunks, penalty 0.5.
         assert meteor([_pair("b a", "a b")]) == pytest.approx(0.5, abs=1e-12)
+
+    def test_meteor_links_in_rows_two_apart_are_separate_chunks(self):
+        # Links (1, 0) and (0, 2): neither follows the other in both texts,
+        # so 2 matches in 2 chunks.  P = 1, R = 2/3, Fmean = 20/29, penalty 0.5.
+        assert meteor([_pair("a b", "b x a")]) == pytest.approx(10 / 29, rel=1e-12)
 
     def test_meteor_identity_formula(self):
         text = "walk to the stove"
@@ -284,6 +290,34 @@ class TestOracleAgreement:
         assert report["bleu"] == EXPECTED["bleu"]
         assert report["cider"] == EXPECTED["cider"]
 
+    def test_rouge_l_and_meteor_index_each_candidate_once_per_pair(self, monkeypatch):
+        masked, indexed = [], []
+        lcs_masks, positions = metrics._lcs_masks, metrics._positions
+
+        def counting_masks(tokens):
+            masked.append(tokens)
+            return lcs_masks(tokens)
+
+        def counting_positions(keys, at):
+            indexed.append(keys)
+            return positions(keys, at)
+
+        monkeypatch.setattr(metrics, "_lcs_masks", counting_masks)
+        monkeypatch.setattr(metrics, "_positions", counting_positions)
+        candidates = [p.candidate for p in GOLDEN_PAIRS]
+        references = [ref for p in GOLDEN_PAIRS for ref in p.references]
+        assert len(references) > len(candidates)
+        assert rouge_l(GOLDEN_PAIRS) == EXPECTED["rouge_l"]
+        assert meteor(GOLDEN_PAIRS) == EXPECTED["meteor"]
+        # ROUGE-L masks each candidate once, in pair order, and no reference.
+        assert len(masked) == len(candidates)
+        assert all(got is want for got, want in zip(masked, candidates))
+        # METEOR indexes each candidate's tokens once; its other indexes are
+        # the stem stage's, over what a reference left unmatched.
+        whole = [keys for keys in indexed if isinstance(keys, tuple)]
+        assert len(whole) == len(candidates)
+        assert all(got is want for got, want in zip(whole, candidates))
+
     def test_lcs_matches_recursive_oracle(self):
         rng = random.Random(11)
         vocab = ["a", "b", "c", "d"]
@@ -323,6 +357,30 @@ class TestOracleAgreement:
             assert align_unigrams(tuple(cand), tuple(ref)) == oracle_greedy_alignment(
                 cand, ref, stem
             )
+
+    # ROUGE-L scans each reference against one set of candidate masks, and
+    # METEOR walks each reference against one index of candidate positions.
+    # Recomputed one reference at a time (ROUGE-L with the masks over the
+    # reference, METEOR by rescanning and the sorted chunk walk), both must
+    # agree to the bit.  Lengths reach 150, so masks and link codes cross 64
+    # bits; texts may be empty and repeat inflections of one stem.
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(data=st.data(), vocab_size=st.integers(1, len(ALIGNMENT_VOCAB)))
+    def test_per_pair_indexes_match_per_reference_recomputation(self, data, vocab_size):
+        words = st.sampled_from(ALIGNMENT_VOCAB[:vocab_size])
+
+        def text() -> tuple[str, ...]:
+            n = data.draw(st.integers(0, 150))
+            return tuple(data.draw(st.lists(words, min_size=n, max_size=n)))
+
+        pairs = [
+            TokenizedPair(text(), tuple(text() for _ in range(data.draw(st.integers(1, 4)))))
+            for _ in range(data.draw(st.integers(1, 4)))
+        ]
+        cands = [list(p.candidate) for p in pairs]
+        refs = [[list(r) for r in p.references] for p in pairs]
+        assert rouge_l(pairs) == oracle_rouge_l(cands, refs, lcs_fn=lcs_length)
+        assert meteor(pairs) == oracle_greedy_meteor(cands, refs, stem)
 
     # BLEU and CIDEr count grams under integer keys: the ids of a gram's
     # tokens read as base-(V + 1) digits.  A colliding key would merge two

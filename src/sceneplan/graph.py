@@ -60,10 +60,12 @@ class SceneGraph(namedtuple("SceneGraph", "categories weights edges edge_weights
 def classify_relation(a: ObjectInstance, b: ObjectInstance) -> tuple[str, float]:
     """(kind, distance) of ``b`` relative to ``a``: the dominant centroid-difference axis.
 
-    The distance is the exact Euclidean centroid distance in meters.  Scene
-    coordinates: +x right, +y front, +z up.  Anything closer than
-    ``NEAR_DISTANCE`` is "near" regardless of direction; identical centroids
-    are "near" at distance 0.
+    The distance, in meters, is ``sqrt(dx*dx + dy*dy + dz*dz)`` over the
+    centroid differences.  Its squares overflow, so it is ``inf`` once a
+    difference passes about 1.34e154, where ``math.dist``, which ranks the
+    neighbours, stays finite.  Scene coordinates: +x right, +y front, +z
+    up.  Anything closer than ``NEAR_DISTANCE`` is "near" regardless of
+    direction; identical centroids are "near" at distance 0.
     """
     ca, cb = a.centroid, b.centroid
     dx = cb[0] - ca[0]

@@ -371,6 +371,12 @@ def test_stdout_matches_golden_bytes(capsys, faulty_dir, golden_corpus_files, na
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda path: path.stem)
+def test_golden_stdout_is_what_json_dumps_prints(path):
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -202,3 +206,22 @@ def test_readme_minimal_call_prints_the_coffee_episode():
     expected = [f"{step['index']} {step['text']}" for step in golden["steps"]]
     assert len(expected) == 4
     assert run_python(block, cwd=REPO).stdout.splitlines() == expected
+
+
+def test_smoke_passes_on_a_copy_of_the_package_outside_the_checkout(tmp_path):
+    """``tests/smoke.py`` passes on ``python -m sceneplan.cli`` that imports a copy of ``src/``.
+
+    CI runs the same file on the console script of a fresh ``pip install .``.
+    """
+    copy = tmp_path / "src" / "sceneplan"
+    shutil.copytree(REPO / "src" / "sceneplan", copy, ignore=shutil.ignore_patterns("__pycache__"))
+    env = dict(os.environ, PYTHONPATH=str(copy.parent))
+
+    def python(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+
+    imported = python("-c", "import sceneplan; print(sceneplan.__file__)").stdout
+    assert Path(imported.strip()).resolve() == (copy / "__init__.py").resolve()
+    done = python(str(REPO / "tests" / "smoke.py"), sys.executable, "-m", "sceneplan.cli")
+    assert (done.returncode, done.stderr) == (0, "")

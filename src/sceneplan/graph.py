@@ -35,27 +35,6 @@ class SceneGraph(namedtuple("SceneGraph", "categories weights edges edge_weights
     two weight dicts change after :func:`build_graph`, in place.
     """
 
-    @cached_property
-    def prompt_text(self) -> tuple[dict[int, str], dict[int, str]]:
-        """Per node, its node-line prefix and its out-edge lines, built on first use.
-
-        The prefix is "<cat>#<id> (w=".  Each edge line is
-        "\\n<cat>#<i> <kind> <cat>#<j>"; a node's lines are one string in
-        ascending neighbor id order.  Neither depends on the weights, the only
-        part of a graph that changes after :func:`build_graph`.  Kept in the
-        instance ``__dict__``, outside the tuple fields, so equality still
-        sees only the graph.
-        """
-        labels = {node_id: f"{category}#{node_id}" for node_id, category in self.categories.items()}
-        prefixes = {node_id: label + " (w=" for node_id, label in labels.items()}
-        edge_lines = {
-            node_id: "".join(
-                f"\n{labels[node_id]} {kind} {labels[dst]}" for dst, (kind, _) in out.items()
-            )
-            for node_id, out in self.edges.items()
-        }
-        return prefixes, edge_lines
-
 
 def classify_relation(a: ObjectInstance, b: ObjectInstance) -> tuple[str, float]:
     """(kind, distance) of ``b`` relative to ``a``: the dominant centroid-difference axis.
@@ -309,19 +288,14 @@ def serialize_for_prompt(graph: SceneGraph, weights: dict[int, float]) -> str:
     (w=<weight>)".  Edge lines follow in the same node order, each node's
     out-edges by ascending neighbor id, as "<cat>#<i> <kind> <cat>#<j>".
     Pure function of the graph and the weights: identical inputs give
-    byte-identical output.  The node-line prefixes and the edge lines come
-    from :attr:`SceneGraph.prompt_text`; per call, each distinct weight is
-    formatted once.  Both rely on the weights being positive and finite, as
-    :func:`modulate` keeps them: no NaN upsets the sort, and no -0.0 shares
-    a format with 0.0.
+    byte-identical output.
     """
-    prefixes, edge_lines = graph.prompt_text
-    # Ascending ids, then a stable sort by descending weight: ties stay in id order.
-    ranked = sorted(sorted(weights), key=weights.__getitem__, reverse=True)
-    suffixes = {weight: format(weight, "g") + ")" for weight in set(weights.values())}
-    return "\n".join(
-        [prefixes[node_id] + suffixes[weights[node_id]] for node_id in ranked]
-    ) + "".join(map(edge_lines.__getitem__, ranked))
+    label = {node_id: f"{category}#{node_id}" for node_id, category in graph.categories.items()}
+    ranked = sorted(weights, key=lambda i: (-weights[i], i))
+    edges = dict(graph.edges.items())
+    lines = [f"{label[i]} (w={weights[i]:g})" for i in ranked]
+    lines += [f"{label[i]} {kind} {label[j]}" for i in ranked for j, (kind, _) in edges[i].items()]
+    return "\n".join(lines)
 
 
 def graph_to_dict(graph: SceneGraph) -> dict:

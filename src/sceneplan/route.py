@@ -6,7 +6,8 @@ Headings are quantized to 90-degree multiples with 0 = +y and left =
 counterclockwise, which makes verification exact.  Planning runs A* over
 the scene's occupancy grid and renders the cell path back into clauses.
 
-All operations here are pure functions of their inputs.
+Results depend only on the inputs, but :func:`parse_fragments`,
+:func:`goal_cells` and ``resolve_noun_phrase`` fill per-scene memos.
 """
 
 from __future__ import annotations

@@ -79,7 +79,7 @@ class OccupancyGrid(namedtuple("OccupancyGrid", "cell_size origin rows cols bloc
         return self.blocked[row * self.cols + col]
 
     def is_free(self, row: int, col: int) -> bool:
-        # In-bounds and not blocked, each field read once: A* calls this per neighbour.
+        # In-bounds and not blocked; A* reads ``blocked`` inline instead.
         cols = self.cols
         return 0 <= row < self.rows and 0 <= col < cols and not self.blocked[row * cols + col]
 

@@ -8,10 +8,11 @@ With no ids, every mutant runs.  ``src/`` and ``tests/`` are copied to a
 temporary directory.  The named tests must first pass on the unmutated copy.
 Then each mutant replaces its source string, which must occur exactly once
 in its file, runs its tests with pytest in a fresh interpreter, and is put
-back.  The run exits 1 when a source string does not occur exactly once,
-when a named test fails on the unmutated copy, or when a mutant's tests
-still pass (it survived).  Standard library only; the file is not named
-``test_*``, so pytest does not collect it.
+back.  The run exits 1 when :func:`manifest_problems` finds an entry
+stranded, when a named test fails on the unmutated copy, or when a
+mutant's tests still pass (it survived).  Standard library only; the file
+is not named ``test_*``, so pytest does not collect it, and
+``tests/test_mutants.py`` calls :func:`manifest_problems` in the test suite.
 
 Each entry of ``tests/mutants.json`` has ``id``, ``file`` (relative to the
 repository root), ``find``, ``replace``, ``tests`` (pytest node ids) and
@@ -20,6 +21,7 @@ repository root), ``find``, ``replace``, ``tests`` (pytest node ids) and
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import shutil
@@ -33,17 +35,59 @@ REPO = Path(__file__).resolve().parent.parent
 MUTANTS = REPO / "tests" / "mutants.json"
 FIELDS = ("id", "file", "find", "replace", "tests", "why")
 TIMEOUT = 600.0
+DEFINITIONS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def load_mutants() -> list[dict]:
-    mutants = json.loads(MUTANTS.read_text(encoding="utf-8"))
-    ids = [mutant.get("id") for mutant in mutants]
+    return json.loads(MUTANTS.read_text(encoding="utf-8"))
+
+
+def manifest_problems(mutants: list[dict]) -> list[str]:
+    """One line per stranded or malformed entry of ``mutants``; none when all are sound.
+
+    An entry must have exactly :data:`FIELDS`, at least one test and an id
+    of its own.  Its source string must occur exactly once in its file, and
+    every test it names must exist: the file, and the classes and function
+    of the node id, found by parsing the file.  A parameter id in brackets
+    is not checked here; pytest fails a run that selects none.
+    """
+    problems, seen, parsed = [], set(), {}
     for mutant in mutants:
+        mutant_id = mutant.get("id")
         if sorted(mutant) != sorted(FIELDS) or not mutant["tests"]:
-            raise SystemExit(f"{MUTANTS}: {mutant.get('id')!r} needs exactly the fields {FIELDS}")
-        if ids.count(mutant["id"]) > 1:
-            raise SystemExit(f"{MUTANTS}: duplicate id {mutant['id']!r}")
-    return mutants
+            problems.append(f"{mutant_id!r} needs exactly the fields {FIELDS}")
+            continue
+        if mutant_id in seen:
+            problems.append(f"duplicate id {mutant_id!r}")
+        seen.add(mutant_id)
+        path = REPO / mutant["file"]
+        count = path.read_text(encoding="utf-8").count(mutant["find"]) if path.is_file() else 0
+        if count != 1:
+            problems.append(
+                f"{mutant_id}: source string occurs {count} times in {mutant['file']}, not once"
+            )
+        problems.extend(
+            f"{mutant_id}: names {node_id}, which does not exist"
+            for node_id in mutant["tests"] if not _defined(node_id, parsed)
+        )
+    return problems
+
+
+def _defined(node_id: str, parsed: dict[str, list | None]) -> bool:
+    """Whether the file of a pytest node id defines its classes and function.
+
+    ``parsed`` keeps each file's parsed module body, or None for a missing
+    file.  The parameter id in brackets, if any, is not checked.
+    """
+    file, *names = node_id.split("[", 1)[0].split("::")
+    if file not in parsed:
+        path = REPO / file
+        parsed[file] = ast.parse(path.read_text(encoding="utf-8")).body if path.is_file() else None
+    body = parsed[file]
+    for name in names:
+        body = next((node.body for node in body or ()
+                     if isinstance(node, DEFINITIONS) and node.name == name), None)
+    return bool(names) and body is not None
 
 
 def python(root: Path, *args: str) -> subprocess.CompletedProcess:
@@ -66,20 +110,15 @@ def pytest(root: Path, node_ids: list[str], *extra: str) -> subprocess.Completed
 
 def main(argv: list[str]) -> int:
     mutants = load_mutants()
+    problems = manifest_problems(mutants)
+    if problems:
+        print(f"{MUTANTS}:\n" + "\n".join(problems))
+        return 1
     if argv:
         unknown = sorted(set(argv) - {mutant["id"] for mutant in mutants})
         if unknown:
             raise SystemExit(f"unknown mutant id(s): {', '.join(unknown)}")
         mutants = [mutant for mutant in mutants if mutant["id"] in argv]
-    stale = [
-        f"{mutant['id']}: source string occurs {count} times in {mutant['file']}, not once"
-        for mutant in mutants
-        if (count := (REPO / mutant["file"]).read_text(encoding="utf-8").count(mutant["find"]))
-        != 1
-    ]
-    if stale:
-        print("\n".join(stale))
-        return 1
     with tempfile.TemporaryDirectory(prefix="sceneplan-mutants-") as tmp:
         root = Path(tmp)
         skip = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")

@@ -339,6 +339,8 @@ class TestRouteCheckCommand:
 # Byte-exact stdout of stats and route-check on the fixtures and on the
 # faulty dataset of tests/dataset_builder.py.  No benchmark workload runs
 # stats, so this is its output lock; editing these files changes CLI output.
+# plan_llm_requests_kitchen_k4.json holds request bodies, not stdout: the
+# prompts that `plan --backend llm` posts.
 GOLDEN = FIXTURES / "cli_golden"
 
 
@@ -369,6 +371,27 @@ def test_stdout_matches_golden_bytes(capsys, faulty_dir, golden_corpus_files, na
     root, _ = faulty_dir
     assert main([arg.format(root=root, corpus=golden_corpus_files) for arg in argv]) == code
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+def test_llm_plan_posts_the_golden_request_bodies(capsys, monkeypatch):
+    # The prompt bytes lock: every chat-completions body that `plan --backend
+    # llm` posts on the kitchen, at k 4 and a w_l that leaves weights like
+    # 1.2100000000000002, which render as "1.21".
+    monkeypatch.setenv("SHARP_API_KEY", "test-key")
+    replies = [
+        "You are tired, so brew coffee. Step 1: Walk to the coffee machine.",
+        "Step 2: Take a mug from the cabinet.",
+        "Step 3: Fill the kettle at the sink and put it on the stove.",
+        "Step 4: Pour the coffee into the mugs on the dining table. [END]",
+    ]
+    with StubEndpoint([{"text": text} for text in replies]) as stub:
+        argv = COFFEE_PLAN + ["--k", "4", "--w-l", "1.1", "--backend", "llm",
+                              "--endpoint", stub.base_url, "--model", "stub-model"]
+        assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["terminated_by"] == "end-token"
+    bodies = json.dumps([request["body"] for request in stub.requests], indent=2, sort_keys=True)
+    golden = GOLDEN / "plan_llm_requests_kitchen_k4.json"
+    assert bodies + "\n" == golden.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda path: path.stem)

@@ -48,8 +48,9 @@ def test_importing_the_package_loads_no_submodule():
 
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
-    # Only what the import adds counts, so a site hook that loads one of
-    # these modules before it cannot fail the test.
+    # Without site (-S), no .pth hook has loaded one of these modules before
+    # the import, where it would hide that the import loads it too.  Only
+    # what the import adds counts.
     script = (
         "import json, sys\n"
         "before = set(sys.modules)\n"
@@ -57,7 +58,7 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
         "added = set(sys.modules) - before\n"
         "print(json.dumps(sorted({'dataclasses', 'inspect', 'typing'} & added)))\n"
     )
-    assert json.loads(run_python(script).stdout) == []
+    assert json.loads(run_interpreter(["-S", "-c", script]).stdout) == []
 
 
 @pytest.mark.parametrize(
